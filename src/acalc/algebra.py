@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -59,7 +60,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Algebra:
-    """A validated algebra; immutable after construction via :func:`make_algebra`."""
+    """A validated algebra; immutable after construction via :func:`make_algebra`.
+
+    Facts derived from the structure tensor alone are computed on first use
+    and held, read-only, for the life of the algebra.
+    """
 
     name: str
     dim: int
@@ -67,6 +72,23 @@ class Algebra:
     unity: np.ndarray          # shape (n,), read-only
     basis_labels: tuple[str, ...]
     commutative: bool
+
+    @cached_property
+    def rep_basis(self) -> np.ndarray:
+        """Shape (n^2, n); column i is vec M(v_i), with M(v_i)[k, j] = C[i, j, k]."""
+        n = self.dim
+        return _freeze(self.structure.transpose(0, 2, 1).reshape(n, n * n).T)
+
+    @cached_property
+    def rep_projector(self) -> np.ndarray:
+        """Pseudo-inverse of :attr:`rep_basis`: maps vec J to the coefficients
+        of its least-squares projection onto the span of the M(v_i)."""
+        return _freeze(np.linalg.pinv(self.rep_basis))
+
+    @cached_property
+    def unity_first(self) -> bool:
+        """Whether the unity is the first basis vector v_1."""
+        return bool(np.array_equal(self.unity, np.eye(self.dim)[0]))
 
     def element(self, coords) -> AElement:
         coords = np.asarray(coords, dtype=float)

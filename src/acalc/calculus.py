@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AElement, Algebra, invert, mul, number_map
+from .algebra import AElement, Algebra, invert, mul, number_map, regrep
 from .errors import NonInvertibleBasis, NotADifferentiable, NotAUnit, UnityNotFirst
 from .expr import ExprFn
 
@@ -84,28 +84,19 @@ def jacobian_sym(f: ExprFn, p) -> np.ndarray:
     return J
 
 
-def _rep_basis_stack(algebra: Algebra) -> np.ndarray:
-    # column i holds vec(M(v_i)); M(v_i)[k, j] = C[i, j, k]
-    n = algebra.dim
-    return np.stack(
-        [algebra.structure[i].T.reshape(n * n) for i in range(n)], axis=1
-    )
-
-
 def adiff_test(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "fd") -> DiffReport:
     """Test differentiability over the algebra at p.
 
     Projects the Jacobian onto the span of the basis representation matrices
-    by least squares; the scaled Frobenius distance to that span is the
-    residual.  On success the derivative is the element represented by the
-    projection.
+    by least squares, through the algebra's held pseudo-inverse; the scaled
+    Frobenius distance to that span is the residual.  On success the
+    derivative is the element represented by the projection.
     """
     algebra = f.algebra
     point = p if isinstance(p, AElement) else algebra.element(p)
     J = jacobian_fd(f, point) if method == "fd" else jacobian_sym(f, point)
-    B = _rep_basis_stack(algebra)
-    coeffs, *_ = np.linalg.lstsq(B, J.reshape(-1), rcond=None)
-    proj = (B @ coeffs).reshape(J.shape)
+    coeffs = algebra.rep_projector @ J.reshape(-1)
+    proj = (algebra.rep_basis @ coeffs).reshape(J.shape)
     residual = float(np.linalg.norm(J - proj) / max(1.0, np.linalg.norm(J)))
     ok = residual <= tol
     deriv = number_map(algebra, proj) if ok else None
@@ -128,16 +119,13 @@ def cr_residual(f: ExprFn, p, method: str = "fd") -> float:
     :func:`adiff_test`; requires the first basis vector to be the unity.
     """
     algebra = f.algebra
-    n = algebra.dim
-    if not np.array_equal(algebra.unity, np.eye(n)[0]):
+    if not algebra.unity_first:
         raise UnityNotFirst("componentwise equations need v_1 = 1")
     point = p if isinstance(p, AElement) else algebra.element(p)
     J = jacobian_fd(f, point) if method == "fd" else jacobian_sym(f, point)
-    lam = algebra.element(J[:, 0])
-    worst = 0.0
-    for j in range(1, n):
-        expected = mul(lam, algebra.basis_element(j))
-        worst = max(worst, float(np.max(np.abs(J[:, j] - expected.coords))))
+    # column j of M(d f/d x_1) holds (d f/d x_1) * v_j
+    expected = regrep(algebra.element(J[:, 0]))
+    worst = float(np.max(np.abs(J[:, 1:] - expected[:, 1:]), initial=0.0))
     return worst / max(1.0, float(np.linalg.norm(J)))
 
 
@@ -192,11 +180,10 @@ class ConjugateFrame:
 
 
 def conjugate_frame(algebra: Algebra) -> ConjugateFrame:
-    n = algebra.dim
-    if not np.array_equal(algebra.unity, np.eye(n)[0]):
+    if not algebra.unity_first:
         raise NonInvertibleBasis("conjugates need the first basis vector to be the unity")
     inverses = []
-    for j in range(1, n):
+    for j in range(1, algebra.dim):
         vj = algebra.basis_element(j)
         try:
             inverses.append(invert(vj))

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -21,7 +19,7 @@ from . import algebra as alg
 from . import calculus, diffquot, eqgen, integrate
 from .errors import AcalcError, NotADifferentiable
 from .expr import ExprFn, conjugate_fn, load_function, parse, poly_fn
-from .fixtures import get_algebra, load_algebra
+from .fixtures import get_algebra, is_file_spec
 from .isomorph import dalembert_solution, load_linmap, transfer_function, verify_isomorphism
 
 EXIT_OK = 0
@@ -58,7 +56,7 @@ def _parse_grid(spec: str, algebra) -> list[np.ndarray]:
 
 def _resolve_fn(spec: str, algebra) -> ExprFn:
     """Function spec: zeta<N>, zbar<j>, a file path, or ';'-joined components."""
-    if spec.endswith(".json") or os.sep in spec:
+    if is_file_spec(spec):
         return load_function(spec, algebra)
     m = re.fullmatch(r"zeta(\d+)", spec)
     if m:
@@ -76,8 +74,7 @@ def _resolve_fn(spec: str, algebra) -> ExprFn:
 # ---------------------------------------------------------------------------
 
 def cmd_validate_algebra(args) -> int:
-    a = load_algebra(args.path) if (os.sep in args.path or args.path.endswith(".json")) \
-        else get_algebra(args.path)
+    a = get_algebra(args.path)
     print(f"name:          {a.name}")
     print(f"dim:           {a.dim}")
     print(f"labels:        {', '.join(a.basis_labels)}")
@@ -110,12 +107,6 @@ def cmd_invertible_basis(args) -> int:
     return EXIT_OK
 
 
-def _adiff_point(payload):
-    f, coords, tol, method = payload
-    report = calculus.adiff_test(f, coords, tol=tol, method=method)
-    return coords, report.residual, report.is_adiff, report.derivative
-
-
 def cmd_check_adiff(args) -> int:
     a = get_algebra(args.algebra)
     f = _resolve_fn(args.fn, a)
@@ -125,29 +116,26 @@ def cmd_check_adiff(args) -> int:
         points = [_parse_point(args.point, a).coords]
     else:
         raise ValueError("check-adiff needs --point or --grid")
-    payloads = [(f, p, args.tol, args.method) for p in points]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_adiff_point, payloads))
-    else:
-        results = [_adiff_point(p) for p in payloads]
-    all_ok = all(ok for _, _, ok, _ in results)
+    reports = [calculus.adiff_test(f, p, tol=args.tol, method=args.method) for p in points]
+    all_ok = all(r.is_adiff for r in reports)
     if args.format == "json":
         doc = [
             {
-                "point": [float(v) for v in coords],
-                "residual": residual,
-                "is_adiff": ok,
-                "derivative": None if deriv is None else [float(v) for v in deriv.coords],
+                "point": [float(v) for v in r.point.coords],
+                "residual": r.residual,
+                "is_adiff": r.is_adiff,
+                "derivative": None if r.derivative is None
+                else [float(v) for v in r.derivative.coords],
             }
-            for coords, residual, ok, deriv in results
+            for r in reports
         ]
         print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK if all_ok else EXIT_FALSE
-    for coords, residual, ok, deriv in results:
-        line = f"point=({_fmt_vec(coords)})  residual={_fmt(residual)}  adiff={ok}"
-        if deriv is not None:
-            line += f"  derivative=({_fmt_vec(deriv.coords)})"
+    for r in reports:
+        line = (f"point=({_fmt_vec(r.point.coords)})  residual={_fmt(r.residual)}"
+                f"  adiff={r.is_adiff}")
+        if r.derivative is not None:
+            line += f"  derivative=({_fmt_vec(r.derivative.coords)})"
         print(line)
     return EXIT_OK if all_ok else EXIT_FALSE
 
@@ -363,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", default=None, help="comma-separated coordinates")
     p.add_argument("--grid", default=None, help="lo:hi:count per coordinate, comma-separated")
     p.add_argument("--method", choices=("fd", "symbolic"), default="fd")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for grid sweeps")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; has no effect (sweeps run in-process)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_check_adiff)
 

@@ -81,9 +81,9 @@ def _orders_from_pair(index_tuple: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 def gen_cr(algebra: Algebra) -> EquationSystem:
     """The n(n-1) scalar equations equivalent to differentiability over A."""
-    n = algebra.dim
-    if not np.array_equal(algebra.unity, np.eye(n)[0]):
+    if not algebra.unity_first:
         raise UnityNotFirst("component equations need v_1 = 1")
+    n = algebra.dim
     C = algebra.structure
     equations = []
     for j in range(1, n):

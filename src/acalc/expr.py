@@ -13,7 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -560,7 +560,11 @@ def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
 
 @dataclass(frozen=True, eq=False)
 class ExprFn:
-    """A function A -> A given by one component expression per coordinate."""
+    """A function A -> A given by one component expression per coordinate.
+
+    The compiled components and the partial derivatives are built on first
+    use and held, so repeated evaluation does not hash the trees again.
+    """
 
     algebra: Algebra
     components: tuple[Expr, ...]
@@ -582,11 +586,22 @@ class ExprFn:
             x = point.coords
         else:
             x = np.asarray(point, dtype=float)
-        return np.array([compile_expr(c)(x) for c in self.components])
+        return np.array([fn(x) for fn in self._compiled])
+
+    @cached_property
+    def _compiled(self) -> tuple:
+        return tuple(compile_expr(c) for c in self.components)
+
+    @cached_property
+    def _partials(self) -> tuple["ExprFn", ...]:
+        return tuple(
+            ExprFn(self.algebra, tuple(diff(c, i) for c in self.components))
+            for i in range(self.algebra.dim)
+        )
 
     def partial(self, i: int) -> "ExprFn":
         """Componentwise exact partial derivative with respect to x_{i+1}."""
-        return ExprFn(self.algebra, tuple(diff(c, i) for c in self.components))
+        return self._partials[i]
 
     def directional(self, coords) -> "ExprFn":
         """Directional derivative sum_i c_i d/dx_i (still an ExprFn).

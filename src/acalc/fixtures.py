@@ -25,6 +25,7 @@ __all__ = [
     "dual_numbers",
     "get_algebra",
     "hyperbolic",
+    "is_file_spec",
     "load_algebra",
     "mat2",
     "n_hyperbolic",
@@ -150,30 +151,31 @@ def triangular6() -> Algebra:
     return make_algebra(6, C, unity, labels=[f"e{i+1}" for i in range(6)], name="triangular6")
 
 
+# canonical fixture name -> constructor
+_FIXTURES = {
+    "R": real_algebra,
+    "C": complex_algebra,
+    "H": hyperbolic,
+    "dual": lambda: dual_numbers(2),
+    "dual3": lambda: dual_numbers(3),
+    "dual4": lambda: dual_numbers(4),
+    "3-hyperbolic": lambda: n_hyperbolic(3),
+    "4-hyperbolic": lambda: n_hyperbolic(4),
+    "RxR": lambda: direct_product(real_algebra(), real_algebra(), name="RxR"),
+    "RxRxR": lambda: direct_product(direct_product(real_algebra(), real_algebra()),
+                                    real_algebra(), name="RxRxR"),
+    "CxC": lambda: direct_product(complex_algebra(), complex_algebra(), name="CxC"),
+    "quaternions": quaternions,
+    "mat2": mat2,
+    "triangular6": triangular6,
+    "wave": lambda: wave_algebra(1.0),
+    "wave2": lambda: wave_algebra(2.0),
+}
+
+
 def bundled_algebras() -> dict[str, Algebra]:
     """All fixture algebras keyed by canonical name."""
-    R = real_algebra()
-    C = complex_algebra()
-    H = hyperbolic()
-    fixtures = {
-        "R": R,
-        "C": C,
-        "H": H,
-        "dual": dual_numbers(2),
-        "dual3": dual_numbers(3),
-        "dual4": dual_numbers(4),
-        "3-hyperbolic": n_hyperbolic(3),
-        "4-hyperbolic": n_hyperbolic(4),
-        "RxR": direct_product(R, R, name="RxR"),
-        "RxRxR": direct_product(direct_product(R, R), R, name="RxRxR"),
-        "CxC": direct_product(C, C, name="CxC"),
-        "quaternions": quaternions(),
-        "mat2": mat2(),
-        "triangular6": triangular6(),
-        "wave": wave_algebra(1.0),
-        "wave2": wave_algebra(2.0),
-    }
-    return fixtures
+    return {name: build() for name, build in _FIXTURES.items()}
 
 
 _ALIASES = {
@@ -186,17 +188,22 @@ _ALIASES = {
 }
 
 
+def is_file_spec(spec: str) -> bool:
+    """Whether a command-line spec names a file: it ends in ``.json`` or is
+    an existing file.  Anything else is a name or an inline expression."""
+    return spec.endswith(".json") or os.path.isfile(spec)
+
+
 def get_algebra(name: str) -> Algebra:
     """Resolve a fixture name (with aliases, e.g. ``wave:2.5``) or a file path."""
-    if os.sep in name or name.endswith(".json"):
+    if is_file_spec(name):
         return load_algebra(name)
     if name.startswith("wave:"):
         return wave_algebra(float(name.split(":", 1)[1]))
     key = _ALIASES.get(name, name)
-    fixtures = bundled_algebras()
-    if key not in fixtures:
-        raise KeyError(f"unknown algebra {name!r}; known: {', '.join(sorted(fixtures))}")
-    return fixtures[key]
+    if key not in _FIXTURES:
+        raise KeyError(f"unknown algebra {name!r}; known: {', '.join(sorted(_FIXTURES))}")
+    return _FIXTURES[key]()
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,22 @@ The integral is evaluated componentwise as int f(z(t)) * z'(t) dt by
 adaptive Simpson quadrature (per-curve error bound returned with every
 result).  A literal broken-line Riemann-sum mode is kept for convergence
 demonstrations.
+
+Every curve exposes ``pieces``: tuples (point, velocity, t0, t1) of callables
+of the parameter and its range.  A parametric curve is one piece; a polyline
+has one piece per segment, parametrized over [0, 1].  The integration
+routines below see only pieces.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import AElement, Algebra, norm, submult_bound
+from .algebra import AElement, Algebra, _freeze, norm, submult_bound
 from .errors import DimensionMismatch, QuadratureNonConvergence
 from .expr import Expr, ExprFn, compile_expr, diff, lit, parse, substitute, sub, var
 
@@ -55,11 +61,23 @@ class ParametricCurve:
                 f"curve needs {self.algebra.dim} coordinate maps"
             )
 
+    @cached_property
+    def _point_fns(self) -> tuple:
+        return tuple(compile_expr(c) for c in self.components)
+
+    @cached_property
+    def _velocity_fns(self) -> tuple:
+        return tuple(compile_expr(diff(c, 0)) for c in self.components)
+
     def point(self, t: float) -> np.ndarray:
-        return np.array([compile_expr(c)((t,)) for c in self.components])
+        return np.array([fn((t,)) for fn in self._point_fns])
 
     def velocity(self, t: float) -> np.ndarray:
-        return np.array([compile_expr(diff(c, 0))((t,)) for c in self.components])
+        return np.array([fn((t,)) for fn in self._velocity_fns])
+
+    @property
+    def pieces(self) -> tuple:
+        return ((self.point, self.velocity, self.t0, self.t1),)
 
     @property
     def start(self) -> AElement:
@@ -100,6 +118,16 @@ class Polyline:
     def closed(self) -> bool:
         d = self.vertices[0].coords - self.vertices[-1].coords
         return bool(np.max(np.abs(d)) <= CLOSED_TOL)
+
+    @cached_property
+    def pieces(self) -> tuple:
+        return tuple(_segment_piece(a.coords, b.coords)
+                     for a, b in zip(self.vertices, self.vertices[1:]))
+
+
+def _segment_piece(p: np.ndarray, q: np.ndarray) -> tuple:
+    d = _freeze(q - p)
+    return (lambda s: p + s * d), (lambda s: d), 0.0, 1.0
 
 
 Curve = ParametricCurve | Polyline
@@ -178,62 +206,36 @@ def _adaptive_simpson(g, a: float, b: float, tol: float, max_depth: int):
     return recurse(a, b, fa, fm, fb, whole, tol, 0)
 
 
-def _segment_integral(f: ExprFn, p: np.ndarray, q: np.ndarray, tol: float, max_depth: int):
-    d = q - p
-    algebra = f.algebra
-    C = algebra.structure
-
-    def g(s: float) -> np.ndarray:
-        fv = f.eval_coords(p + s * d)
-        return np.einsum("i,j,ijk->k", fv, d, C)
-
-    return _adaptive_simpson(g, 0.0, 1.0, tol, max_depth)
-
-
 def integrate_curve(f: ExprFn, curve: Curve, tol: float = QUAD_TOL,
                     max_depth: int = MAX_DEPTH) -> IntegralResult:
     """int_C f(z) * dz with a quadrature error bound.
 
-    Parametric curves integrate f(z(t)) * z'(t); polylines integrate
-    segment by segment with exact linear parametrization.  Division by an
+    Each piece integrates f(z(t)) * z'(t) over its parameter range; a
+    polyline's segments have exact linear parametrizations.  Division by an
     exact zero inside f raises DomainError; persistent refinement failure
     (e.g. near a zero-divisor singularity) raises QuadratureNonConvergence.
     """
     algebra = f.algebra
-    if isinstance(curve, Polyline):
-        total = np.zeros(algebra.dim)
-        err = 0.0
-        for a, b in zip(curve.vertices, curve.vertices[1:]):
-            v, e = _segment_integral(f, a.coords, b.coords, tol, max_depth)
-            total = total + v
-            err += e
-        return IntegralResult(value=algebra.element(total), error_bound=err)
-
     C = algebra.structure
-    comp_fns = [compile_expr(c) for c in curve.components]
-    vel_fns = [compile_expr(diff(c, 0)) for c in curve.components]
+    total = np.zeros(algebra.dim)
+    err = 0.0
+    for point, velocity, t0, t1 in curve.pieces:
+        def g(t: float) -> np.ndarray:
+            return np.einsum("i,j,ijk->k", f.eval_coords(point(t)), velocity(t), C)
 
-    def g(t: float) -> np.ndarray:
-        pt = (t,)
-        z = np.array([fn(pt) for fn in comp_fns])
-        dz = np.array([fn(pt) for fn in vel_fns])
-        return np.einsum("i,j,ijk->k", f.eval_coords(z), dz, C)
-
-    v, e = _adaptive_simpson(g, curve.t0, curve.t1, tol, max_depth)
-    return IntegralResult(value=algebra.element(v), error_bound=e)
+        v, e = _adaptive_simpson(g, t0, t1, tol, max_depth)
+        total = total + v
+        err += e
+    return IntegralResult(value=algebra.element(total), error_bound=err)
 
 
 def riemann_sum(f: ExprFn, curve: Curve, m: int) -> AElement:
-    """Literal broken-line sum over m pieces: sum f(z_i) * (z_i - z_{i-1})."""
+    """Literal broken-line sum over m steps per piece: sum f(z_i) * (z_i - z_{i-1})."""
     algebra = f.algebra
-    if isinstance(curve, Polyline):
-        pts = [curve.vertices[0].coords]
-        for a, b in zip(curve.vertices, curve.vertices[1:]):
-            for s in np.linspace(0.0, 1.0, m + 1)[1:]:
-                pts.append(a.coords + s * (b.coords - a.coords))
-    else:
-        ts = np.linspace(curve.t0, curve.t1, m + 1)
-        pts = [curve.point(t) for t in ts]
+    start, _, t0, _ = curve.pieces[0]
+    pts = [start(t0)]
+    for point, _, t0, t1 in curve.pieces:
+        pts.extend(point(t) for t in np.linspace(t0, t1, m + 1)[1:])
     total = np.zeros(algebra.dim)
     for prev, cur in zip(pts, pts[1:]):
         fv = f.eval_coords(cur)
@@ -245,61 +247,35 @@ def riemann_sum(f: ExprFn, curve: Curve, m: int) -> AElement:
 # bound, loops, path independence
 # ---------------------------------------------------------------------------
 
-def _curve_samples(curve: Curve, count: int = 1024) -> list[np.ndarray]:
-    if isinstance(curve, Polyline):
-        per = max(2, count // max(1, len(curve.vertices) - 1))
-        pts = []
-        for a, b in zip(curve.vertices, curve.vertices[1:]):
-            for s in np.linspace(0.0, 1.0, per):
-                pts.append(a.coords + s * (b.coords - a.coords))
-        return pts
-    return [curve.point(t) for t in np.linspace(curve.t0, curve.t1, count)]
-
-
 def _arclength(curve: Curve) -> float:
-    if isinstance(curve, Polyline):
-        return float(sum(
-            np.linalg.norm(b.coords - a.coords)
-            for a, b in zip(curve.vertices, curve.vertices[1:])
-        ))
-    speed_fns = [compile_expr(diff(c, 0)) for c in curve.components]
-
-    def speed(t: float) -> np.ndarray:
-        return np.array([np.linalg.norm([fn((t,)) for fn in speed_fns])])
-
-    v, _ = _adaptive_simpson(speed, curve.t0, curve.t1, QUAD_TOL, MAX_DEPTH)
-    return float(v[0])
+    return float(sum(
+        _adaptive_simpson(lambda t: float(np.linalg.norm(velocity(t))), t0, t1,
+                          QUAD_TOL, MAX_DEPTH)[0]
+        for _, velocity, t0, t1 in curve.pieces
+    ))
 
 
 def ml_bound_check(f: ExprFn, curve: Curve, samples: int = 1024) -> MLReport:
     """Check || int_C f * dz || <= K * M * L with M, L estimated numerically.
 
-    M is the max of ||f|| over a dense uniform sample, refined once around
-    the coarse argmax (in parameter space, so refined points stay on the
-    curve); L is the arclength.
+    M is the max of ||f|| over a dense uniform sample (split evenly between
+    the pieces), refined once around the coarse argmax within its piece (in
+    parameter space, so refined points stay on the curve); L is the
+    arclength.
     """
-    if isinstance(curve, Polyline):
-        pts = _curve_samples(curve, samples)
+    def size(point, t: float) -> float:
+        return float(np.linalg.norm(f.eval_coords(point(t))))
 
-        def at(i: float) -> np.ndarray:
-            lo = int(np.floor(i))
-            hi = min(lo + 1, len(pts) - 1)
-            return pts[lo] + (i - lo) * (pts[hi] - pts[lo])
-
-        grid = np.arange(len(pts), dtype=float)
-    else:
-        grid = np.linspace(curve.t0, curve.t1, samples)
-
-        def at(t: float) -> np.ndarray:
-            return curve.point(t)
-
-    norms = [float(np.linalg.norm(f.eval_coords(at(g)))) for g in grid]
-    best = int(np.argmax(norms))
-    M = norms[best]
-    lo = grid[max(0, best - 1)]
-    hi = grid[min(len(grid) - 1, best + 1)]
-    for g in np.linspace(lo, hi, 256):
-        M = max(M, float(np.linalg.norm(f.eval_coords(at(g)))))
+    per = max(2, samples // len(curve.pieces))
+    coarse = []
+    for point, _, t0, t1 in curve.pieces:
+        ts = np.linspace(t0, t1, per)
+        norms = [size(point, t) for t in ts]
+        best = int(np.argmax(norms))
+        coarse.append((norms[best], point, ts[max(0, best - 1)], ts[min(per - 1, best + 1)]))
+    M, point, lo, hi = max(coarse, key=lambda c: c[0])
+    for t in np.linspace(lo, hi, 256):
+        M = max(M, size(point, t))
     L = _arclength(curve)
     K = submult_bound(f.algebra)
     result = integrate_curve(f, curve)

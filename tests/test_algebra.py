@@ -251,6 +251,32 @@ def test_regrep_homomorphism(fixtures):
             assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(lhs)))
 
 
+def test_held_projection_matches_lstsq(fixtures):
+    # oracle: a fresh least-squares solve on the stacked vec M(v_i)
+    rng = np.random.default_rng(11)
+    for a in fixtures.values():
+        B = np.stack([regrep(v).reshape(-1) for v in a.basis()], axis=1)
+        assert np.array_equal(a.rep_basis, B)
+        assert a.rep_projector is a.rep_projector
+        assert not a.rep_projector.flags.writeable
+        inside = regrep(random_element(a, rng))
+        for J in [inside] + [rng.normal(size=(a.dim, a.dim)) for _ in range(20)]:
+            vec = J.reshape(-1)
+            want, *_ = np.linalg.lstsq(B, vec, rcond=None)
+            got = a.rep_projector @ vec
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            res_want = np.linalg.norm(vec - B @ want)
+            res_got = np.linalg.norm(vec - a.rep_basis @ got)
+            assert abs(res_got - res_want) <= 1e-12 * np.linalg.norm(vec)
+
+
+def test_unity_first_flag(fixtures):
+    for a in fixtures.values():
+        assert a.unity_first == bool(np.allclose(a.unity, np.eye(a.dim)[0]))
+    assert not fixtures["mat2"].unity_first
+    assert fixtures["quaternions"].unity_first
+
+
 def test_number_map_round_trip(fixtures):
     rng = np.random.default_rng(5)
     for a in fixtures.values():

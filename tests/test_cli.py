@@ -115,6 +115,14 @@ def test_check_adiff_grid_and_jobs(capsys):
     assert out2 == out
 
 
+def test_inline_function_spec_with_division(capsys):
+    # '/' in an inline spec is division, not a path separator
+    code, out, _ = run(capsys, "check-adiff", "--algebra", "C",
+                       "--fn", "1/x1;x2", "--point", "1,1")
+    assert code == 1
+    assert "adiff=False" in out
+
+
 def test_derivative_command(capsys):
     code, out, _ = run(capsys, "derivative", "--algebra", "C",
                        "--fn", "x1^2 - x2^2;2*x1*x2", "--point", "1,1",

@@ -156,6 +156,24 @@ def test_riemann_sum_converges_to_quadrature():
     assert errs[0] / errs[2] > 8.0  # at least first-order decay across 16x refinement
 
 
+def test_straight_segment_parametric_matches_polyline():
+    # one segment in both curve kinds: every integration routine must agree
+    C = get_algebra("C")
+    f = poly_fn(C, [C.element([0.5, -1.0]), 0.0, 1.0, 1.0])
+    p, q = [0.2, -0.4], [1.3, 0.9]
+    comps = tuple(parse(f"({a!r}) + ({b - a!r})*t", 1, names={"t": 0}) for a, b in zip(p, q))
+    line = ParametricCurve(algebra=C, components=comps, t0=0.0, t1=1.0)
+    poly = segment(C.element(p), C.element(q))
+    lhs, rhs = integrate_curve(f, line).value, integrate_curve(f, poly).value
+    assert norm(lhs - rhs) <= 1e-12 * norm(rhs)
+    lhs, rhs = riemann_sum(f, line, 50), riemann_sum(f, poly, 50)
+    assert norm(lhs - rhs) <= 1e-12 * norm(rhs)
+    a, b = ml_bound_check(f, line), ml_bound_check(f, poly)
+    assert abs(a.L - b.L) <= 1e-12 * b.L
+    assert abs(a.M - b.M) <= 1e-12 * b.M
+    assert a.holds and b.holds
+
+
 # ---------------------------------------------------------------------------
 # ML bound
 # ---------------------------------------------------------------------------
