@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AElement, Algebra, invert, mul, number_map, regrep
+from .algebra import AElement, Algebra, _freeze, invert, mul, number_map, regrep
 from .errors import NonInvertibleBasis, NotADifferentiable, NotAUnit, UnityNotFirst
 from .expr import ExprFn
 
@@ -36,6 +37,14 @@ __all__ = [
 DEFAULT_ADIFF_TOL = 1e-6
 
 _EPS_CUBE_ROOT = float(np.finfo(float).eps) ** (1.0 / 3.0)
+
+# central stencils for the k-th derivative along the unity: offsets in steps
+# of h, integer weights, and the factor in front of h^k in the divisor
+_FD_STENCILS = {
+    1: ((1, -1), (1, -1), 2.0),
+    2: ((1, 0, -1), (1, -2, 1), 1.0),
+    3: ((2, 1, -1, -2), (1, -2, 2, -1), 2.0),
+}
 
 
 @dataclass(frozen=True)
@@ -66,12 +75,14 @@ def jacobian_fd(f: ExprFn, p, h: float | None = None) -> np.ndarray:
     n = f.algebra.dim
     if h is None:
         h = _EPS_CUBE_ROOT * max(1.0, float(np.linalg.norm(x)))
-    J = np.empty((n, n))
-    for i in range(n):
-        step = np.zeros(n)
-        step[i] = h
-        J[:, i] = (f.eval_coords(x + step) - f.eval_coords(x - step)) / (2.0 * h)
-    return J
+    values = f.eval_coords(x + h * _central_stencil(n))
+    return (values[:n] - values[n:]).T / (2.0 * h)
+
+
+@lru_cache(maxsize=None)
+def _central_stencil(n: int) -> np.ndarray:
+    """Offsets +e_1..+e_n, then -e_1..-e_n, of the central-difference Jacobian."""
+    return _freeze(np.concatenate([np.eye(n), -np.eye(n)]))
 
 
 def jacobian_sym(f: ExprFn, p) -> np.ndarray:
@@ -147,24 +158,15 @@ def higher_derivative(f: ExprFn, p, k: int, tol: float = DEFAULT_ADIFF_TOL,
     if method == "symbolic":
         g = f
         for _ in range(k):
-            g = g.directional(algebra.unity)
+            g = g.unity_derivative
         return g(point)
     if k > 3:
         raise ValueError("finite-difference fallback supports k <= 3")
     x = point.coords
-    one = np.asarray(algebra.unity)
     h = float(np.finfo(float).eps) ** (1.0 / (2.0 + k)) * max(1.0, float(np.linalg.norm(x)))
-
-    def g_of(t: float) -> np.ndarray:
-        return f.eval_coords(x + t * one)
-
-    if k == 1:
-        coords = (g_of(h) - g_of(-h)) / (2 * h)
-    elif k == 2:
-        coords = (g_of(h) - 2 * g_of(0.0) + g_of(-h)) / (h * h)
-    else:
-        coords = (g_of(2 * h) - 2 * g_of(h) + 2 * g_of(-h) - g_of(-2 * h)) / (2 * h ** 3)
-    return algebra.element(coords)
+    offsets, weights, scale = _FD_STENCILS[k]
+    values = f.eval_coords(x + np.outer(h * np.asarray(offsets), algebra.unity))
+    return algebra.element(np.asarray(weights) @ values / (scale * h ** k))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +259,7 @@ def taylor_eval(f: ExprFn, p, h: AElement, k: int, tol: float = DEFAULT_ADIFF_TO
     g = f
     h_power = algebra.one()
     for m in range(1, k + 1):
-        g = g.directional(algebra.unity)
+        g = g.unity_derivative
         h_power = mul(h_power, h)
         total = total + (1.0 / math.factorial(m)) * mul(g(point), h_power)
     return total

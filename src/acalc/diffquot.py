@@ -10,11 +10,12 @@ limit matches the Jacobian-based derivative wherever it converges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .algebra import AElement, Algebra, Kind, classify, invert, mul, norm
+from .algebra import AElement, Algebra, Kind, _freeze, classify, mul, mul_batch
 from .errors import NotAUnit
 from .expr import ExprFn
 
@@ -60,6 +61,14 @@ def unit_directions(algebra: Algebra, count: int, seed: int = 0) -> list[AElemen
     pairs, so means over the set cancel first-order terms); seeded random
     +/- pairs fill up to ``count``.  Zero-divisor directions are dropped.
     """
+    return [d for d, _ in _unit_pairs(algebra, count, seed)]
+
+
+@lru_cache(maxsize=64)
+def _unit_pairs(algebra: Algebra, count: int, seed: int) -> tuple[tuple[AElement, AElement], ...]:
+    """(direction, inverse) pairs of :func:`unit_directions`, held per
+    (algebra, count, seed); each inverse comes from the classification that
+    admitted its direction."""
     n = algebra.dim
     candidates: list[np.ndarray] = []
     eye = np.eye(n)
@@ -76,14 +85,15 @@ def unit_directions(algebra: Algebra, count: int, seed: int = 0) -> list[AElemen
         d /= np.linalg.norm(d)
         candidates.append(d)
         candidates.append(-d)
-    out: list[AElement] = []
+    out = []
     for c in candidates:
         el = algebra.element(c)
-        if classify(el).kind is Kind.UNIT:
-            out.append(el)
+        cls = classify(el)
+        if cls.kind is Kind.UNIT:
+            out.append((el, cls.inverse))
         if len(out) == count:
             break
-    return out
+    return tuple(out)
 
 
 def d2_probe(f: ExprFn, p, opts: D2Options | None = None) -> D2Probe:
@@ -99,49 +109,40 @@ def d2_probe(f: ExprFn, p, opts: D2Options | None = None) -> D2Probe:
     opts = opts or D2Options()
     algebra = f.algebra
     point = p if isinstance(p, AElement) else algebra.element(p)
-    directions = unit_directions(algebra, opts.n_directions, seed=opts.seed)
-    inverses = [invert(d) for d in directions]
+    n = algebra.dim
+    pairs = _unit_pairs(algebra, opts.n_directions, opts.seed)
+    D, D_inv = (np.array([pair[k].coords for pair in pairs]).reshape(-1, 1, n) for k in (0, 1))
+    radii = np.asarray(opts.radii, dtype=float)[:, None]
 
-    table: list[tuple[AElement, ...]] = []
-    for d, d_inv in zip(directions, inverses):
-        row = []
-        for r in opts.radii:
-            h = r * d
-            q = mul(f(point + h) - f(point), (1.0 / r) * d_inv)
-            row.append(q)
-        table.append(tuple(row))
+    # Q[i, j] = (f(p + r_j d_i) - f(p)) * (r_j^{-1} d_i^{-1}), one batch for the table
+    rise = f.eval_coords((point.coords + radii * D).reshape(-1, n)) - f.eval_coords(point)
+    Q = mul_batch(algebra, rise, ((1.0 / radii) * D_inv).reshape(-1, n)).reshape(len(pairs), len(radii), n)
+    table = tuple(tuple(AElement(algebra, _freeze(q)) for q in row) for row in Q)
 
-    final = [row[-1] for row in table]
-    spread = max(
-        (norm(a - b) for a in final for b in final),
-        default=0.0,
+    final = Q[:, -1]
+    spread = float(np.linalg.norm(final[:, None] - final[None, :], axis=-1).max(initial=0.0))
+    mean = algebra.element(np.mean(final, axis=0))
+    scale = 1.0 + mean.norm
+
+    mags = np.linalg.norm(Q[:, -opts.growth_window:], axis=-1)
+    before, after = mags[:, :-1], mags[:, 1:]
+    grows = mags.shape[1] >= 2 and bool(
+        ((after >= opts.growth_factor * before) & (before > 0)).all(axis=1).any()
     )
-    mean = algebra.element(np.mean([q.coords for q in final], axis=0))
-    scale = 1.0 + norm(mean)
-
-    w = opts.growth_window
-    grows = False
-    for row in table:
-        mags = [norm(q) for q in row[-w:]]
-        if len(mags) >= 2 and all(
-            b >= opts.growth_factor * a and a > 0 for a, b in zip(mags, mags[1:])
-        ):
-            grows = True
-            break
 
     if grows or spread > 100.0 * opts.tol * scale:
         verdict, limit = "diverges", None
     else:
-        last_step = max(norm(row[-1] - row[-2]) for row in table)
+        last_step = float(np.linalg.norm(Q[:, -1] - Q[:, -2], axis=-1).max())
         if spread <= opts.tol * scale and last_step <= opts.tol * scale:
             verdict, limit = "converges", mean
         else:
             verdict, limit = "inconclusive", None
     return D2Probe(
         point=point,
-        directions=tuple(directions),
+        directions=tuple(d for d, _ in pairs),
         radii=opts.radii,
-        quotients=tuple(table),
+        quotients=table,
         verdict=verdict,
         limit=limit,
     )

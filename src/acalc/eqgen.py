@@ -26,7 +26,7 @@ from .errors import (
     NonCommutativeUnsupported,
     UnityNotFirst,
 )
-from .expr import ExprFn, compile_expr, derive
+from .expr import ExprFn, compile_expr, derive, eval_compiled
 
 __all__ = [
     "Equation",
@@ -194,27 +194,18 @@ def check_residual(system: EquationSystem, f: ExprFn, grid) -> float:
     Equations with ``component=None`` are applied to each scalar component
     of f separately; derivatives are exact symbolic partials.
     """
-    pts = [p.coords if hasattr(p, "coords") else np.asarray(p, dtype=float) for p in grid]
+    X = np.array([getattr(p, "coords", p) for p in grid], dtype=float).reshape(-1, f.algebra.dim)
     worst = 0.0
     for eq in system.equations:
-        components = sorted({t.component for t in eq.terms})
-        if components == [None]:
-            targets = range(f.algebra.dim)
-            per_component = True
-        else:
-            targets = [0]  # terms carry their own component indices
-            per_component = False
-        for target in targets:
-            evals = []
-            for t in eq.terms:
-                comp = target if per_component else t.component
-                d = derive(f.components[comp], t.orders)
-                evals.append((t.coeff, compile_expr(d)))
-            for x in pts:
-                r = 0.0
-                for c, g in evals:
-                    r += c * g(x)
-                worst = max(worst, abs(r))
+        per_component = all(t.component is None for t in eq.terms)
+        coeffs = np.array([t.coeff for t in eq.terms])
+        for target in range(f.algebra.dim) if per_component else [None]:
+            derivs = tuple(
+                compile_expr(derive(f.components[target if per_component else t.component], t.orders))
+                for t in eq.terms
+            )
+            residuals = eval_compiled(derivs, X) @ coeffs
+            worst = max(worst, float(np.max(np.abs(residuals), initial=0.0)))
     return worst
 
 

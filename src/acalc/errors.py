@@ -39,10 +39,6 @@ class AlgebraMismatch(AcalcError):
     """Elements of different algebras were mixed in one operation."""
 
 
-class UnityNotInBasis(AcalcError):
-    """No unity column could be resolved from the representation matrix."""
-
-
 class NotAUnit(AcalcError):
     """Inversion was requested for a zero or zero-divisor element."""
 

@@ -340,36 +340,57 @@ def parse(src: str, dim: int, names: dict[str, int] | None = None) -> Expr:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _checked_div(a: float, b: float) -> float:
-    if b == 0.0:
+# Every primitive takes a float (one point), which goes to ``math`` and keeps
+# single-point calls cheap, or an array (one entry per point of a batch), which
+# goes to numpy.  A value outside the real domain raises DomainError on both
+# routes; an overflow gives numpy's inf or nan on both, which eval_compiled
+# then refuses.
+
+def _div(a, b):
+    if not (b.all() if isinstance(b, np.ndarray) else b != 0.0):
         raise DomainError("division by zero")
     return a / b
 
 
-def _checked_pow(a: float, k: int) -> float:
-    if a == 0.0 and k < 0:
+def _pow(a, k: int):
+    if k < 0 and not (a.all() if isinstance(a, np.ndarray) else a != 0.0):
         raise DomainError("zero raised to a negative power")
-    return a ** k
+    try:
+        return a ** k
+    except OverflowError:
+        return math.copysign(math.inf, a) if k % 2 else math.inf
 
 
-def _checked_log(a: float) -> float:
-    if a <= 0.0:
-        raise DomainError(f"log of non-positive value {a:g}")
-    return math.log(a)
+def _primitive(scalar, vector, fallback=math.nan, invalid=None, message=""):
+    """A primitive that sends a float to ``scalar`` and an array to ``vector``.
+
+    ``fallback`` is numpy's value where ``math`` raises (an overflowing exp,
+    the sine of an infinity); ``invalid`` flags arguments outside the domain.
+    """
+    def fn(a):
+        if isinstance(a, np.ndarray):
+            if invalid is not None and invalid(a).any():
+                raise DomainError(f"{message} {np.min(a):g}")
+            return vector(a)
+        if invalid is not None and invalid(a):
+            raise DomainError(f"{message} {a:g}")
+        try:
+            return scalar(a)
+        except (OverflowError, ValueError):
+            return fallback
+
+    return fn
 
 
-def _checked_sqrt(a: float) -> float:
-    if a < 0.0:
-        raise DomainError(f"sqrt of negative value {a:g}")
-    return math.sqrt(a)
-
-
-_CALLS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": _checked_log,
-    "sqrt": _checked_sqrt,
+# the one primitive table, used by the interpreter and the compiled code
+_PRIMITIVES = {
+    "div": _div,
+    "pow": _pow,
+    "sin": _primitive(math.sin, np.sin),
+    "cos": _primitive(math.cos, np.cos),
+    "exp": _primitive(math.exp, np.exp, fallback=math.inf),
+    "log": _primitive(math.log, np.log, invalid=lambda a: a <= 0.0, message="log of non-positive value"),
+    "sqrt": _primitive(math.sqrt, np.sqrt, invalid=lambda a: a < 0.0, message="sqrt of negative value"),
 }
 
 
@@ -388,11 +409,11 @@ def evaluate(e: Expr, point) -> float:
     if isinstance(e, Mul):
         return evaluate(e.left, point) * evaluate(e.right, point)
     if isinstance(e, Div):
-        return _checked_div(evaluate(e.left, point), evaluate(e.right, point))
+        return _div(evaluate(e.left, point), evaluate(e.right, point))
     if isinstance(e, Pow):
-        return _checked_pow(evaluate(e.base, point), e.exponent)
+        return _pow(evaluate(e.base, point), e.exponent)
     if isinstance(e, Call):
-        return _CALLS[e.fn](evaluate(e.arg, point))
+        return _PRIMITIVES[e.fn](evaluate(e.arg, point))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -418,21 +439,45 @@ def _source(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-_COMPILE_NS = {
-    "_div": _checked_div,
-    "_pow": _checked_pow,
-    "_log": _checked_log,
-    "_sqrt": _checked_sqrt,
-    "_sin": math.sin,
-    "_cos": math.cos,
-    "_exp": math.exp,
-}
+_COMPILE_NS = {f"_{name}": fn for name, fn in _PRIMITIVES.items()}
 
 
 @lru_cache(maxsize=4096)
 def compile_expr(e: Expr):
-    """Compile a tree to a plain Python callable of the coordinate vector."""
+    """Compile a tree to a Python callable of the coordinates ``x``.
+
+    ``x[i]`` may be a float or an array of one coordinate over a batch of
+    points; the result is then a float or an array (a constant stays a float).
+    """
     return eval(f"lambda x: {_source(e)}", dict(_COMPILE_NS))
+
+
+def eval_compiled(fns, x: np.ndarray) -> np.ndarray:
+    """Evaluate compiled callables at one point ``(n,)`` -> ``(k,)`` or at a
+    batch ``(m, n)`` -> ``(m, k)``, one column per callable.
+
+    A batch is passed transposed, so each ``x[i]`` is one coordinate over all
+    points; constant results are broadcast to the batch.  A non-finite result
+    raises DomainError, on either route.
+    """
+    if x.ndim == 1:
+        coords = x.tolist()
+        values = [fn(coords) for fn in fns]
+        if all(map(math.isfinite, values)):
+            return np.array(values)
+    else:
+        values = _eval_batch(fns, x.T)
+        if np.isfinite(values).all():
+            return values.T
+    raise DomainError("evaluation overflowed or gave a non-finite value")
+
+
+@np.errstate(all="ignore")  # an overflow is refused by the caller, not warned about
+def _eval_batch(fns, coords: np.ndarray) -> np.ndarray:
+    values = np.empty((len(fns), coords.shape[1]))
+    for j, fn in enumerate(fns):
+        values[j] = fn(coords)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +625,15 @@ class ExprFn:
         return AElement(self.algebra, _freeze(coords))
 
     def eval_coords(self, point) -> np.ndarray:
+        """Coordinates of f at one point ``(n,)``, or at a batch ``(m, n)``
+        with one row per point; raises DomainError on a non-finite value."""
         if isinstance(point, AElement):
             if point.algebra is not self.algebra and not point.algebra.same_structure(self.algebra):
                 raise AlgebraMismatch("point belongs to a different algebra")
             x = point.coords
         else:
             x = np.asarray(point, dtype=float)
-        return np.array([fn(x) for fn in self._compiled])
+        return eval_compiled(self._compiled, x)
 
     @cached_property
     def _compiled(self) -> tuple:
@@ -602,6 +649,12 @@ class ExprFn:
     def partial(self, i: int) -> "ExprFn":
         """Componentwise exact partial derivative with respect to x_{i+1}."""
         return self._partials[i]
+
+    @cached_property
+    def unity_derivative(self) -> "ExprFn":
+        """The directional derivative along the unity, held; for a
+        differentiable f this is the derivative function f'."""
+        return self.directional(self.algebra.unity)
 
     def directional(self, coords) -> "ExprFn":
         """Directional derivative sum_i c_i d/dx_i (still an ExprFn).

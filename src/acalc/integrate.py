@@ -7,21 +7,23 @@ demonstrations.
 
 Every curve exposes ``pieces``: tuples (point, velocity, t0, t1) of callables
 of the parameter and its range.  A parametric curve is one piece; a polyline
-has one piece per segment, parametrized over [0, 1].  The integration
-routines below see only pieces.
+has one piece per segment, parametrized over [0, 1].  The point and velocity
+callables take one parameter value or an array of them, and the integration
+routines below give each piece all their parameter values at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .algebra import AElement, Algebra, _freeze, norm, submult_bound
+from .algebra import AElement, Algebra, _freeze, mul_batch, norm, submult_bound
 from .errors import DimensionMismatch, QuadratureNonConvergence
-from .expr import Expr, ExprFn, compile_expr, diff, lit, parse, substitute, sub, var
+from .expr import Expr, ExprFn, compile_expr, diff, eval_compiled, lit, parse, substitute, sub, var
 
 __all__ = [
     "Curve",
@@ -43,6 +45,10 @@ __all__ = [
 
 QUAD_TOL = 1e-10
 MAX_DEPTH = 20
+# Open intervals allowed on one refinement level.  An integrand that never
+# meets the tolerance would otherwise double its intervals on every level up
+# to MAX_DEPTH (2^20 of them); converging integrals here stay far below.
+MAX_OPEN_INTERVALS = 1 << 14
 CLOSED_TOL = 1e-12
 
 
@@ -69,11 +75,13 @@ class ParametricCurve:
     def _velocity_fns(self) -> tuple:
         return tuple(compile_expr(diff(c, 0)) for c in self.components)
 
-    def point(self, t: float) -> np.ndarray:
-        return np.array([fn((t,)) for fn in self._point_fns])
+    def point(self, t) -> np.ndarray:
+        """z(t) for one parameter ``t`` -> ``(n,)``, or an array ``(k,)`` -> ``(k, n)``."""
+        return eval_compiled(self._point_fns, np.asarray(t, dtype=float)[..., None])
 
-    def velocity(self, t: float) -> np.ndarray:
-        return np.array([fn((t,)) for fn in self._velocity_fns])
+    def velocity(self, t) -> np.ndarray:
+        """z'(t), shaped like :meth:`point`."""
+        return eval_compiled(self._velocity_fns, np.asarray(t, dtype=float)[..., None])
 
     @property
     def pieces(self) -> tuple:
@@ -127,7 +135,14 @@ class Polyline:
 
 def _segment_piece(p: np.ndarray, q: np.ndarray) -> tuple:
     d = _freeze(q - p)
-    return (lambda s: p + s * d), (lambda s: d), 0.0, 1.0
+
+    def point(s):
+        return p + np.multiply.outer(s, d)
+
+    def velocity(s):
+        return np.broadcast_to(d, np.shape(s) + d.shape)
+
+    return point, velocity, 0.0, 1.0
 
 
 Curve = ParametricCurve | Polyline
@@ -181,29 +196,41 @@ class ProbeReport:
 # quadrature core
 # ---------------------------------------------------------------------------
 
+def _split(left: np.ndarray, right: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Rows left[i], right[i] for each kept i, in order."""
+    return np.stack([left[keep], right[keep]], axis=1).reshape((-1,) + left.shape[1:])
+
+
 def _adaptive_simpson(g, a: float, b: float, tol: float, max_depth: int):
-    """Vector-valued adaptive Simpson; returns (integral, error_bound)."""
-    fa, fm, fb = g(a), g((a + b) / 2), g(b)
+    """Vector-valued adaptive Simpson; returns (integral, error_bound).
 
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
+    ``g`` maps parameters of shape (k,) to values of shape (k, d).  Intervals
+    are refined one level at a time, left to right: every open interval keeps
+    Simpson's acceptance test against a tolerance that halves per level, and
+    the new nodes of all open intervals go to ``g`` in one call.
+    """
+    t = np.array([a, (a + b) / 2, b])
+    a, b, (fa, fm, fb) = t[:1], t[2:], g(t)[:, None]
+    value, err_total = 0.0, 0.0
+    for depth in itertools.count():
         m = (a + b) / 2
-        lm, rm = (a + m) / 2, (m + b) / 2
-        flm, frm = g(lm), g(rm)
-        left = (m - a) / 6 * (fa + 4 * flm + fm)
-        right = (b - m) / 6 * (fm + 4 * frm + fb)
+        flm, frm = np.split(g(np.concatenate([(a + m) / 2, (m + b) / 2])), 2)
+        whole = ((b - a) / 6)[:, None] * (fa + 4 * fm + fb)
+        left = ((m - a) / 6)[:, None] * (fa + 4 * flm + fm)
+        right = ((b - m) / 6)[:, None] * (fm + 4 * frm + fb)
         delta = left + right - whole
-        err = float(np.max(np.abs(delta))) / 15.0
-        if err <= tol or (b - a) <= 1e-14 * max(1.0, abs(a) + abs(b)):
-            return left + right + delta / 15.0, err
-        if depth >= max_depth:
-            raise QuadratureNonConvergence(estimate=left + right + delta / 15.0,
-                                           error_bound=err)
-        lv, le = recurse(a, m, fa, flm, fm, left, tol / 2, depth + 1)
-        rv, re = recurse(m, b, fm, frm, fb, right, tol / 2, depth + 1)
-        return lv + rv, le + re
-
-    whole = (b - a) / 6 * (fa + 4 * fm + fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+        estimate, err = left + right + delta / 15.0, np.max(np.abs(delta), axis=1) / 15.0
+        done = (err <= tol) | ((b - a) <= 1e-14 * np.maximum(1.0, np.abs(a) + np.abs(b)))
+        value, err_total = value + estimate[done].sum(axis=0), err_total + float(err[done].sum())
+        if done.all():
+            return value, err_total
+        if depth >= max_depth or 2 * np.count_nonzero(~done) > MAX_OPEN_INTERVALS:
+            first = int(np.argmin(done))
+            raise QuadratureNonConvergence(estimate=estimate[first], error_bound=float(err[first]))
+        keep = ~done  # each open interval [a, b] becomes [a, m] and [m, b]
+        halves = ((a, m), (m, b), (fa, fm), (flm, frm), (fm, fb))
+        a, b, fa, fm, fb = (_split(u, v, keep) for u, v in halves)
+        tol = tol / 2
 
 
 def integrate_curve(f: ExprFn, curve: Curve, tol: float = QUAD_TOL,
@@ -216,12 +243,11 @@ def integrate_curve(f: ExprFn, curve: Curve, tol: float = QUAD_TOL,
     (e.g. near a zero-divisor singularity) raises QuadratureNonConvergence.
     """
     algebra = f.algebra
-    C = algebra.structure
     total = np.zeros(algebra.dim)
     err = 0.0
     for point, velocity, t0, t1 in curve.pieces:
-        def g(t: float) -> np.ndarray:
-            return np.einsum("i,j,ijk->k", f.eval_coords(point(t)), velocity(t), C)
+        def g(t: np.ndarray) -> np.ndarray:
+            return mul_batch(algebra, f.eval_coords(point(t)), velocity(t))
 
         v, e = _adaptive_simpson(g, t0, t1, tol, max_depth)
         total = total + v
@@ -233,14 +259,11 @@ def riemann_sum(f: ExprFn, curve: Curve, m: int) -> AElement:
     """Literal broken-line sum over m steps per piece: sum f(z_i) * (z_i - z_{i-1})."""
     algebra = f.algebra
     start, _, t0, _ = curve.pieces[0]
-    pts = [start(t0)]
-    for point, _, t0, t1 in curve.pieces:
-        pts.extend(point(t) for t in np.linspace(t0, t1, m + 1)[1:])
-    total = np.zeros(algebra.dim)
-    for prev, cur in zip(pts, pts[1:]):
-        fv = f.eval_coords(cur)
-        total += np.einsum("i,j,ijk->k", fv, cur - prev, algebra.structure)
-    return algebra.element(total)
+    pts = np.concatenate([start(np.array([t0]))] + [
+        point(np.linspace(t0, t1, m + 1)[1:]) for point, _, t0, t1 in curve.pieces
+    ])
+    products = mul_batch(algebra, f.eval_coords(pts[1:]), np.diff(pts, axis=0))
+    return algebra.element(products.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +272,8 @@ def riemann_sum(f: ExprFn, curve: Curve, m: int) -> AElement:
 
 def _arclength(curve: Curve) -> float:
     return float(sum(
-        _adaptive_simpson(lambda t: float(np.linalg.norm(velocity(t))), t0, t1,
-                          QUAD_TOL, MAX_DEPTH)[0]
+        _adaptive_simpson(lambda t: np.linalg.norm(velocity(t), axis=1, keepdims=True),
+                          t0, t1, QUAD_TOL, MAX_DEPTH)[0][0]
         for _, velocity, t0, t1 in curve.pieces
     ))
 
@@ -263,19 +286,18 @@ def ml_bound_check(f: ExprFn, curve: Curve, samples: int = 1024) -> MLReport:
     parameter space, so refined points stay on the curve); L is the
     arclength.
     """
-    def size(point, t: float) -> float:
-        return float(np.linalg.norm(f.eval_coords(point(t))))
+    def sizes(point, ts: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(f.eval_coords(point(ts)), axis=1)
 
     per = max(2, samples // len(curve.pieces))
     coarse = []
     for point, _, t0, t1 in curve.pieces:
         ts = np.linspace(t0, t1, per)
-        norms = [size(point, t) for t in ts]
+        norms = sizes(point, ts)
         best = int(np.argmax(norms))
-        coarse.append((norms[best], point, ts[max(0, best - 1)], ts[min(per - 1, best + 1)]))
+        coarse.append((float(norms[best]), point, ts[max(0, best - 1)], ts[min(per - 1, best + 1)]))
     M, point, lo, hi = max(coarse, key=lambda c: c[0])
-    for t in np.linspace(lo, hi, 256):
-        M = max(M, size(point, t))
+    M = max(M, float(sizes(point, np.linspace(lo, hi, 256)).max()))
     L = _arclength(curve)
     K = submult_bound(f.algebra)
     result = integrate_curve(f, curve)
@@ -320,10 +342,8 @@ def antiderivative_probe(f: ExprFn, region_samples, n_pairs: int = 5,
             Polyline((p, detour1, q)),
             Polyline((p, detour2, q)),
         ]
-        values = [integrate_curve(f, r).value for r in routes]
-        for a in values:
-            for b in values:
-                worst = max(worst, norm(a - b))
+        values = np.array([integrate_curve(f, r).value.coords for r in routes])
+        worst = max(worst, float(np.linalg.norm(values[:, None] - values[None], axis=-1).max()))
     return ProbeReport(max_discrepancy=worst, pairs=tuple(pairs))
 
 

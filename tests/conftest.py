@@ -19,3 +19,19 @@ def random_element(algebra, rng, scale=2.0):
 
 def random_elements(algebra, rng, count, scale=2.0):
     return [random_element(algebra, rng, scale) for _ in range(count)]
+
+
+@pytest.fixture
+def eval_calls(monkeypatch):
+    """Count calls of ``ExprFn.eval_coords``; one batch call counts once."""
+    from acalc.expr import ExprFn
+
+    calls = []
+    original = ExprFn.eval_coords
+
+    def counted(self, point):
+        calls.append(point)
+        return original(self, point)
+
+    monkeypatch.setattr(ExprFn, "eval_coords", counted)
+    return calls

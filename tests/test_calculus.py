@@ -492,3 +492,31 @@ def test_wirtinger_rejects_bad_operator_name():
         wirtinger_apply(f, "zbar7", C.element([0.1, 0.2]))
     with pytest.raises(ValueError):
         wirtinger_apply(f, "nonsense", C.element([0.1, 0.2]))
+
+
+def test_jacobian_fd_is_one_batch_call(eval_calls):
+    Q = get_algebra("quaternions")
+    f = zeta_power(Q, 3)
+    p = Q.element([0.3, -0.2, 0.5, 0.1])
+    J = jacobian_fd(f, p)
+    assert len(eval_calls) == 1
+    assert np.max(np.abs(J - jacobian_sym(f, p))) <= 1e-6
+
+
+def test_repeat_taylor_reuses_held_derivatives():
+    from acalc.expr import compile_expr, diff
+
+    A = get_algebra("4-hyperbolic")
+    f = zeta_power(A, 5)
+    p = A.element([0.3, -0.2, 0.1, 0.4])
+    h = A.element([0.05, 0.02, -0.01, 0.03])
+    first = taylor_eval(f, p, h, 5)
+
+    def lookups():
+        c, d = compile_expr.cache_info(), diff.cache_info()
+        return c.hits + c.misses, d.hits + d.misses
+
+    before = lookups()
+    second = taylor_eval(f, p, h, 5)
+    assert lookups() == before
+    assert np.array_equal(first.coords, second.coords)

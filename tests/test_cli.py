@@ -361,3 +361,11 @@ def test_transfer_refuses_bad_map(capsys, tmp_path):
                        "--point", "1,0")
     assert code == 1
     assert "refusing" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn, point", [("exp(x1);0", "1000,0"), ("x1^1000000;0", "2,0")])
+def test_overflow_is_input_error(capsys, fn, point):
+    code, _, err = run(capsys, "check-adiff", "--algebra", "C", "--fn", fn, "--point", point)
+    assert code == 2
+    assert err.startswith("error:")

@@ -196,3 +196,33 @@ def test_truncated_radii_are_inconclusive():
     probe = d2_probe(f, C.element([0.3, 0.4]), opts)
     assert probe.verdict == "inconclusive"
     assert probe.limit is None
+
+
+def test_probe_table_is_one_batch_call(eval_calls):
+    C = get_algebra("C")
+    probe = d2_probe(poly_fn(C, [0.0, 0.0, 1.0]), C.element([0.4, -0.3]))
+    assert probe.verdict == "converges"
+    assert len(eval_calls) <= 2
+
+
+def test_repeat_probe_does_not_classify_again(monkeypatch):
+    import acalc.diffquot as dq
+
+    calls = []
+    original = dq.classify
+
+    def counted(x, *args, **kwargs):
+        calls.append(x)
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(dq, "classify", counted)
+    H = get_algebra("H")
+    f = poly_fn(H, [0.0, 0.0, 1.0])
+    opts = D2Options(seed=9173)
+    first = d2_probe(f, H.element([0.7, 0.2]), opts)
+    assert calls
+    calls.clear()
+    second = d2_probe(f, H.element([0.7, 0.2]), opts)
+    assert calls == []
+    assert second.verdict == first.verdict
+    assert [d.coords.tolist() for d in second.directions] == [d.coords.tolist() for d in first.directions]

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from acalc.errors import (
     ArityError,
@@ -10,6 +13,7 @@ from acalc.errors import (
     UnknownVariable,
 )
 from acalc.expr import (
+    ExprFn,
     Lit,
     Neg,
     Pow,
@@ -26,7 +30,7 @@ from acalc.expr import (
     to_str,
 )
 from acalc.algebra import mul
-from acalc.fixtures import get_algebra
+from acalc.fixtures import bundled_algebras, get_algebra
 
 from conftest import random_element
 
@@ -338,3 +342,75 @@ def test_negative_exponent_round_trip():
 def test_expr_nodes_are_callable():
     e = parse("x1 + 1", 1)
     assert e((2.0,)) == 3.0
+
+
+# ---------------------------------------------------------------------------
+# batch evaluation
+# ---------------------------------------------------------------------------
+
+# every fixture with each function kind; the conjugate needs dimension 2 or more
+BATCH_CASES = [(name, kind) for name, a in sorted(bundled_algebras().items())
+               for kind in ("poly", "exp", "inverse", "conjugate")
+               if kind != "conjugate" or a.dim >= 2]
+
+
+def _test_function(name, kind):
+    a = get_algebra(name)
+    n = a.dim
+    if kind == "poly":
+        rng = np.random.default_rng(5)
+        return poly_fn(a, [a.element(rng.uniform(-1, 1, n)) for _ in range(4)])
+    if kind == "exp":
+        return ExprFn(a, tuple(parse(f"exp(x{i + 1})*cos(x{(i + 1) % n + 1})", n) for i in range(n)))
+    if kind == "inverse":
+        square = " + ".join(f"x{i + 1}^2" for i in range(n))
+        return ExprFn(a, tuple(parse(f"x{i + 1}/({square})", n) for i in range(n)))
+    return conjugate_fn(a, 2)
+
+
+@pytest.mark.parametrize("name, kind", BATCH_CASES)
+def test_batch_rows_match_single_points(name, kind):
+    f = _test_function(name, kind)
+    n = f.algebra.dim
+    points = st.integers(1, 6).flatmap(lambda m: hnp.arrays(
+        float, (m, n), elements=st.floats(-3.0, 3.0, allow_nan=False)))
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(points)
+    def check(X):
+        assume(np.all(np.sum(X ** 2, axis=1) > 1e-6))
+        batch = f.eval_coords(X)
+        assert batch.shape == X.shape
+        for i in range(len(X)):
+            np.testing.assert_allclose(batch[i], f.eval_coords(X[i]), rtol=1e-14, atol=0.0)
+
+    check()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("src, bad", [
+    ("1/x1", 0.0),
+    ("x1^-2", 0.0),
+    ("log(x1)", -1.0),
+    ("sqrt(x1)", -1.0),
+    ("exp(x1)", 1000.0),
+    ("x1^1000000", 2.0),
+    ("x1*x1", 1e200),
+    ("sin(x1*x1)", 1e200),
+])
+def test_one_point_and_batch_raise_alike(src, bad):
+    C = get_algebra("C")
+    f = ExprFn(C, (parse(src, 2), parse("x2", 2)))
+    good = np.array([0.5, 1.0])
+    f.eval_coords(good)
+    with pytest.raises(DomainError):
+        f.eval_coords(np.array([bad, 1.0]))
+    with pytest.raises(DomainError):
+        f.eval_coords(np.array([good, [bad, 1.0], good]))
+
+
+def test_constant_components_broadcast_over_a_batch():
+    C = get_algebra("C")
+    f = ExprFn(C, (parse("2", 2), parse("x1 + x2", 2)))
+    X = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    np.testing.assert_array_equal(f.eval_coords(X), [[2.0, 3.0], [2.0, 7.0], [2.0, 11.0]])

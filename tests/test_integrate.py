@@ -354,3 +354,69 @@ def test_quadrature_nonconvergence_near_singularity():
     with pytest.raises(QuadratureNonConvergence) as excinfo:
         integrate_curve(inv_fn, crossing)
     assert excinfo.value.error_bound > 0
+
+
+# ---------------------------------------------------------------------------
+# batch evaluation: scipy oracle, call counts, refinement cap
+# ---------------------------------------------------------------------------
+
+def _smooth_fn(C):
+    return ExprFn(C, (parse("exp(x1)*cos(x2) + x2^2", 2), parse("x1*x2 - sin(x1)", 2)))
+
+
+def _quad_oracle(f, point, velocity, t0, t1):
+    """int f(z(t)) * z'(t) dt per component by scipy, one point at a time."""
+    C = f.algebra
+
+    def component(k):
+        def integrand(t):
+            return mul(f(C.element(point(t))), C.element(velocity(t))).coords[k]
+        return quad(integrand, t0, t1, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+    return np.array([component(k) for k in range(C.dim)])
+
+
+def test_integral_matches_scipy_on_circle_and_polyline():
+    C = get_algebra("C")
+    f = _smooth_fn(C)
+    t = {"t": 0}
+    circle = ParametricCurve(C, (parse("0.2 + 1.3*cos(t)", 1, names=t),
+                                 parse("-0.1 + 1.3*sin(t)", 1, names=t)), 0.0, 2.0 * np.pi)
+    want = _quad_oracle(f, circle.point, circle.velocity, circle.t0, circle.t1)
+    assert np.max(np.abs(integrate_curve(f, circle).value.coords - want)) <= 1e-10
+    poly = Polyline(tuple(C.element(v) for v in ([0.0, 0.0], [1.0, 0.5], [0.5, 2.0], [-1.0, 1.0])))
+    want = sum(_quad_oracle(f, point, velocity, a, b) for point, velocity, a, b in poly.pieces)
+    assert np.max(np.abs(integrate_curve(f, poly).value.coords - want)) <= 1e-10
+
+
+def test_quadrature_makes_one_call_per_level(eval_calls):
+    from acalc.integrate import MAX_DEPTH
+
+    C = get_algebra("C")
+    result = integrate_curve(poly_fn(C, [0.0, 0.0, 1.0]), unit_circle(C))
+    assert norm(result.value) <= 1e-8
+    assert len(eval_calls) <= MAX_DEPTH + 2
+
+
+def test_riemann_sum_is_one_call(eval_calls):
+    H = get_algebra("H")
+    curve = Polyline(tuple(H.element(v) for v in ([0.0, 0.0], [1.0, 0.5], [0.5, 1.5])))
+    riemann_sum(poly_fn(H, [0.0, 0.0, 1.0]), curve, 200)
+    assert len(eval_calls) == 1
+
+
+def test_refinement_cap_stops_a_hopeless_integral_quickly():
+    import time
+
+    C = get_algebra("C")
+    f = ExprFn(C, (parse("exp(x1)*cos(x2)", 2), parse("exp(x1)*sin(x2)", 2)))
+    t = {"t": 0}
+    circle = ParametricCurve(C, (parse("30*cos(t)", 1, names=t),
+                                 parse("30*sin(t)", 1, names=t)), 0.0, 2.0 * np.pi)
+    times = []
+    for _ in range(3):  # best of three, so that a busy machine does not decide
+        start = time.perf_counter()
+        with pytest.raises(QuadratureNonConvergence):
+            integrate_curve(f, circle)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
