@@ -75,15 +75,10 @@ class Algebra:
 
     @cached_property
     def rep_basis(self) -> np.ndarray:
-        """Shape (n^2, n); column i is vec M(v_i), with M(v_i)[k, j] = C[i, j, k]."""
+        """Shape (n^2, n); column i is vec M(v_i), with M(v_i)[k, j] = C[i, j, k],
+        so ``(rep_basis @ x).reshape(n, n)`` is M(x)."""
         n = self.dim
         return _freeze(self.structure.transpose(0, 2, 1).reshape(n, n * n).T)
-
-    @cached_property
-    def rep_projector(self) -> np.ndarray:
-        """Pseudo-inverse of :attr:`rep_basis`: maps vec J to the coefficients
-        of its least-squares projection onto the span of the M(v_i)."""
-        return _freeze(np.linalg.pinv(self.rep_basis))
 
     @cached_property
     def unity_first(self) -> bool:

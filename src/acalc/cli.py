@@ -35,9 +35,15 @@ def _fmt_vec(coords) -> str:
     return ", ".join(_fmt(float(v)) for v in coords)
 
 
+def _coords(parts) -> list[float]:
+    values = [float(s) for s in parts]
+    if not np.isfinite(values).all():
+        raise ValueError("coordinates must be finite")
+    return values
+
+
 def _parse_point(spec: str, algebra) -> alg.AElement:
-    coords = [float(s) for s in spec.split(",")]
-    return algebra.element(coords)
+    return algebra.element(_coords(spec.split(",")))
 
 
 def _parse_grid(spec: str, algebra) -> list[np.ndarray]:
@@ -47,7 +53,7 @@ def _parse_grid(spec: str, algebra) -> list[np.ndarray]:
         count = int(count)
         if count < 1:
             raise ValueError("grid resolution must be >= 1")
-        axes.append(np.linspace(float(lo), float(hi), count))
+        axes.append(np.linspace(*_coords((lo, hi)), count))
     if len(axes) != algebra.dim:
         raise ValueError(f"grid needs {algebra.dim} axes")
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -257,8 +263,7 @@ def cmd_verify_iso(args) -> int:
 
 def cmd_transfer(args) -> int:
     m = load_linmap(args.iso)
-    report = verify_isomorphism(m)
-    if not report.ok:
+    if not m.verified_isomorphism:
         print("map is not an isomorphism; refusing to transfer", file=sys.stderr)
         return EXIT_FALSE
     f = _resolve_fn(args.fn, m.source)
@@ -272,8 +277,7 @@ def cmd_demo_dalembert(args) -> int:
     f, iso = dalembert_solution(args.c, args.f1, args.f2)
     wave = iso.source
     print(f"algebra: {wave.name}")
-    report = verify_isomorphism(iso)
-    print(f"wave map verified: {report.ok}")
+    print(f"wave map verified: {iso.verified_isomorphism}")
     sample = wave.element([0.3, 0.2])
     diff_report = calculus.adiff_test(f, sample)
     print(f"transferred function adiff at (0.3, 0.2): {diff_report.is_adiff}")
@@ -291,7 +295,7 @@ def cmd_demo_dalembert(args) -> int:
         back = iso.inverse_apply(g(iso(z)))
         worst = max(worst, alg.norm(back - f(z)))
     print(f"transfer round-trip residual: {_fmt(worst)}")
-    ok = residual <= args.tol and report.ok and diff_report.is_adiff
+    ok = residual <= args.tol and iso.verified_isomorphism and diff_report.is_adiff
     print("PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_FALSE
 
@@ -430,6 +434,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        print("error: expression too deeply nested", file=sys.stderr)
         return EXIT_INPUT
 
 

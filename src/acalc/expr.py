@@ -23,6 +23,7 @@ from .errors import (
     ArityError,
     DimensionMismatch,
     DomainError,
+    ExprError,
     ExprSyntaxError,
     UnknownVariable,
 )
@@ -201,6 +202,9 @@ _TOKEN = re.compile(
 
 _VAR_PATTERN = re.compile(r"^x(\d+)$")
 
+# deepest nesting parsed: half the ~200 levels the recursive descent survives
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, src: str, dim: int, names: dict[str, int] | None):
@@ -221,6 +225,7 @@ class _Parser:
             pos = m.end()
         self.tokens.append(("end", "", len(src)))
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -260,10 +265,17 @@ class _Parser:
         return e
 
     def factor(self) -> Expr:
+        # every nesting (parentheses, call, unary minus, exponent) passes here
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(self.peek()[2], f"at most {MAX_NESTING} levels of nesting")
+        self.depth += 1
         if self.peek()[1] == "-":
             self.advance()
-            return neg(self.factor())
-        return self.power()
+            e = neg(self.factor())
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
@@ -449,7 +461,10 @@ def compile_expr(e: Expr):
     ``x[i]`` may be a float or an array of one coordinate over a batch of
     points; the result is then a float or an array (a constant stays a float).
     """
-    return eval(f"lambda x: {_source(e)}", dict(_COMPILE_NS))
+    try:
+        return eval(f"lambda x: {_source(e)}", dict(_COMPILE_NS))
+    except SyntaxError as exc:  # CPython nests at most 200 parentheses
+        raise ExprError(f"expression too deeply nested to compile ({exc.msg})") from exc
 
 
 def eval_compiled(fns, x: np.ndarray) -> np.ndarray:

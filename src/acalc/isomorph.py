@@ -8,11 +8,12 @@ two algebras by conjugation with the map.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import AElement, Algebra, mul
+from .algebra import AElement, Algebra, _freeze
 from .errors import DimensionMismatch, NotAnIsomorphism
 from .fixtures import direct_product, get_algebra, real_algebra, wave_algebra
 
@@ -30,21 +31,25 @@ __all__ = [
 MULT_TOL = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LinMap:
-    """Linear map given by its matrix; column j is the image of source v_j."""
+    """Immutable linear map given by its matrix; column j is the image of source v_j."""
 
     source: Algebra
     target: Algebra
     matrix: np.ndarray
-    verified_isomorphism: bool = field(default=False)
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
+        object.__setattr__(self, "matrix", _freeze(self.matrix))
         if self.matrix.shape != (self.target.dim, self.source.dim):
             raise DimensionMismatch(
                 f"matrix must be {self.target.dim}x{self.source.dim}, got {self.matrix.shape}"
             )
+
+    @cached_property
+    def verified_isomorphism(self) -> bool:
+        """Whether the map verifies as an isomorphism at the default tolerance."""
+        return verify_isomorphism(self).ok
 
     def __call__(self, x: AElement) -> AElement:
         return self.target.element(self.matrix @ x.coords)
@@ -71,25 +76,20 @@ class IsoReport:
 
 def verify_isomorphism(m: LinMap, tol: float = MULT_TOL) -> IsoReport:
     """Check invertibility, unity preservation and multiplicativity on all
-    basis pairs (bilinearity makes the basis check complete); records the
-    outcome on the map."""
+    basis pairs (bilinearity makes the basis check complete)."""
     if m.source.dim != m.target.dim:
         raise DimensionMismatch("an isomorphism needs equal dimensions")
-    s = np.linalg.svd(m.matrix, compute_uv=False)
+    A = m.matrix
+    s = np.linalg.svd(A, compute_uv=False)
     invertible = bool(s[-1] > 1e-12 * max(1.0, s[0]))
     unity_ok = bool(
-        np.max(np.abs(m.matrix @ m.source.unity - m.target.unity)) <= tol
+        np.max(np.abs(A @ m.source.unity - m.target.unity)) <= tol
     )
-    worst = 0.0
-    for i in range(m.source.dim):
-        vi = m.source.basis_element(i)
-        for j in range(m.source.dim):
-            vj = m.source.basis_element(j)
-            lhs = m(mul(vi, vj))
-            rhs = mul(m(vi), m(vj))
-            worst = max(worst, float(np.max(np.abs(lhs.coords - rhs.coords))))
+    # [i, j] holds m(v_i v_j) and m(v_i) m(v_j)
+    lhs = np.einsum("ijk,lk->ijl", m.source.structure, A)
+    rhs = np.einsum("ai,bj,abl->ijl", A, A, m.target.structure)
+    worst = float(np.max(np.abs(lhs - rhs)))
     ok = invertible and unity_ok and worst <= tol
-    m.verified_isomorphism = ok
     return IsoReport(
         invertible=invertible,
         unity_preserved=unity_ok,
@@ -106,8 +106,6 @@ def transfer_function(m: LinMap, f):
     Refuses maps that do not verify as isomorphisms.
     """
     if not m.verified_isomorphism:
-        verify_isomorphism(m)
-    if not m.verified_isomorphism:
         raise NotAnIsomorphism("transfer needs a verified isomorphism")
 
     def g(y: AElement) -> AElement:
@@ -123,8 +121,7 @@ def wave_isomorphism(c: float = 1.0) -> LinMap:
     r = real_algebra()
     target = direct_product(r, r, name="RxR")
     m = LinMap(source=source, target=target, matrix=np.array([[1.0, c], [1.0, -c]]))
-    report = verify_isomorphism(m)
-    if not report.ok:
+    if not m.verified_isomorphism:
         raise NotAnIsomorphism("wave map failed verification")
     return m
 
@@ -135,8 +132,7 @@ def pairs_to_hyperbolic() -> LinMap:
     source = direct_product(r, r, name="RxR")
     target = get_algebra("H")
     m = LinMap(source=source, target=target, matrix=np.array([[0.5, 0.5], [0.5, -0.5]]))
-    report = verify_isomorphism(m)
-    if not report.ok:
+    if not m.verified_isomorphism:
         raise NotAnIsomorphism("hyperbolic splitting map failed verification")
     return m
 

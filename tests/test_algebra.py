@@ -251,23 +251,15 @@ def test_regrep_homomorphism(fixtures):
             assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(lhs)))
 
 
-def test_held_projection_matches_lstsq(fixtures):
-    # oracle: a fresh least-squares solve on the stacked vec M(v_i)
+def test_held_rep_basis_stacks_regrep(fixtures):
+    # oracle: the stacked vec M(v_i); one matvec with it forms M(x)
     rng = np.random.default_rng(11)
     for a in fixtures.values():
         B = np.stack([regrep(v).reshape(-1) for v in a.basis()], axis=1)
         assert np.array_equal(a.rep_basis, B)
-        assert a.rep_projector is a.rep_projector
-        assert not a.rep_projector.flags.writeable
-        inside = regrep(random_element(a, rng))
-        for J in [inside] + [rng.normal(size=(a.dim, a.dim)) for _ in range(20)]:
-            vec = J.reshape(-1)
-            want, *_ = np.linalg.lstsq(B, vec, rcond=None)
-            got = a.rep_projector @ vec
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-            res_want = np.linalg.norm(vec - B @ want)
-            res_got = np.linalg.norm(vec - a.rep_basis @ got)
-            assert abs(res_got - res_want) <= 1e-12 * np.linalg.norm(vec)
+        x = random_element(a, rng)
+        M = (a.rep_basis @ x.coords).reshape(a.dim, a.dim)
+        assert np.allclose(M, regrep(x), rtol=1e-14, atol=1e-14)
 
 
 def test_unity_first_flag(fixtures):

@@ -369,3 +369,48 @@ def test_overflow_is_input_error(capsys, fn, point):
     code, _, err = run(capsys, "check-adiff", "--algebra", "C", "--fn", fn, "--point", point)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ("classify", "--algebra", "C", "--point", "nan,0"),
+    ("classify", "--algebra", "C", "--point", "inf,0"),
+    ("check-adiff", "--algebra", "C", "--fn", "x1*x1;0", "--point", "inf,0"),
+    ("check-adiff", "--algebra", "C", "--fn", "zeta2", "--grid=-1:inf:3,0:1:2"),
+    ("taylor", "--algebra", "C", "--fn", "zeta2", "--point", "1,0", "--offset", "nan,0"),
+])
+def test_non_finite_coordinates_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: coordinates must be finite\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_point_overflows_without_warnings(capsys):
+    code, _, err = run(capsys, "check-adiff", "--algebra", "C", "--fn", "x1*x1;0",
+                       "--point", "1e200,0")
+    assert code == 2
+    assert err == "error: evaluation overflowed or gave a non-finite value\n"
+
+
+def _sum(terms):
+    return "+".join(["x1"] + ["1"] * (terms - 1)) + ";0"
+
+
+@pytest.mark.parametrize("fn, message", [
+    ("(" * 5000 + "x1" + ")" * 5000 + ";0", "levels of nesting"),
+    ("-" * 5000 + "x1;0", "levels of nesting"),
+    (_sum(250), "too deeply nested to compile"),
+    (_sum(1000), "too deeply nested"),
+])
+def test_deep_expressions_are_input_errors(capsys, fn, message):
+    code, _, err = run(capsys, "check-adiff", "--algebra", "C", "--fn=" + fn, "--point", "1,1")
+    assert code == 2
+    assert err.startswith("error:") and message in err
+
+
+def test_long_sum_below_the_compile_limit_still_works(capsys):
+    code, out, _ = run(capsys, "check-adiff", "--algebra", "C", "--fn", _sum(150), "--point", "1,1")
+    assert code == 1
+    assert "adiff=False" in out

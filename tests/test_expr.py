@@ -13,6 +13,7 @@ from acalc.errors import (
     UnknownVariable,
 )
 from acalc.expr import (
+    MAX_NESTING,
     ExprFn,
     Lit,
     Neg,
@@ -53,6 +54,18 @@ def test_unbalanced_paren_position():
     with pytest.raises(ExprSyntaxError) as excinfo:
         parse("x1*(x2", 2)
     assert excinfo.value.position == 6
+
+
+@pytest.mark.parametrize("wrap", [("(", ")"), ("sin(", ")"), ("-", ""), ("1^", "")])
+def test_nesting_cap(wrap):
+    opening, closing = wrap
+
+    def nested(k):
+        return opening * k + "1" + closing * k
+
+    parse(nested(MAX_NESTING), 1)
+    with pytest.raises(ExprSyntaxError):
+        parse(nested(MAX_NESTING + 1), 1)
 
 
 def test_unknown_variable():

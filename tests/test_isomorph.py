@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,26 @@ def test_transfer_refuses_non_isomorphism():
     bad = LinMap(source=C, target=C, matrix=np.array([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotAnIsomorphism):
         transfer_function(bad, lambda x: x)
+
+
+def test_loose_verification_does_not_unlock_transfer():
+    # i -> 2i is not multiplicative, (2i)^2 = -4 against m(-1) = -1; a loose
+    # tolerance accepts it for that one report, but the map keeps its verdict
+    C = get_algebra("C")
+    m = LinMap(source=C, target=C, matrix=np.diag([1.0, 2.0]))
+    assert verify_isomorphism(m, tol=10.0).ok
+    assert not m.verified_isomorphism
+    with pytest.raises(NotAnIsomorphism):
+        transfer_function(m, poly_fn(C, [0.0, 0.0, 1.0]))
+
+
+def test_linmap_is_frozen():
+    C = get_algebra("C")
+    m = LinMap(source=C, target=C, matrix=np.eye(2))
+    with pytest.raises(FrozenInstanceError):
+        m.matrix = np.diag([1.0, 2.0])
+    with pytest.raises(ValueError):
+        m.matrix[1, 1] = 2.0
 
 
 def test_wave_isomorphism_values():
