@@ -251,8 +251,10 @@ def test_regrep_homomorphism(fixtures):
             assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(lhs)))
 
 
-def test_held_rep_basis_stacks_regrep(fixtures):
-    # oracle: the stacked vec M(v_i); one matvec with it forms M(x)
+def test_held_projection_matches_lstsq(fixtures):
+    # oracle: the stacked vec M(v_i) and a fresh least-squares solve on it.
+    # One matvec with the held basis forms M(x), and on the span the
+    # projection J -> M(J 1) gives the lstsq coefficients with no residual.
     rng = np.random.default_rng(11)
     for a in fixtures.values():
         B = np.stack([regrep(v).reshape(-1) for v in a.basis()], axis=1)
@@ -260,6 +262,12 @@ def test_held_rep_basis_stacks_regrep(fixtures):
         x = random_element(a, rng)
         M = (a.rep_basis @ x.coords).reshape(a.dim, a.dim)
         assert np.allclose(M, regrep(x), rtol=1e-14, atol=1e-14)
+        vec = M.reshape(-1)
+        want, *_ = np.linalg.lstsq(B, vec, rcond=None)
+        got = M @ a.unity
+        assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+        res_got = np.linalg.norm(vec - a.rep_basis @ got)
+        assert res_got <= 1e-12 * max(1.0, np.linalg.norm(vec))
 
 
 def test_unity_first_flag(fixtures):

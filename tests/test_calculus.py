@@ -170,6 +170,24 @@ def test_chain_rule(commutative_fixtures):
         assert norm(lhs - rhs) <= 1e-8 * max(1.0, norm(rhs))
 
 
+def test_cr_route_agrees_with_projection_route(commutative_fixtures):
+    # oracle: the componentwise CR equations J[:, 1:] = M(J[:, 0])[:, 1:],
+    # written out here for the fixtures whose unity is v_1
+    rng = np.random.default_rng(15)
+    for a in commutative_fixtures.values():
+        if not np.allclose(a.unity, np.eye(a.dim)[0]):
+            continue  # the componentwise form needs v_1 = 1
+        p = random_element(a, rng)
+        fns = [(zeta_power(a, 2), True)]
+        if a.dim >= 2:
+            fns.append((conjugate_fn(a, 2), False))
+        for f, good in fns:
+            J = jacobian_sym(f, p)
+            cr = np.max(np.abs(J[:, 1:] - regrep(a.element(J[:, 0]))[:, 1:]), initial=0.0)
+            assert (cr <= 1e-6) if good else (cr > 1e-3), a.name
+            assert adiff_test(f, p).is_adiff == good, a.name
+
+
 def _kernel_functions(a):
     n = a.dim
     rng = np.random.default_rng(29)
@@ -245,6 +263,23 @@ def test_higher_derivative_cubic():
     assert norm(d2 - 6.0 * p) <= 1e-9
     d4 = higher_derivative(f, p, 4)
     assert norm(d4) <= 1e-12
+
+
+def test_higher_derivative_fd_fallback():
+    # oracle: central differences along the unity, d^k/dt^k f(p + t 1) = f^(k)(p)
+    H = get_algebra("H")
+    f = zeta_power(H, 3)
+    p = H.element([0.5, 0.25])
+    e = H.unity
+    g = lambda t: f.eval_coords(p.coords + t * e)
+    fd = {
+        1: lambda h: (g(h) - g(-h)) / (2 * h),
+        2: lambda h: (g(h) - 2 * g(0.0) + g(-h)) / h**2,
+        3: lambda h: (g(2 * h) - 2 * g(h) + 2 * g(-h) - g(-2 * h)) / (2 * h**3),
+    }
+    for k, h in ((1, 1e-5), (2, 1e-4), (3, 1e-3)):
+        sym = higher_derivative(f, p, k)
+        assert norm(sym - H.element(fd[k](h))) <= 1e-4 * max(1.0, norm(sym)), k
 
 
 def test_mixed_partial_identity(commutative_fixtures):
