@@ -50,6 +50,8 @@ __all__ = [
 SINGULAR_RTOL = 1e-10
 # Absolute coordinate-norm below which an element counts as zero.
 ZERO_TOL = 1e-14
+# Shifts +/-c, c = 1, 1/2, 1/4, ..., of w + c*1 tried by find_invertible_basis.
+MAX_UNIT_SHIFTS = 64
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -307,18 +309,19 @@ def submult_bound(algebra: Algebra) -> float:
 # classification and inversion
 # ---------------------------------------------------------------------------
 
-def classify(x: AElement, sv_rtol: float = SINGULAR_RTOL, zero_tol: float = ZERO_TOL) -> Classification:
+def classify(x: AElement) -> Classification:
     """Decide zero / unit / zero-divisor, with inverse or annihilator witness.
 
-    A unit has sigma_min(M(x)) > sv_rtol * max(1, sigma_max).  For a
-    zero-divisor the witness is the right-singular vector of the smallest
-    singular value, so ||x * b|| = sigma_min with ||b|| = 1.
+    Zero means ||x|| <= ZERO_TOL.  A unit has sigma_min(M(x)) >
+    SINGULAR_RTOL * sigma_max, a rule that does not change under scaling of
+    x.  For a zero-divisor the witness is the right-singular vector of the
+    smallest singular value, so ||x * b|| = sigma_min with ||b|| = 1.
     """
-    if x.norm <= zero_tol:
+    if x.norm <= ZERO_TOL:
         return Classification(kind=Kind.ZERO)
     M = regrep(x)
     U, s, Vt = np.linalg.svd(M)
-    if s[-1] > sv_rtol * max(1.0, s[0]):
+    if s[-1] > SINGULAR_RTOL * s[0]:
         inv_coords = (Vt.T * (1.0 / s)) @ (U.T @ x.algebra.unity)
         return Classification(kind=Kind.UNIT, inverse=AElement(x.algebra, _freeze(inv_coords)))
     w = Vt[-1]
@@ -328,9 +331,9 @@ def classify(x: AElement, sv_rtol: float = SINGULAR_RTOL, zero_tol: float = ZERO
     return Classification(kind=Kind.ZERO_DIVISOR, witness=AElement(x.algebra, _freeze(w)))
 
 
-def invert(x: AElement, sv_rtol: float = SINGULAR_RTOL) -> AElement:
+def invert(x: AElement) -> AElement:
     """Multiplicative inverse; raises :class:`NotAUnit` with the classification."""
-    c = classify(x, sv_rtol=sv_rtol)
+    c = classify(x)
     if c.kind is not Kind.UNIT:
         raise NotAUnit(f"element is {c.kind.value}, not invertible", classification=c)
     return c.inverse
@@ -407,7 +410,7 @@ def minimal_polynomial_witness(x: AElement) -> AElement | None:
         return AElement(x.algebra, _freeze(b / nb))
 
 
-def find_invertible_basis(algebra: Algebra, max_attempts: int = 64) -> list[AElement]:
+def find_invertible_basis(algebra: Algebra) -> list[AElement]:
     """A basis of units starting with the unity.
 
     Starting from {1} plus standard basis vectors, each zero-divisor entry w
@@ -436,7 +439,7 @@ def find_invertible_basis(algebra: Algebra, max_attempts: int = 64) -> list[AEle
             continue
         fixed = None
         c = 1.0
-        for _ in range(max_attempts):
+        for _ in range(MAX_UNIT_SHIFTS):
             for signed in (c, -c):
                 cand = w + signed * one
                 if classify(cand).kind is Kind.UNIT:
@@ -446,6 +449,6 @@ def find_invertible_basis(algebra: Algebra, max_attempts: int = 64) -> list[AEle
                 break
             c /= 2.0
         if fixed is None:
-            raise SearchFailed(f"no unit of the form w + c*1 found within {max_attempts} attempts")
+            raise SearchFailed(f"no unit of the form w + c*1 found within {MAX_UNIT_SHIFTS} attempts")
         result.append(fixed)
     return result

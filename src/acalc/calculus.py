@@ -57,18 +57,16 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def jacobian_fd(f: ExprFn, p, h: float | None = None) -> np.ndarray:
+def jacobian_fd(f: ExprFn, p) -> np.ndarray:
     """Central-difference Jacobian; column i is d f / d x_{i+1}.
 
-    The default step balances truncation and rounding:
-    h = eps^(1/3) * max(1, ||p||).
+    The step balances truncation and rounding: h = eps^(1/3) * max(1, ||p||).
     """
     x = p.coords if isinstance(p, AElement) else np.asarray(p, dtype=float)
     n = f.algebra.dim
     # a huge point overflows h to inf; evaluation refuses the stencil, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        if h is None:
-            h = _EPS_CUBE_ROOT * max(1.0, _norm(x))
+        h = _EPS_CUBE_ROOT * max(1.0, _norm(x))
         stencil = x + h * _central_stencil(n)
     values = f.eval_coords(stencil)
     return (values[:n] - values[n:]).T / (2.0 * h)

@@ -53,7 +53,10 @@ def _parse_grid(spec: str, algebra) -> list[np.ndarray]:
         count = int(count)
         if count < 1:
             raise ValueError("grid resolution must be >= 1")
-        axes.append(np.linspace(*_coords((lo, hi)), count))
+        lo, hi = _coords((lo, hi))
+        if not np.isfinite(hi - lo):
+            raise ValueError("grid axis span must be finite")
+        axes.append(np.linspace(lo, hi, count))
     if len(axes) != algebra.dim:
         raise ValueError(f"grid needs {algebra.dim} axes")
     mesh = np.meshgrid(*axes, indexing="ij")

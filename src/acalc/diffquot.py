@@ -21,14 +21,15 @@ from .expr import ExprFn
 
 __all__ = ["D2Options", "D2Probe", "d2_probe", "deleted_quotient", "unit_directions"]
 
+GROWTH_FACTOR = 2.0  # per-step magnitude growth that flags divergence
+GROWTH_WINDOW = 4    # number of trailing radii inspected for growth
+
 
 @dataclass(frozen=True)
 class D2Options:
     n_directions: int = 16
     radii: tuple[float, ...] = tuple(2.0 ** -m for m in range(2, 17))
     tol: float = 1e-4             # spread tolerance, scaled by quotient size
-    growth_factor: float = 2.0    # per-step magnitude growth that flags divergence
-    growth_window: int = 4        # number of trailing radii inspected for growth
     seed: int = 0
 
 
@@ -99,7 +100,7 @@ def _unit_pairs(algebra: Algebra, count: int, seed: int) -> tuple[tuple[AElement
 def d2_probe(f: ExprFn, p, opts: D2Options | None = None) -> D2Probe:
     """Sample deleted quotients over unit directions and shrinking radii.
 
-    Diverges when quotient magnitudes grow by the configured factor at every
+    Diverges when quotient magnitudes grow by GROWTH_FACTOR at every
     step across the trailing radii in some direction, or when the
     direction-dependent values at the smallest radius disagree wildly.
     Converges when the final-ring values agree to tolerance and the last
@@ -124,10 +125,10 @@ def d2_probe(f: ExprFn, p, opts: D2Options | None = None) -> D2Probe:
     mean = algebra.element(np.mean(final, axis=0))
     scale = 1.0 + mean.norm
 
-    mags = np.linalg.norm(Q[:, -opts.growth_window:], axis=-1)
+    mags = np.linalg.norm(Q[:, -GROWTH_WINDOW:], axis=-1)
     before, after = mags[:, :-1], mags[:, 1:]
     grows = mags.shape[1] >= 2 and bool(
-        ((after >= opts.growth_factor * before) & (before > 0)).all(axis=1).any()
+        ((after >= GROWTH_FACTOR * before) & (before > 0)).all(axis=1).any()
     )
 
     if grows or spread > 100.0 * opts.tol * scale:

@@ -10,6 +10,10 @@ Two families are produced from the multiplication structure alone:
   sum B_I v_{i_1} * ... * v_{i_k} = 0 of basis products forces
   sum B_I d^k Phi / d x_{i_1} ... d x_{i_k} = 0 on every scalar component
   Phi of a k-times differentiable function.
+
+The order-k equations are the nullspace of the symmetric-product map P,
+read off the multiplication table; one Gauss-Jordan elimination of P gives
+them in canonical reduced echelon form, one per free column.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from .algebra import Algebra, mul
+from .algebra import Algebra
 from .errors import (
     CombinatorialLimit,
     NonCommutativeUnsupported,
@@ -99,56 +103,47 @@ def gen_cr(algebra: Algebra) -> EquationSystem:
     return EquationSystem(kind="CR", order=1, algebra=algebra, equations=tuple(equations))
 
 
-def _nullspace_canonical(P: np.ndarray) -> list[np.ndarray]:
-    """Canonical basis of the nullspace of P.
+def _nullspace_canonical(P: np.ndarray):
+    """Yield the canonical nullspace basis of P, one ``(columns, coeffs)``
+    row at a time: the reduced echelon basis over the column order, each row
+    scaled so its largest-magnitude coefficient (first among ties) is +1.
 
-    SVD gives a rank-revealing decomposition with cutoff 1e-10 * sigma_max;
-    the raw nullspace basis is then reduced to echelon form over the column
-    order, and each row is scaled so its largest-magnitude coefficient
-    (first among ties) equals +1.
+    One Gauss-Jordan elimination of P takes its columns right to left, with
+    partial pivoting and the pivot cutoff NULLSPACE_RTOL * max|P|.  Each free
+    column f gives the row with 1 at f and -R[:, f] at the pivot columns; a
+    pivot left of f came from rows that were zero at f, so f leads its row.
     """
-    m = P.shape[1]
-    _, s, Vt = np.linalg.svd(P, full_matrices=True)
-    cutoff = NULLSPACE_RTOL * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    basis = Vt[rank:]
-    if basis.size == 0:
-        return []
-    # row-reduce over coefficient positions in lexicographic multi-index order
-    rows = [row.copy() for row in basis]
+    R = np.array(P, dtype=float)
+    n, m = R.shape
+    cutoff = NULLSPACE_RTOL * np.abs(R).max()
     pivots: list[int] = []
-    r = 0
-    for col in range(m):
-        sel = None
-        best = 0.0
-        for i in range(r, len(rows)):
-            if abs(rows[i][col]) > max(best, 1e-9):
-                best = abs(rows[i][col])
-                sel = i
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        rows[r] = rows[r] / rows[r][col]
-        for i in range(len(rows)):
-            if i != r and abs(rows[i][col]) > 0.0:
-                rows[i] = rows[i] - rows[i][col] * rows[r]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
+    for col in range(m - 1, -1, -1):
+        r = len(pivots)
+        if r == n:
             break
-    out = []
-    for row in rows[:r]:
+        sel = r + int(np.argmax(np.abs(R[r:, col])))
+        if abs(R[sel, col]) <= cutoff:
+            continue
+        R[[r, sel]] = R[[sel, r]]
+        pivot_row = R[r] / R[r, col]
+        R -= np.outer(R[:, col], pivot_row)
+        R[r] = pivot_row
+        pivots.append(col)
+    free = [f for f in range(m) if f not in pivots]
+    for f, values in zip(free, (-R[:len(pivots), free]).T.tolist()):
+        columns, row = zip(*sorted([(f, 1.0), *zip(pivots, values)]))
         row = np.where(np.abs(row) < 1e-12, 0.0, row)
         # first coefficient of maximal magnitude, with slack for float noise
         a = np.abs(row)
-        scale_idx = int(np.argmax(a >= float(a.max()) * (1.0 - 1e-9)))
-        row = row / row[scale_idx]
-        # snap away SVD float noise; coefficients are O(1) after scaling
-        out.append(np.round(row, 12) + 0.0)
-    return out
+        row = row / row[np.argmax(a >= a.max() * (1.0 - 1e-9))]
+        # snap away elimination noise; coefficients are O(1) after scaling
+        yield columns, np.round(row, 12) + 0.0
 
 
 def _laplace_system(algebra: Algebra, k: int, kind: str) -> EquationSystem:
+    """Order-k equations: the nullspace of P, whose column I (multi-indices
+    i_1 <= ... <= i_k in lexicographic order) is v_{i_1} * ... * v_{i_k},
+    built one factor at a time from the structure tensor."""
     if not algebra.commutative:
         raise NonCommutativeUnsupported(
             "higher-order equation generation needs a commutative algebra"
@@ -159,21 +154,18 @@ def _laplace_system(algebra: Algebra, k: int, kind: str) -> EquationSystem:
     if comb(n + k - 1, k) > MAX_SYMMETRIC_TENSOR:
         raise CombinatorialLimit(f"symmetric order-{k} tensors in dimension {n} are too large")
     index_tuples = list(combinations_with_replacement(range(n), k))
-    P = np.empty((n, len(index_tuples)))
-    for col, idx in enumerate(index_tuples):
-        prod = algebra.basis_element(idx[0])
-        for i in idx[1:]:
-            prod = mul(prod, algebra.basis_element(i))
-        P[:, col] = prod.coords
-    equations = []
-    for vec in _nullspace_canonical(P):
-        terms = [
-            Term(float(c), _orders_from_pair(idx, n), None)
-            for c, idx in zip(vec, index_tuples)
-            if c != 0.0
-        ]
-        equations.append(Equation(tuple(terms)))
-    return EquationSystem(kind=kind, order=k, algebra=algebra, equations=tuple(equations))
+    factors = np.array(index_tuples)
+    products = np.eye(n)[factors[:, 0]]
+    for j in factors[:, 1:].T:  # row I times its next factor: x @ C[:, j[I], :]
+        products = np.einsum("Ii,iIk->Ik", products, algebra.structure[:, j, :])
+    equations = tuple(
+        Equation(tuple(
+            Term(c, _orders_from_pair(index_tuples[col], n), None)
+            for col, c in zip(columns, row.tolist()) if c != 0.0
+        ))
+        for columns, row in _nullspace_canonical(products.T)
+    )
+    return EquationSystem(kind=kind, order=k, algebra=algebra, equations=equations)
 
 
 def gen_laplace(algebra: Algebra) -> EquationSystem:

@@ -182,7 +182,10 @@ def pow_(a: Expr, k: int) -> Expr:
     if k == 1:
         return a
     if isinstance(a, Lit):
-        return Lit(a.value ** k)
+        value = _pow(a.value, k)
+        if not math.isfinite(value):
+            raise DomainError(f"constant power {a.value:g}^{k:.6g} is not finite")
+        return Lit(value)
     return Pow(a, int(k))
 
 
@@ -322,7 +325,7 @@ class _Parser:
 
 def _const_int(e: Expr) -> int | None:
     v = _const_value(e)
-    if v is None or v != int(v):
+    if v is None or not math.isfinite(v) or v != int(v):
         return None
     return int(v)
 

@@ -201,7 +201,7 @@ def _split(left: np.ndarray, right: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.stack([left[keep], right[keep]], axis=1).reshape((-1,) + left.shape[1:])
 
 
-def _adaptive_simpson(g, a: float, b: float, tol: float, max_depth: int):
+def _adaptive_simpson(g, a: float, b: float, tol: float):
     """Vector-valued adaptive Simpson; returns (integral, error_bound).
 
     ``g`` maps parameters of shape (k,) to values of shape (k, d).  Intervals
@@ -224,7 +224,7 @@ def _adaptive_simpson(g, a: float, b: float, tol: float, max_depth: int):
         value, err_total = value + estimate[done].sum(axis=0), err_total + float(err[done].sum())
         if done.all():
             return value, err_total
-        if depth >= max_depth or 2 * np.count_nonzero(~done) > MAX_OPEN_INTERVALS:
+        if depth >= MAX_DEPTH or 2 * np.count_nonzero(~done) > MAX_OPEN_INTERVALS:
             first = int(np.argmin(done))
             raise QuadratureNonConvergence(estimate=estimate[first], error_bound=float(err[first]))
         keep = ~done  # each open interval [a, b] becomes [a, m] and [m, b]
@@ -233,8 +233,7 @@ def _adaptive_simpson(g, a: float, b: float, tol: float, max_depth: int):
         tol = tol / 2
 
 
-def integrate_curve(f: ExprFn, curve: Curve, tol: float = QUAD_TOL,
-                    max_depth: int = MAX_DEPTH) -> IntegralResult:
+def integrate_curve(f: ExprFn, curve: Curve, tol: float = QUAD_TOL) -> IntegralResult:
     """int_C f(z) * dz with a quadrature error bound.
 
     Each piece integrates f(z(t)) * z'(t) over its parameter range; a
@@ -249,7 +248,7 @@ def integrate_curve(f: ExprFn, curve: Curve, tol: float = QUAD_TOL,
         def g(t: np.ndarray) -> np.ndarray:
             return mul_batch(algebra, f.eval_coords(point(t)), velocity(t))
 
-        v, e = _adaptive_simpson(g, t0, t1, tol, max_depth)
+        v, e = _adaptive_simpson(g, t0, t1, tol)
         total = total + v
         err += e
     return IntegralResult(value=algebra.element(total), error_bound=err)
@@ -273,7 +272,7 @@ def riemann_sum(f: ExprFn, curve: Curve, m: int) -> AElement:
 def _arclength(curve: Curve) -> float:
     return float(sum(
         _adaptive_simpson(lambda t: np.linalg.norm(velocity(t), axis=1, keepdims=True),
-                          t0, t1, QUAD_TOL, MAX_DEPTH)[0][0]
+                          t0, t1, QUAD_TOL)[0][0]
         for _, velocity, t0, t1 in curve.pieces
     ))
 

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acalc.algebra import (
+    ZERO_TOL,
     Kind,
     classify,
     find_invertible_basis,
@@ -25,7 +28,7 @@ from acalc.errors import (
     NotAUnit,
     UnityViolation,
 )
-from acalc.fixtures import get_algebra, n_hyperbolic, triangular6
+from acalc.fixtures import bundled_algebras, get_algebra, n_hyperbolic, triangular6
 
 from conftest import random_element, random_elements
 
@@ -369,6 +372,21 @@ def test_classify_trichotomy(fixtures):
             elif c.kind is Kind.ZERO_DIVISOR:
                 assert c.witness is not None and c.inverse is None
                 assert abs(c.witness.norm - 1.0) < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(bundled_algebras())),
+       data=st.data(),
+       t=st.floats(-12.0, 6.0).map(lambda e: 10.0 ** e))
+def test_classify_is_scale_invariant(name, data, t):
+    # integer coordinates hit the zero-divisors of the integer tables
+    a = get_algebra(name)
+    x = a.element(data.draw(st.lists(st.integers(-3, 3), min_size=a.dim, max_size=a.dim)))
+    kind = classify(x).kind
+    if kind is Kind.ZERO:
+        return
+    assert t * x.norm > ZERO_TOL
+    assert classify(t * x).kind is kind
 
 
 def test_minimal_polynomial_witness_matches_svd_route(fixtures):

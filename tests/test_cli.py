@@ -394,6 +394,28 @@ def test_huge_point_overflows_without_warnings(capsys):
     assert err == "error: evaluation overflowed or gave a non-finite value\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn, message", [
+    ("2^2^2^2^2;0", "constant power 2^65536 is not finite"),
+    ("x1+0^(-1);0", "zero raised to a negative power"),
+    ("x1^1e400;0", "expected an integer exponent"),
+])
+def test_constant_power_errors_are_input_errors(capsys, fn, message):
+    code, out, err = run(capsys, "check-adiff", "--algebra", "C", "--fn", fn, "--point", "1,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_axis_with_overflowing_span_is_input_error(capsys):
+    code, out, err = run(capsys, "check-adiff", "--algebra", "C", "--fn", "zeta2",
+                         "--grid=-1e308:1e308:3,0:1:2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: grid axis span must be finite\n"
+
+
 def _sum(terms):
     return "+".join(["x1"] + ["1"] * (terms - 1)) + ";0"
 

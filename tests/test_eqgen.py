@@ -1,5 +1,9 @@
+from itertools import combinations_with_replacement
+from math import comb
+
 import numpy as np
 import pytest
+import sympy
 
 from acalc.calculus import adiff_test
 from acalc.eqgen import (
@@ -14,7 +18,7 @@ from acalc.eqgen import (
 from acalc.errors import NonCommutativeUnsupported, UnityNotFirst
 from acalc.expr import conjugate_fn, poly_fn
 from acalc.fixtures import get_algebra, wave_algebra
-from acalc.algebra import mul
+from acalc.algebra import make_algebra, mul
 
 from conftest import random_element, random_elements
 
@@ -294,3 +298,100 @@ def test_laplace_k_bounds():
 
     with pytest.raises(CombinatorialLimit):
         gen_laplace_k(A4, 30)
+
+
+# ---------------------------------------------------------------------------
+# the canonical order-k basis
+# ---------------------------------------------------------------------------
+
+def _multi_indices(algebra, k):
+    return list(combinations_with_replacement(range(algebra.dim), k))
+
+
+def _product_matrix(algebra, k):
+    """P with column I = v_{i_1} * ... * v_{i_k}, by repeated element products."""
+    columns = []
+    for idx in _multi_indices(algebra, k):
+        prod = algebra.basis_element(idx[0])
+        for i in idx[1:]:
+            prod = mul(prod, algebra.basis_element(i))
+        columns.append(prod.coords)
+    return np.array(columns).T
+
+
+def _dense_rows(system, algebra, k):
+    """One row per equation, columns in lexicographic multi-index order."""
+    col = {tuple(np.bincount(idx, minlength=algebra.dim)): j
+           for j, idx in enumerate(_multi_indices(algebra, k))}
+    B = np.zeros((len(system.equations), len(col)))
+    for r, eq in enumerate(system.equations):
+        for t in eq.terms:
+            B[r, col[t.orders]] = t.coeff
+    return B
+
+
+def _exact_canonical_rows(algebra, k):
+    """sympy's reduced echelon basis of the exact nullspace of P, each row
+    scaled so its first coefficient of largest magnitude is +1."""
+    n = algebra.dim
+    C = algebra.structure.astype(int)
+    columns = []
+    for idx in _multi_indices(algebra, k):
+        x = [int(i == idx[0]) for i in range(n)]
+        for j in idx[1:]:
+            x = [sum(x[i] * int(C[i, j, l]) for i in range(n)) for l in range(n)]
+        columns.append(x)
+    null = sympy.Matrix(columns).T.nullspace()
+    if not null:
+        return np.zeros((0, len(columns)))
+    R = sympy.Matrix.hstack(*null).T.rref()[0]
+    rows = []
+    for r in range(R.rows):
+        row = list(R.row(r))
+        big = max(abs(v) for v in row)
+        lead = next(v for v in row if abs(v) == big)
+        rows.append([float(v / lead) for v in row])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_laplace_k_matches_exact_rref(commutative_fixtures, k):
+    for a in commutative_fixtures.values():
+        assert np.array_equal(a.structure, np.round(a.structure))
+        want = _exact_canonical_rows(a, k)
+        got = _dense_rows(gen_laplace_k(a, k), a, k)
+        assert got.shape == want.shape, a.name
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12), a.name
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_laplace_k_is_reduced_echelon(commutative_fixtures, k):
+    algebras = list(commutative_fixtures.values()) + [wave_algebra(c) for c in (0.7, 1.7, 2.5)]
+    for a in algebras:
+        B = _dense_rows(gen_laplace_k(a, k), a, k)
+        m = B.shape[1]
+        assert B.shape[0] == m - a.dim, a.name
+        leads = [int(np.flatnonzero(row)[0]) for row in B]
+        assert all(x < y for x, y in zip(leads, leads[1:])), a.name
+        for r, lead in enumerate(leads):
+            assert np.count_nonzero(B[:, lead]) == 1 and B[r, lead] != 0.0, a.name
+        assert np.all(B[np.arange(len(B)), np.argmax(np.abs(B), axis=1)] == 1.0), a.name
+
+
+def test_laplace_rotated_table_has_no_noise_terms():
+    # a 45-degree rotation of the non-unity basis of the 3-hyperbolic numbers
+    # puts rounding noise into the zero entries of the structure tensor
+    a = get_algebra("3-hyperbolic")
+    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)  # these differ in the last bit
+    S = np.eye(3)
+    S[1:, 1:] = [[c, -s], [s, c]]
+    S_inv = np.linalg.inv(S)
+    C = np.einsum("ia,jb,ijk,ck->abc", S, S, a.structure, S_inv)
+    assert 0.0 < np.abs(C[np.abs(C) < 1e-9]).max()
+    rotated = make_algebra(3, C, S_inv @ a.unity, name="3-hyperbolic-rotated")
+    for k in (2, 3, 4):
+        system = gen_laplace_k(rotated, k)
+        assert len(system) == comb(k + 2, k) - 3
+        assert all(abs(t.coeff) >= 1e-12 for eq in system.equations for t in eq.terms)
+        B = _dense_rows(system, rotated, k)
+        assert np.abs(_product_matrix(rotated, k) @ B.T).max() <= 1e-9

@@ -97,6 +97,13 @@ def test_integer_exponent_required():
         parse("x1^x1", 1)
     with pytest.raises(ExprSyntaxError):
         parse("x1^2.5", 1)
+    with pytest.raises(ExprSyntaxError):
+        parse("x1^1e400", 1)
+
+
+def test_constant_powers_fold():
+    assert parse("x1^(2^2)", 1) == parse("x1^4", 1)
+    assert parse("(-2)^3", 1) == Lit(-8.0)
 
 
 def test_whitespace_insensitive():
