@@ -88,6 +88,11 @@ class Algebra:
         return bool(np.array_equal(self.unity, np.eye(self.dim)[0]))
 
     def element(self, coords) -> AElement:
+        """The library's one point coercion: an element passes as it is if its
+        algebra has this structure, else raises :class:`AlgebraMismatch`."""
+        if isinstance(coords, AElement):
+            _check_same(self, coords.algebra)
+            return coords
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (self.dim,):
             raise DimensionMismatch(
@@ -129,11 +134,11 @@ class AElement:
     coords: np.ndarray
 
     def __add__(self, other: "AElement") -> "AElement":
-        _check_same(self, other)
+        _check_same(self.algebra, other.algebra)
         return AElement(self.algebra, _freeze(self.coords + other.coords))
 
     def __sub__(self, other: "AElement") -> "AElement":
-        _check_same(self, other)
+        _check_same(self.algebra, other.algebra)
         return AElement(self.algebra, _freeze(self.coords - other.coords))
 
     def __neg__(self) -> "AElement":
@@ -165,7 +170,7 @@ class AElement:
         return float(np.linalg.norm(self.coords))
 
     def allclose(self, other: "AElement", atol: float = 1e-12) -> bool:
-        _check_same(self, other)
+        _check_same(self.algebra, other.algebra)
         return bool(np.allclose(self.coords, other.coords, atol=atol, rtol=0.0))
 
     def __repr__(self) -> str:
@@ -193,8 +198,7 @@ class Classification:
     witness: AElement | None = None    # unit-norm b with x*b ~ 0, iff ZERO_DIVISOR
 
 
-def _check_same(x: AElement, y: AElement) -> None:
-    a, b = x.algebra, y.algebra
+def _check_same(a: Algebra, b: Algebra) -> None:
     if a is not b and not a.same_structure(b):
         raise AlgebraMismatch(f"cannot mix elements of {a.name!r} and {b.name!r}")
 
@@ -260,7 +264,7 @@ def make_algebra(dim, structure, unity, labels=None, name="algebra") -> Algebra:
 
 def mul(x: AElement, y: AElement) -> AElement:
     """Algebra product: (x*y)_k = sum_ij x_i y_j C[i,j,k]."""
-    _check_same(x, y)
+    _check_same(x.algebra, y.algebra)
     out = np.einsum("i,j,ijk->k", x.coords, y.coords, x.algebra.structure)
     return AElement(x.algebra, _freeze(out))
 

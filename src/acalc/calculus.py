@@ -62,7 +62,7 @@ def jacobian_fd(f: ExprFn, p) -> np.ndarray:
 
     The step balances truncation and rounding: h = eps^(1/3) * max(1, ||p||).
     """
-    x = p.coords if isinstance(p, AElement) else np.asarray(p, dtype=float)
+    x = f.algebra.element(p).coords
     n = f.algebra.dim
     # a huge point overflows h to inf; evaluation refuses the stencil, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
@@ -91,7 +91,7 @@ def adiff_test(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "fd")
     On success the derivative is J 1.
     """
     algebra = f.algebra
-    point = p if isinstance(p, AElement) else algebra.element(p)
+    point = algebra.element(p)
     J = jacobian_fd(f, point) if method == "fd" else jacobian_sym(f, point)
     d = J @ algebra.unity
     residual = _norm(J - (algebra.rep_basis @ d).reshape(J.shape)) / max(1.0, _norm(J))
@@ -101,7 +101,7 @@ def adiff_test(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "fd")
                       is_adiff=ok, derivative=deriv, tol=tol)
 
 
-def _require_adiff(f: ExprFn, p, tol: float, method: str = "fd") -> DiffReport:
+def _require_adiff(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "fd") -> DiffReport:
     """:func:`adiff_test`, raising :class:`NotADifferentiable` on failure."""
     report = adiff_test(f, p, tol=tol, method=method)
     if not report.is_adiff:
@@ -114,11 +114,13 @@ def derivative(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "fd")
     return _require_adiff(f, p, tol, method).derivative
 
 
-def higher_derivative(f: ExprFn, p, k: int, tol: float = DEFAULT_ADIFF_TOL) -> AElement:
+def higher_derivative(f: ExprFn, p, k: int) -> AElement:
     """k-th derivative: the k-fold exact derivative along the unity (d^k/dx1^k
-    when the unity is v_1).  Raises :class:`NotADifferentiable` if f fails the
-    first-order test at p."""
-    point = _require_adiff(f, p, tol).point
+    when the unity is v_1), for k >= 0.  Raises :class:`NotADifferentiable` if
+    f fails the first-order test at p."""
+    if k < 0:
+        raise ValueError(f"derivative order must be >= 0, got {k}")
+    point = _require_adiff(f, p).point
     g = f
     for _ in range(k):
         g = g.unity_derivative
@@ -167,8 +169,6 @@ def _parse_which(which, dim: int) -> tuple[str, int | None]:
         return "zeta", None
     if isinstance(which, str) and which.startswith("zbar"):
         j = int(which[4:])
-    elif isinstance(which, int):
-        j = which
     else:
         raise ValueError(f"operator must be 'zeta' or 'zbar<j>', got {which!r}")
     if not 2 <= j <= dim:
@@ -176,7 +176,7 @@ def _parse_which(which, dim: int) -> tuple[str, int | None]:
     return "zbar", j
 
 
-def wirtinger_apply(f: ExprFn, which, p, frame: ConjugateFrame | None = None) -> AElement:
+def wirtinger_apply(f: ExprFn, which: str, p, frame: ConjugateFrame | None = None) -> AElement:
     """Apply a Wirtinger operator to f at p using exact symbolic partials.
 
     ``which`` is ``"zeta"`` for
@@ -187,7 +187,7 @@ def wirtinger_apply(f: ExprFn, which, p, frame: ConjugateFrame | None = None) ->
     if frame is None:
         frame = conjugate_frame(algebra)
     n = algebra.dim
-    point = p if isinstance(p, AElement) else algebra.element(p)
+    point = algebra.element(p)
     kind, j = _parse_which(which, n)
     d1 = f.partial(0)(point)
     if kind == "zbar":
@@ -204,9 +204,11 @@ def wirtinger_apply(f: ExprFn, which, p, frame: ConjugateFrame | None = None) ->
 # Taylor expansion
 # ---------------------------------------------------------------------------
 
-def taylor_eval(f: ExprFn, p, h: AElement, k: int, tol: float = DEFAULT_ADIFF_TOL) -> AElement:
-    """Degree-k Taylor value: sum_m f^(m)(p) * h^m / m! for m = 0..k."""
-    point = _require_adiff(f, p, tol).point
+def taylor_eval(f: ExprFn, p, h: AElement, k: int) -> AElement:
+    """Degree-k Taylor value: sum_m f^(m)(p) * h^m / m! for m = 0..k, k >= 0."""
+    if k < 0:
+        raise ValueError(f"Taylor degree must be >= 0, got {k}")
+    point = _require_adiff(f, p).point
     total = f(point)
     g = f
     h_power = f.algebra.one()

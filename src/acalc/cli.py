@@ -94,8 +94,7 @@ def cmd_validate_algebra(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    a = get_algebra(args.algebra)
-    x = _parse_point(args.point, a)
+    x = args.point
     c = alg.classify(x)
     print(f"element:  {_fmt_vec(x.coords)}")
     print(f"kind:     {c.kind.value}")
@@ -108,8 +107,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_invertible_basis(args) -> int:
-    a = get_algebra(args.algebra)
-    basis = alg.find_invertible_basis(a)
+    basis = alg.find_invertible_basis(args.algebra)
     for i, w in enumerate(basis):
         kind = alg.classify(w).kind.value
         print(f"w{i + 1}: {_fmt_vec(w.coords)}   ({kind})")
@@ -117,15 +115,13 @@ def cmd_invertible_basis(args) -> int:
 
 
 def cmd_check_adiff(args) -> int:
-    a = get_algebra(args.algebra)
-    f = _resolve_fn(args.fn, a)
     if args.grid:
-        points = _parse_grid(args.grid, a)
+        points = _parse_grid(args.grid, args.algebra)
     elif args.point:
-        points = [_parse_point(args.point, a).coords]
+        points = [args.point]
     else:
         raise ValueError("check-adiff needs --point or --grid")
-    reports = [calculus.adiff_test(f, p, tol=args.tol, method=args.method) for p in points]
+    reports = [calculus.adiff_test(args.fn, p, tol=args.tol, method=args.method) for p in points]
     all_ok = all(r.is_adiff for r in reports)
     if args.format == "json":
         doc = [
@@ -150,24 +146,18 @@ def cmd_check_adiff(args) -> int:
 
 
 def cmd_derivative(args) -> int:
-    a = get_algebra(args.algebra)
-    f = _resolve_fn(args.fn, a)
-    p = _parse_point(args.point, a)
     try:
-        d = calculus.derivative(f, p, tol=args.tol, method=args.method)
+        d = calculus.derivative(args.fn, args.point, tol=args.tol, method=args.method)
     except NotADifferentiable as exc:
-        print(f"not differentiable over {a.name}: residual {_fmt(exc.residual)}")
+        print(f"not differentiable over {args.algebra.name}: residual {_fmt(exc.residual)}")
         return EXIT_FALSE
     print(f"derivative: {_fmt_vec(d.coords)}")
     return EXIT_OK
 
 
 def cmd_wirtinger(args) -> int:
-    a = get_algebra(args.algebra)
-    f = _resolve_fn(args.fn, a)
-    p = _parse_point(args.point, a)
-    value = calculus.wirtinger_apply(f, args.which, p)
-    print(f"d f / d {args.which} at ({_fmt_vec(p.coords)}): {_fmt_vec(value.coords)}")
+    value = calculus.wirtinger_apply(args.fn, args.which, args.point)
+    print(f"d f / d {args.which} at ({_fmt_vec(args.point.coords)}): {_fmt_vec(value.coords)}")
     return EXIT_OK
 
 
@@ -201,23 +191,18 @@ def _print_system(system, args) -> None:
 
 
 def cmd_gen_cr(args) -> int:
-    a = get_algebra(args.algebra)
-    _print_system(eqgen.gen_cr(a), args)
+    _print_system(eqgen.gen_cr(args.algebra), args)
     return EXIT_OK
 
 
 def cmd_gen_laplace(args) -> int:
-    a = get_algebra(args.algebra)
-    system = eqgen.gen_laplace_k(a, args.order)
-    _print_system(system, args)
+    _print_system(eqgen.gen_laplace_k(args.algebra, args.order), args)
     return EXIT_OK
 
 
 def cmd_taylor(args) -> int:
-    a = get_algebra(args.algebra)
-    f = _resolve_fn(args.fn, a)
-    p = _parse_point(args.point, a)
-    h = _parse_point(args.offset, a)
+    f, p = args.fn, args.point
+    h = _parse_point(args.offset, args.algebra)
     t = calculus.taylor_eval(f, p, h, args.degree)
     actual = f(p + h)
     print(f"taylor (degree {args.degree}): {_fmt_vec(t.coords)}")
@@ -227,31 +212,26 @@ def cmd_taylor(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    a = get_algebra(args.algebra)
-    f = _resolve_fn(args.fn, a)
-    curve = integrate.load_curve(args.curve, a)
-    result = integrate.integrate_curve(f, curve)
+    curve = integrate.load_curve(args.curve, args.algebra)
+    result = integrate.integrate_curve(args.fn, curve)
     print(f"integral:    {_fmt_vec(result.value.coords)}")
     print(f"error bound: {_fmt(result.error_bound)}")
-    report = integrate.ml_bound_check(f, curve)
+    report = integrate.ml_bound_check(args.fn, curve)
     print(f"ML bound:    |I|={_fmt(report.lhs)}  K={_fmt(report.K)}  "
           f"M={_fmt(report.M)}  L={_fmt(report.L)}  holds={report.holds}")
     return EXIT_OK
 
 
 def cmd_d2_probe(args) -> int:
-    a = get_algebra(args.algebra)
-    f = _resolve_fn(args.fn, a)
-    p = _parse_point(args.point, a)
-    probe = diffquot.d2_probe(f, p, diffquot.D2Options(seed=args.seed, tol=args.tol))
-    print(f"point:   {_fmt_vec(p.coords)}")
+    probe = diffquot.d2_probe(args.fn, args.point, diffquot.D2Options(seed=args.seed, tol=args.tol))
+    print(f"point:   {_fmt_vec(probe.point.coords)}")
     print(f"verdict: {probe.verdict}")
     if probe.limit is not None:
         print(f"limit:   {_fmt_vec(probe.limit.coords)}")
     print("direction | radius | quotient")
     for d, row in zip(probe.directions, probe.quotients):
         for r, q in zip(probe.radii, row):
-            print(f"({_fmt_vec(d.coords)}) | {_fmt(r)} | ({_fmt_vec(q.coords)})")
+            print(f"({_fmt_vec(d.coords)}) | {_fmt(r)} | ({_fmt_vec(q)})")
     return EXIT_OK if probe.verdict == "converges" else EXIT_FALSE
 
 
@@ -318,7 +298,8 @@ file formats (JSON):
 """
 
 
-def _add_common(p, fn=True, point=True, tol_default=calculus.DEFAULT_ADIFF_TOL):
+def _add_common(p, fn=True, point=True, tol=None):
+    """--algebra, --fn and --point, which main() resolves; --tol only with a default."""
     p.add_argument("--algebra", required=True,
                    help="fixture name (e.g. hyperbolic, C, dual, wave:2) or algebra file")
     if fn:
@@ -326,9 +307,9 @@ def _add_common(p, fn=True, point=True, tol_default=calculus.DEFAULT_ADIFF_TOL):
                        help="zeta<N>, zbar<j>, ';'-joined component expressions, or a file")
     if point:
         p.add_argument("--point", required=True, help="comma-separated coordinates")
-    p.add_argument("--tol", type=float, default=tol_default,
-                   help="verdict tolerance (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
+    if tol is not None:
+        p.add_argument("--tol", type=float, default=tol,
+                       help="verdict tolerance (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,11 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("invertible-basis", help="basis of units starting with the unity")
-    p.add_argument("--algebra", required=True)
+    _add_common(p, fn=False, point=False)
     p.set_defaults(func=cmd_invertible_basis)
 
     p = sub.add_parser("check-adiff", help="test differentiability over the algebra")
-    _add_common(p, point=False)
+    _add_common(p, point=False, tol=calculus.DEFAULT_ADIFF_TOL)
     p.add_argument("--point", default=None, help="comma-separated coordinates")
     p.add_argument("--grid", default=None, help="lo:hi:count per coordinate, comma-separated")
     p.add_argument("--method", choices=("fd", "symbolic"), default="fd")
@@ -364,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_adiff)
 
     p = sub.add_parser("derivative", help="derivative element at a point")
-    _add_common(p)
+    _add_common(p, tol=calculus.DEFAULT_ADIFF_TOL)
     p.add_argument("--method", choices=("fd", "symbolic"), default="fd")
     p.set_defaults(func=cmd_derivative)
 
@@ -378,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("gen-laplace", cmd_gen_laplace, True),
     ):
         p = sub.add_parser(name, help=f"generate the {'second-order' if extra else 'first-order'} system")
-        p.add_argument("--algebra", required=True)
+        _add_common(p, fn=False, point=False)
         if extra:
             p.add_argument("--order", type=int, default=2, help="derivative order k (default 2)")
         p.add_argument("--coords", default=None, help="coordinate names, comma-separated")
@@ -399,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("d2-probe", help="deleted difference quotient probe")
-    _add_common(p, tol_default=diffquot.D2Options.tol)
+    _add_common(p, tol=diffquot.D2Options.tol)
+    p.add_argument("--seed", type=int, default=0, help="seed for the random directions")
     p.set_defaults(func=cmd_d2_probe)
 
     p = sub.add_parser("verify-iso", help="verify an isomorphism file")
@@ -425,9 +407,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        # one boundary, in this order, which fixes the error reported first;
+        # --offset, --grid and the subcommands without --algebra resolve their own
+        if "algebra" in args:
+            args.algebra = get_algebra(args.algebra)
+            if "fn" in args:
+                args.fn = _resolve_fn(args.fn, args.algebra)
+            if getattr(args, "point", None) is not None:
+                args.point = _parse_point(args.point, args.algebra)
         return args.func(args)
     except NotADifferentiable as exc:
         print(f"verdict: {exc}", file=sys.stderr)
@@ -440,6 +429,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except RecursionError:
         print("error: expression too deeply nested", file=sys.stderr)
+        return EXIT_INPUT
+    except Exception as exc:  # a malformed input no check above names
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

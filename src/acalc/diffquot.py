@@ -38,7 +38,7 @@ class D2Probe:
     point: AElement
     directions: tuple[AElement, ...]
     radii: tuple[float, ...]
-    quotients: tuple[tuple[AElement, ...], ...]  # [direction][radius]
+    quotients: np.ndarray                        # read-only, [direction, radius, coordinate]
     verdict: str                                 # converges | diverges | inconclusive
     limit: AElement | None = None                # present iff verdict == converges
 
@@ -109,7 +109,7 @@ def d2_probe(f: ExprFn, p, opts: D2Options | None = None) -> D2Probe:
     """
     opts = opts or D2Options()
     algebra = f.algebra
-    point = p if isinstance(p, AElement) else algebra.element(p)
+    point = algebra.element(p)
     n = algebra.dim
     pairs = _unit_pairs(algebra, opts.n_directions, opts.seed)
     D, D_inv = (np.array([pair[k].coords for pair in pairs]).reshape(-1, 1, n) for k in (0, 1))
@@ -118,7 +118,6 @@ def d2_probe(f: ExprFn, p, opts: D2Options | None = None) -> D2Probe:
     # Q[i, j] = (f(p + r_j d_i) - f(p)) * (r_j^{-1} d_i^{-1}), one batch for the table
     rise = f.eval_coords((point.coords + radii * D).reshape(-1, n)) - f.eval_coords(point)
     Q = mul_batch(algebra, rise, ((1.0 / radii) * D_inv).reshape(-1, n)).reshape(len(pairs), len(radii), n)
-    table = tuple(tuple(AElement(algebra, _freeze(q)) for q in row) for row in Q)
 
     final = Q[:, -1]
     spread = float(np.linalg.norm(final[:, None] - final[None, :], axis=-1).max(initial=0.0))
@@ -143,7 +142,7 @@ def d2_probe(f: ExprFn, p, opts: D2Options | None = None) -> D2Probe:
         point=point,
         directions=tuple(d for d, _ in pairs),
         radii=opts.radii,
-        quotients=table,
+        quotients=_freeze(Q),
         verdict=verdict,
         limit=limit,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -126,6 +127,13 @@ def var(i: int, name: str | None = None) -> Expr:
     return Var(i, name or f"x{i + 1}")
 
 
+def _binary(node: type, a: Expr, b: Expr) -> Expr:
+    """``node(a, b)``; two constants fold to one by :func:`_fold`."""
+    if isinstance(a, Lit) and isinstance(b, Lit):
+        return _fold(node, a.value, b.value)
+    return node(a, b)
+
+
 # smart constructors: fold constants and drop identity terms so that
 # symbolic derivatives stay readable
 def add(a: Expr, b: Expr) -> Expr:
@@ -133,19 +141,15 @@ def add(a: Expr, b: Expr) -> Expr:
         return b
     if b == _ZERO:
         return a
-    if isinstance(a, Lit) and isinstance(b, Lit):
-        return Lit(a.value + b.value)
-    return Add(a, b)
+    return _binary(Add, a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
     if b == _ZERO:
         return a
-    if isinstance(a, Lit) and isinstance(b, Lit):
-        return Lit(a.value - b.value)
     if a == _ZERO:
         return neg(b)
-    return Sub(a, b)
+    return _binary(Sub, a, b)
 
 
 def neg(a: Expr) -> Expr:
@@ -163,9 +167,7 @@ def mul(a: Expr, b: Expr) -> Expr:
         return b
     if b == _ONE:
         return a
-    if isinstance(a, Lit) and isinstance(b, Lit):
-        return Lit(a.value * b.value)
-    return Mul(a, b)
+    return _binary(Mul, a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
@@ -173,7 +175,7 @@ def div(a: Expr, b: Expr) -> Expr:
         return a
     if a == _ZERO and not b == _ZERO:
         return _ZERO
-    return Div(a, b)
+    return _binary(Div, a, b)
 
 
 def pow_(a: Expr, k: int) -> Expr:
@@ -182,10 +184,7 @@ def pow_(a: Expr, k: int) -> Expr:
     if k == 1:
         return a
     if isinstance(a, Lit):
-        value = _pow(a.value, k)
-        if not math.isfinite(value):
-            raise DomainError(f"constant power {a.value:g}^{k:.6g} is not finite")
-        return Lit(value)
+        return _fold(Pow, a.value, k)
     return Pow(a, int(k))
 
 
@@ -255,16 +254,15 @@ class _Parser:
         e = self.term()
         while self.peek()[1] in ("+", "-"):
             op = self.advance()[1]
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
+            e = _binary(Add if op == "+" else Sub, e, self.term())
         return e
 
     def term(self) -> Expr:
         e = self.factor()
         while self.peek()[1] in ("*", "/"):
             op = self.advance()[1]
-            rhs = self.factor()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
+            # constants fold, but no identity is dropped: 0*(1/x1) still fails at x1 = 0
+            e = _binary(Mul if op == "*" else Div, e, self.factor())
         return e
 
     def factor(self) -> Expr:
@@ -324,21 +322,10 @@ class _Parser:
 
 
 def _const_int(e: Expr) -> int | None:
-    v = _const_value(e)
-    if v is None or not math.isfinite(v) or v != int(v):
-        return None
-    return int(v)
-
-
-def _const_value(e: Expr) -> float | None:
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, Neg):
-        v = _const_value(e.arg)
-        return None if v is None else -v
-    if isinstance(e, Pow):
-        v = _const_value(e.base)
-        return None if v is None else v ** e.exponent
+    """The value of an integer constant; the parser folds every constant
+    exponent to a ``Lit``."""
+    if isinstance(e, Lit) and math.isfinite(e.value) and e.value == int(e.value):
+        return int(e.value)
     return None
 
 
@@ -407,6 +394,24 @@ _PRIMITIVES = {
     "log": _primitive(math.log, np.log, invalid=lambda a: a <= 0.0, message="log of non-positive value"),
     "sqrt": _primitive(math.sqrt, np.sqrt, invalid=lambda a: a < 0.0, message="sqrt of negative value"),
 }
+
+# Every constant fold, in the smart constructors and the parser, computes as
+# evaluation does and refuses a value that is not finite, as evaluation does.
+_FOLDS = {
+    Add: ("sum", "+", operator.add),
+    Sub: ("difference", "-", operator.sub),
+    Mul: ("product", "*", operator.mul),
+    Div: ("quotient", "/", _PRIMITIVES["div"]),
+    Pow: ("power", "^", _PRIMITIVES["pow"]),
+}
+
+
+def _fold(node: type, a: float, b: float) -> Lit:
+    name, op, fn = _FOLDS[node]
+    value = fn(a, b)
+    if not math.isfinite(value):
+        raise DomainError(f"constant {name} {a:g}{op}{b:.6g} is not finite")
+    return Lit(value)
 
 
 def evaluate(e: Expr, point) -> float:
@@ -563,8 +568,8 @@ def diff(e: Expr, i: int) -> Expr:
     if isinstance(e, Mul):
         return add(mul(diff(e.left, i), e.right), mul(e.left, diff(e.right, i)))
     if isinstance(e, Div):
-        num = sub(mul(diff(e.left, i), e.right), mul(e.left, diff(e.right, i)))
-        return div(num, pow_(e.right, 2))
+        # (u/v)' = (u' - (u/v) v') / v, which needs no v^2 that could overflow
+        return div(sub(diff(e.left, i), mul(e, diff(e.right, i))), e.right)
     if isinstance(e, Pow):
         du = diff(e.base, i)
         return mul(mul(lit(e.exponent), pow_(e.base, e.exponent - 1)), du)
@@ -646,9 +651,7 @@ class ExprFn:
         """Coordinates of f at one point ``(n,)``, or at a batch ``(m, n)``
         with one row per point; raises DomainError on a non-finite value."""
         if isinstance(point, AElement):
-            if point.algebra is not self.algebra and not point.algebra.same_structure(self.algebra):
-                raise AlgebraMismatch("point belongs to a different algebra")
-            x = point.coords
+            x = self.algebra.element(point).coords
         else:
             x = np.asarray(point, dtype=float)
         return eval_compiled(self._compiled, x)

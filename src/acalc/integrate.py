@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AElement, Algebra, _freeze, mul_batch, norm, submult_bound
+from .algebra import AElement, Algebra, _check_same, _freeze, mul_batch, norm, submult_bound
 from .errors import DimensionMismatch, QuadratureNonConvergence
 from .expr import Expr, ExprFn, compile_expr, diff, eval_compiled, lit, parse, substitute, sub, var
 
@@ -50,6 +50,8 @@ MAX_DEPTH = 20
 # to MAX_DEPTH (2^20 of them); converging integrals here stay far below.
 MAX_OPEN_INTERVALS = 1 << 14
 CLOSED_TOL = 1e-12
+ML_SAMPLES = 1024  # coarse samples of ||f|| along a curve for the ML bound
+PROBE_PAIRS = 5    # endpoint pairs of the path-independence probe
 
 
 @dataclass(frozen=True)
@@ -233,22 +235,24 @@ def _adaptive_simpson(g, a: float, b: float, tol: float):
         tol = tol / 2
 
 
-def integrate_curve(f: ExprFn, curve: Curve, tol: float = QUAD_TOL) -> IntegralResult:
+def integrate_curve(f: ExprFn, curve: Curve) -> IntegralResult:
     """int_C f(z) * dz with a quadrature error bound.
 
     Each piece integrates f(z(t)) * z'(t) over its parameter range; a
     polyline's segments have exact linear parametrizations.  Division by an
     exact zero inside f raises DomainError; persistent refinement failure
-    (e.g. near a zero-divisor singularity) raises QuadratureNonConvergence.
+    (e.g. near a zero-divisor singularity) raises QuadratureNonConvergence,
+    and a curve in an algebra other than f's raises AlgebraMismatch.
     """
     algebra = f.algebra
+    _check_same(algebra, curve.algebra)
     total = np.zeros(algebra.dim)
     err = 0.0
     for point, velocity, t0, t1 in curve.pieces:
         def g(t: np.ndarray) -> np.ndarray:
             return mul_batch(algebra, f.eval_coords(point(t)), velocity(t))
 
-        v, e = _adaptive_simpson(g, t0, t1, tol)
+        v, e = _adaptive_simpson(g, t0, t1, QUAD_TOL)
         total = total + v
         err += e
     return IntegralResult(value=algebra.element(total), error_bound=err)
@@ -257,6 +261,7 @@ def integrate_curve(f: ExprFn, curve: Curve, tol: float = QUAD_TOL) -> IntegralR
 def riemann_sum(f: ExprFn, curve: Curve, m: int) -> AElement:
     """Literal broken-line sum over m steps per piece: sum f(z_i) * (z_i - z_{i-1})."""
     algebra = f.algebra
+    _check_same(algebra, curve.algebra)
     start, _, t0, _ = curve.pieces[0]
     pts = np.concatenate([start(np.array([t0]))] + [
         point(np.linspace(t0, t1, m + 1)[1:]) for point, _, t0, t1 in curve.pieces
@@ -277,7 +282,7 @@ def _arclength(curve: Curve) -> float:
     ))
 
 
-def ml_bound_check(f: ExprFn, curve: Curve, samples: int = 1024) -> MLReport:
+def ml_bound_check(f: ExprFn, curve: Curve) -> MLReport:
     """Check || int_C f * dz || <= K * M * L with M, L estimated numerically.
 
     M is the max of ||f|| over a dense uniform sample (split evenly between
@@ -288,7 +293,8 @@ def ml_bound_check(f: ExprFn, curve: Curve, samples: int = 1024) -> MLReport:
     def sizes(point, ts: np.ndarray) -> np.ndarray:
         return np.linalg.norm(f.eval_coords(point(ts)), axis=1)
 
-    per = max(2, samples // len(curve.pieces))
+    _check_same(f.algebra, curve.algebra)
+    per = max(2, ML_SAMPLES // len(curve.pieces))
     coarse = []
     for point, _, t0, t1 in curve.pieces:
         ts = np.linspace(t0, t1, per)
@@ -305,11 +311,11 @@ def ml_bound_check(f: ExprFn, curve: Curve, samples: int = 1024) -> MLReport:
     return MLReport(lhs=lhs, M=M, L=L, K=K, holds=holds)
 
 
-def loop_integral(f: ExprFn, curve: Curve, tol: float = QUAD_TOL) -> LoopResult:
+def loop_integral(f: ExprFn, curve: Curve) -> LoopResult:
     """Integral around a closed curve with a vanishing verdict."""
     if not curve.closed:
         raise ValueError("loop integral needs a closed curve")
-    result = integrate_curve(f, curve, tol=tol)
+    result = integrate_curve(f, curve)
     size = norm(result.value)
     vanishes = size <= result.error_bound + 1e-8
     verdict = "vanishes" if vanishes else "nonzero"
@@ -317,18 +323,17 @@ def loop_integral(f: ExprFn, curve: Curve, tol: float = QUAD_TOL) -> LoopResult:
                       vanishes=vanishes, verdict=verdict)
 
 
-def antiderivative_probe(f: ExprFn, region_samples, n_pairs: int = 5,
-                         seed: int = 0) -> ProbeReport:
+def antiderivative_probe(f: ExprFn, region_samples, seed: int = 0) -> ProbeReport:
     """Path-independence probe: integrate along three polyline routes between
     random endpoint pairs and report the largest discrepancy."""
     algebra = f.algebra
-    pts = [p if isinstance(p, AElement) else algebra.element(p) for p in region_samples]
+    pts = [algebra.element(p) for p in region_samples]
     if len(pts) < 2:
         raise DimensionMismatch("need at least two region samples")
     rng = np.random.default_rng(seed)
     worst = 0.0
     pairs = []
-    for _ in range(n_pairs):
+    for _ in range(PROBE_PAIRS):
         i, j = rng.choice(len(pts), size=2, replace=False)
         p, q = pts[i], pts[j]
         pairs.append((p, q))

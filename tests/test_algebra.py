@@ -122,6 +122,10 @@ def test_elements_of_different_algebras_never_mix():
     y = get_algebra("dual").element([1, 2])
     with pytest.raises(AlgebraMismatch):
         mul(x, y)
+    # element() is the one point coercion: same structure passes as is
+    with pytest.raises(AlgebraMismatch):
+        get_algebra("dual").element(x)
+    assert get_algebra("C").element(x) is x
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ from acalc.calculus import (
     taylor_eval,
     wirtinger_apply,
 )
-from acalc.errors import NonInvertibleBasis, NotADifferentiable
+from acalc.diffquot import d2_probe
+from acalc.errors import AlgebraMismatch, NonInvertibleBasis, NotADifferentiable
 from acalc.expr import ExprFn, conjugate_fn, exprfn_mul, identity_fn, parse, poly_fn, substitute
 from acalc.fixtures import get_algebra, triangular6
+from acalc.integrate import Polyline, antiderivative_probe, integrate_curve, ml_bound_check, riemann_sum
 
 from conftest import random_element
 
@@ -263,6 +265,9 @@ def test_higher_derivative_cubic():
     assert norm(d2 - 6.0 * p) <= 1e-9
     d4 = higher_derivative(f, p, 4)
     assert norm(d4) <= 1e-12
+    assert norm(higher_derivative(f, p, 0) - f(p)) == 0.0
+    with pytest.raises(ValueError):
+        higher_derivative(f, p, -1)
 
 
 def test_higher_derivative_fd_fallback():
@@ -500,6 +505,8 @@ def test_taylor_degree_zero():
     p = C.element([0.3, 0.7])
     h = C.element([0.1, -0.1])
     assert norm(taylor_eval(f, p, h, 0) - f(p)) == 0.0
+    with pytest.raises(ValueError):
+        taylor_eval(f, p, h, -1)
 
 
 def test_taylor_remainder_order(commutative_fixtures):
@@ -536,6 +543,28 @@ def test_wirtinger_rejects_bad_operator_name():
         wirtinger_apply(f, "zbar7", C.element([0.1, 0.2]))
     with pytest.raises(ValueError):
         wirtinger_apply(f, "nonsense", C.element([0.1, 0.2]))
+    with pytest.raises(ValueError):
+        wirtinger_apply(f, 2, C.element([0.1, 0.2]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, p, curve: adiff_test(f, p),
+    lambda f, p, curve: adiff_test(f, p, method="symbolic"),
+    lambda f, p, curve: wirtinger_apply(f, "zbar2", p),
+    lambda f, p, curve: d2_probe(f, p),
+    lambda f, p, curve: taylor_eval(f, p, p, 2),
+    lambda f, p, curve: antiderivative_probe(f, [p, 2.0 * p]),
+    lambda f, p, curve: integrate_curve(f, curve),
+    lambda f, p, curve: riemann_sum(f, curve, 8),
+    lambda f, p, curve: ml_bound_check(f, curve),
+], ids=["adiff_fd", "adiff_symbolic", "wirtinger", "d2_probe", "taylor", "antiderivative_probe",
+        "integrate_curve", "riemann_sum", "ml_bound_check"])
+def test_point_or_curve_of_another_algebra_is_refused(call):
+    f = zeta_power(get_algebra("C"), 2)
+    H = get_algebra("H")
+    p = H.element([1.0, 2.0])
+    with pytest.raises(AlgebraMismatch):
+        call(f, p, Polyline((H.zero(), p)))
 
 
 def test_jacobian_fd_is_one_batch_call(eval_calls):

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from acalc.cli import main
+from acalc.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -436,3 +437,126 @@ def test_long_sum_below_the_compile_limit_still_works(capsys):
     code, out, _ = run(capsys, "check-adiff", "--algebra", "C", "--fn", _sum(150), "--point", "1,1")
     assert code == 1
     assert "adiff=False" in out
+
+
+# ---------------------------------------------------------------------------
+# declared flags and the input boundary
+# ---------------------------------------------------------------------------
+
+# the args fields each handler reads, with --algebra, --fn and --point, which
+# main() resolves for it; check-adiff also keeps --jobs, which has no effect
+HANDLER_FIELDS = {
+    "validate-algebra": {"path"},
+    "classify": {"algebra", "point"},
+    "invertible-basis": {"algebra"},
+    "check-adiff": {"algebra", "fn", "point", "grid", "tol", "method", "format", "jobs"},
+    "derivative": {"algebra", "fn", "point", "tol", "method"},
+    "wirtinger": {"algebra", "fn", "point", "which"},
+    "gen-cr": {"algebra", "coords", "components", "format", "output"},
+    "gen-laplace": {"algebra", "order", "coords", "components", "format", "output"},
+    "taylor": {"algebra", "fn", "point", "offset", "degree"},
+    "integrate": {"algebra", "fn", "curve"},
+    "d2-probe": {"algebra", "fn", "point", "tol", "seed"},
+    "verify-iso": {"path"},
+    "transfer": {"iso", "fn", "point"},
+    "demo-dalembert": {"c", "f1", "f2", "grid", "tol"},
+}
+
+
+def test_each_subcommand_declares_only_what_its_handler_reads():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(HANDLER_FIELDS)
+    for name, p in sub.choices.items():
+        dests = {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
+        assert dests == HANDLER_FIELDS[name], name
+    assert sum(map(len, HANDLER_FIELDS.values())) == 54
+
+
+_FN_POINT = ("--algebra", "C", "--fn", "zeta2", "--point", "1,1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--algebra", "C", "--point", "1,1", "--tol", "1"),
+    ("classify", "--algebra", "C", "--point", "1,1", "--seed", "1"),
+    ("check-adiff", *_FN_POINT, "--seed", "1"),
+    ("derivative", *_FN_POINT, "--seed", "1"),
+    ("wirtinger", *_FN_POINT, "--which", "zeta", "--tol", "1"),
+    ("wirtinger", *_FN_POINT, "--which", "zeta", "--seed", "1"),
+    ("taylor", *_FN_POINT, "--offset", "0.1,0", "--tol", "1"),
+    ("taylor", *_FN_POINT, "--offset", "0.1,0", "--seed", "1"),
+    ("integrate", "--algebra", "C", "--fn", "zeta2", "--curve", "c.json", "--tol", "1"),
+    ("integrate", "--algebra", "C", "--fn", "zeta2", "--curve", "c.json", "--seed", "1"),
+])
+def test_removed_flags_are_unrecognized(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_first_input_error_follows_algebra_fn_point_order(capsys):
+    code, _, err = run(capsys, "taylor", "--algebra", "nope", "--fn", "x1*(", "--point", "x",
+                       "--offset", "y")
+    assert (code, "unknown algebra" in err) == (2, True)
+    code, _, err = run(capsys, "taylor", "--algebra", "C", "--fn", "x1*(", "--point", "x",
+                       "--offset", "y")
+    assert (code, "syntax error" in err) == (2, True)
+    code, _, err = run(capsys, "taylor", "--algebra", "C", "--fn", "zeta2", "--point", "x",
+                       "--offset", "y")
+    assert (code, err) == (2, "error: could not convert string to float: 'x'\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["fd", "symbolic"])
+def test_huge_constant_divisor_is_differentiable(capsys, method):
+    code, out, _ = run(capsys, "check-adiff", "--algebra", "C", "--fn", "x1/1e200;x2/1e200",
+                       "--point", "1,1", "--method", method)
+    assert code == 0
+    assert out.endswith("adiff=True  derivative=(1e-200, 0)\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn, point, method, code, text", [
+    ("x1*1e200*1e200;0", "1,1", "symbolic", 2, "error: constant product 1e+200*1e+200 is not finite\n"),
+    ("0*(1/x1);x2", "0,1", "fd", 2, "error: division by zero\n"),
+    ("x1^(2*2);0", "1,1", "symbolic", 1, ""),
+])
+def test_constant_folding_through_main(capsys, fn, point, method, code, text):
+    got, out, err = run(capsys, "check-adiff", "--algebra", "C", "--fn", fn, "--point", point,
+                        "--method", method)
+    assert (got, err) == (code, text)
+    assert ("adiff=False" in out) == (code == 1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, doc", [
+    ("fn", {"algebra": "C", "components": 5}),
+    ("fn", {"algebra": "C", "components": [1, 2]}),
+    ("fn", {"algebra": "C", "poly": 5}),
+    ("fn", [1, 2]),
+    ("curve", {"algebra": "C", "components": [1, 2], "t0": 0, "t1": 1}),
+    ("curve", {"algebra": "C", "kind": "polyline", "vertices": 5}),
+    ("curve", [1, 2]),
+    ("algebra", {"name": "x", "dim": 2, "relations": 5}),
+])
+def test_malformed_files_are_input_errors(capsys, tmp_path, kind, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "fn": ("check-adiff", "--algebra", "C", "--fn", str(path), "--point", "1,1"),
+        "curve": ("integrate", "--algebra", "C", "--fn", "zeta2", "--curve", str(path)),
+        "algebra": ("validate-algebra", str(path)),
+    }[kind]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_negative_taylor_degree_is_input_error(capsys):
+    code, out, err = run(capsys, "taylor", "--algebra", "C", "--fn", "zeta2", "--point", "1,1",
+                         "--offset", "0.1,0.1", "--degree", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: Taylor degree must be >= 0, got -1\n"

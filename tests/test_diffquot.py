@@ -153,6 +153,7 @@ def test_probe_table_shape():
     probe = d2_probe(f, C.element([0.1, 0.2]), opts)
     assert len(probe.directions) == 8
     assert all(len(row) == 4 for row in probe.quotients)
+    assert probe.quotients.shape == (8, 4, 2) and not probe.quotients.flags.writeable
     assert probe.radii == (0.25, 0.125, 0.0625, 0.03125)
 
 

@@ -104,6 +104,7 @@ def test_integer_exponent_required():
 def test_constant_powers_fold():
     assert parse("x1^(2^2)", 1) == parse("x1^4", 1)
     assert parse("(-2)^3", 1) == Lit(-8.0)
+    assert parse("x1^(2*2)", 1) == parse("x1^(8/2)", 1) == parse("x1^(1+3)", 1) == parse("x1^4", 1)
 
 
 def test_whitespace_insensitive():
