@@ -121,7 +121,11 @@ class NotAnIsomorphism(AcalcError):
 
 
 class QuadratureNonConvergence(AcalcError):
-    """Adaptive quadrature hit its depth cap before reaching tolerance."""
+    """Adaptive quadrature hit its depth or row cap before reaching tolerance.
+
+    ``estimate`` holds the current value of every piece, one row each, and
+    ``error_bound`` the sum of the |K15 - G7| of all intervals.
+    """
 
     def __init__(self, estimate, error_bound: float):
         self.estimate = estimate

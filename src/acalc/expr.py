@@ -228,6 +228,9 @@ class _Parser:
         self.tokens.append(("end", "", len(src)))
         self.i = 0
         self.depth = 0
+        # position of the first numeral that overflows to inf; an exponent
+        # that is one fails the integer check first
+        self.overflow: int | None = None
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -248,6 +251,8 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(pos, "end of input or an operator")
+        if self.overflow is not None:
+            raise ExprSyntaxError(self.overflow, "a finite number")
         return e
 
     def expression(self) -> Expr:
@@ -292,7 +297,10 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Lit(float(text))
+            value = float(text)
+            if not math.isfinite(value) and self.overflow is None:
+                self.overflow = pos
+            return Lit(value)
         if text == "(":
             e = self.expression()
             self.expect(")")

@@ -1,15 +1,16 @@
 """Curve integrals of algebra-valued functions: int_C f(z) * dz.
 
 The integral is evaluated componentwise as int f(z(t)) * z'(t) dt by
-adaptive Simpson quadrature (per-curve error bound returned with every
-result).  A literal broken-line Riemann-sum mode is kept for convergence
-demonstrations.
+globally batched Gauss-Kronrod (G7, K15) quadrature, with an error estimate
+returned with every result.  A literal broken-line Riemann-sum mode is kept
+for convergence demonstrations.
 
-Every curve exposes ``pieces``: tuples (point, velocity, t0, t1) of callables
-of the parameter and its range.  A parametric curve is one piece; a polyline
-has one piece per segment, parametrized over [0, 1].  The point and velocity
-callables take one parameter value or an array of them, and the integration
-routines below give each piece all their parameter values at once.
+Every curve is a sequence of pieces.  ``spans`` gives the parameter ranges
+(t0, t1) of all pieces as two arrays, and ``trace(piece, t)`` gives the
+points and velocities at parameters ``t`` of the tagged pieces, row by row.
+A parametric curve is one piece; a polyline has one piece per segment,
+parametrized over [0, 1].  Every piece of a curve is refined in the same
+batch, so one level of quadrature is one evaluation of f.
 """
 
 from __future__ import annotations
@@ -45,10 +46,11 @@ __all__ = [
 
 QUAD_TOL = 1e-10
 MAX_DEPTH = 20
-# Open intervals allowed on one refinement level.  An integrand that never
+# Integrand rows allowed on one refinement level.  An integrand that never
 # meets the tolerance would otherwise double its intervals on every level up
-# to MAX_DEPTH (2^20 of them); converging integrals here stay far below.
-MAX_OPEN_INTERVALS = 1 << 14
+# to MAX_DEPTH (2^20 of them, 15 rows each); converging integrals here stay
+# far below.
+MAX_LEVEL_ROWS = 1 << 15
 CLOSED_TOL = 1e-12
 ML_SAMPLES = 1024  # coarse samples of ||f|| along a curve for the ML bound
 PROBE_PAIRS = 5    # endpoint pairs of the path-independence probe
@@ -86,8 +88,12 @@ class ParametricCurve:
         return eval_compiled(self._velocity_fns, np.asarray(t, dtype=float)[..., None])
 
     @property
-    def pieces(self) -> tuple:
-        return ((self.point, self.velocity, self.t0, self.t1),)
+    def spans(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array([self.t0]), np.array([self.t1])
+
+    def trace(self, piece: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Points and velocities at the parameters ``t`` (the one piece)."""
+        return self.point(t), self.velocity(t)
 
     @property
     def start(self) -> AElement:
@@ -111,6 +117,8 @@ class Polyline:
     def __post_init__(self):
         if len(self.vertices) < 2:
             raise DimensionMismatch("a polyline needs at least 2 vertices")
+        for v in self.vertices[1:]:
+            _check_same(self.algebra, v.algebra)
 
     @property
     def algebra(self) -> Algebra:
@@ -129,22 +137,31 @@ class Polyline:
         d = self.vertices[0].coords - self.vertices[-1].coords
         return bool(np.max(np.abs(d)) <= CLOSED_TOL)
 
+    @property
+    def spans(self) -> tuple[np.ndarray, np.ndarray]:
+        segments = len(self.vertices) - 1
+        return np.zeros(segments), np.ones(segments)
+
     @cached_property
-    def pieces(self) -> tuple:
-        return tuple(_segment_piece(a.coords, b.coords)
-                     for a, b in zip(self.vertices, self.vertices[1:]))
+    def trace(self):
+        """``trace(piece, s)``: points and velocities of the tagged segments."""
+        return _segment_trace(np.array([v.coords for v in self.vertices]))
 
 
-def _segment_piece(p: np.ndarray, q: np.ndarray) -> tuple:
-    d = _freeze(q - p)
+def _segment_trace(*routes: np.ndarray):
+    """Trace of the segments of the vertex arrays ``routes``, numbered in order.
 
-    def point(s):
-        return p + np.multiply.outer(s, d)
+    Segment k runs from its start p_k to the next vertex as p_k + s * d_k for
+    s in [0, 1]; the tag of a row indexes the start and difference arrays.
+    """
+    starts = np.concatenate([r[:-1] for r in routes])
+    steps = np.concatenate([np.diff(r, axis=0) for r in routes])
 
-    def velocity(s):
-        return np.broadcast_to(d, np.shape(s) + d.shape)
+    def trace(piece: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d = steps[piece]
+        return starts[piece] + s[:, None] * d, d
 
-    return point, velocity, 0.0, 1.0
+    return trace
 
 
 Curve = ParametricCurve | Polyline
@@ -198,45 +215,79 @@ class ProbeReport:
 # quadrature core
 # ---------------------------------------------------------------------------
 
-def _split(left: np.ndarray, right: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Rows left[i], right[i] for each kept i, in order."""
-    return np.stack([left[keep], right[keep]], axis=1).reshape((-1,) + left.shape[1:])
+# Gauss-Kronrod (G7, K15) on [-1, 1] (Piessens et al., QUADPACK, 1983): the
+# Kronrod nodes from the outermost to the centre, their weights, and the
+# weights of the Gauss nodes, which are every second Kronrod node.
+_XK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+       0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+       0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+       0.207784955007898467600689403773245, 0.0)
+_WK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+       0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+       0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+       0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+GK_NODES = _freeze(np.concatenate([np.negative(_XK), _XK[-2::-1]]))
+_KRONROD = np.concatenate([_WK, _WK[-2::-1]])
+_GAUSS = np.zeros(15)
+_GAUSS[1::2] = np.concatenate([_WG, _WG[-2::-1]])
+# Row 0 of a node batch's product gives K15, row 1 gives K15 - G7.
+GK_WEIGHTS = _freeze([_KRONROD, _KRONROD - _GAUSS])
 
 
-def _adaptive_simpson(g, a: float, b: float, tol: float):
-    """Vector-valued adaptive Simpson; returns (integral, error_bound).
+def _gauss_kronrod(g, t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, float]:
+    """Integrals of ``g`` over the pieces [t0[k], t1[k]]; returns (values, error).
 
-    ``g`` maps parameters of shape (k,) to values of shape (k, d).  Intervals
-    are refined one level at a time, left to right: every open interval keeps
-    Simpson's acceptance test against a tolerance that halves per level, and
-    the new nodes of all open intervals go to ``g`` in one call.
+    ``g(piece, t)`` maps a piece tag and a parameter per row, both of shape
+    (m,), to integrand rows of shape (m, d).  Every piece starts as one
+    interval.  On each level the 15 nodes of every open interval go to ``g``
+    in one call; an interval is accepted when the largest component of its
+    |K15 - G7| is at most its length's share of QUAD_TOL, and the rejected
+    intervals are halved.  ``values`` has one row per piece, and ``error``
+    sums the accepted |K15 - G7|, so it is at most QUAD_TOL.
     """
-    t = np.array([a, (a + b) / 2, b])
-    a, b, (fa, fm, fb) = t[:1], t[2:], g(t)[:, None]
-    value, err_total = 0.0, 0.0
+    piece = np.arange(len(t0))
+    a, b = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+    total = float(np.abs(b - a).sum())
+    err_total = 0.0
     for depth in itertools.count():
-        m = (a + b) / 2
-        flm, frm = np.split(g(np.concatenate([(a + m) / 2, (m + b) / 2])), 2)
-        whole = ((b - a) / 6)[:, None] * (fa + 4 * fm + fb)
-        left = ((m - a) / 6)[:, None] * (fa + 4 * flm + fm)
-        right = ((b - m) / 6)[:, None] * (fm + 4 * frm + fb)
-        delta = left + right - whole
-        estimate, err = left + right + delta / 15.0, np.max(np.abs(delta), axis=1) / 15.0
-        done = (err <= tol) | ((b - a) <= 1e-14 * np.maximum(1.0, np.abs(a) + np.abs(b)))
-        value, err_total = value + estimate[done].sum(axis=0), err_total + float(err[done].sum())
+        centre, half = (a + b) / 2, (b - a) / 2
+        t = centre[:, None] + half[:, None] * GK_NODES
+        rows = g(np.repeat(piece, len(GK_NODES)), t.ravel())
+        sums = half[:, None, None] * (GK_WEIGHTS @ rows.reshape(t.shape + (-1,)))
+        kronrod, err = sums[:, 0], np.max(np.abs(sums[:, 1]), axis=1)
+        done = err * total <= QUAD_TOL * np.abs(b - a)
+        if depth == 0:
+            values = np.zeros((len(t0), rows.shape[1]))
+        np.add.at(values, piece[done], kronrod[done])
+        err_total += float(err[done].sum())
         if done.all():
-            return value, err_total
-        if depth >= MAX_DEPTH or 2 * np.count_nonzero(~done) > MAX_OPEN_INTERVALS:
-            first = int(np.argmin(done))
-            raise QuadratureNonConvergence(estimate=estimate[first], error_bound=float(err[first]))
-        keep = ~done  # each open interval [a, b] becomes [a, m] and [m, b]
-        halves = ((a, m), (m, b), (fa, fm), (flm, frm), (fm, fb))
-        a, b, fa, fm, fb = (_split(u, v, keep) for u, v in halves)
-        tol = tol / 2
+            return values, err_total
+        keep = ~done
+        if depth >= MAX_DEPTH or 2 * len(GK_NODES) * np.count_nonzero(keep) > MAX_LEVEL_ROWS:
+            np.add.at(values, piece[keep], kronrod[keep])
+            err_total += float(err[keep].sum())
+            raise QuadratureNonConvergence(estimate=values, error_bound=err_total)
+        # each open interval [a, b] becomes [a, centre] and [centre, b]
+        a = np.stack([a[keep], centre[keep]], axis=1).ravel()
+        b = np.stack([centre[keep], b[keep]], axis=1).ravel()
+        piece = np.repeat(piece[keep], 2)
+
+
+def _curve_integrals(f: ExprFn, trace, t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, float]:
+    """int f(z) * dz over every piece of ``trace``: (one row per piece, error)."""
+    algebra = f.algebra
+
+    def g(piece: np.ndarray, t: np.ndarray) -> np.ndarray:
+        z, dz = trace(piece, t)
+        return mul_batch(algebra, f.eval_coords(z), dz)
+
+    return _gauss_kronrod(g, t0, t1)
 
 
 def integrate_curve(f: ExprFn, curve: Curve) -> IntegralResult:
-    """int_C f(z) * dz with a quadrature error bound.
+    """int_C f(z) * dz with a quadrature error estimate.
 
     Each piece integrates f(z(t)) * z'(t) over its parameter range; a
     polyline's segments have exact linear parametrizations.  Division by an
@@ -244,28 +295,25 @@ def integrate_curve(f: ExprFn, curve: Curve) -> IntegralResult:
     (e.g. near a zero-divisor singularity) raises QuadratureNonConvergence,
     and a curve in an algebra other than f's raises AlgebraMismatch.
     """
-    algebra = f.algebra
-    _check_same(algebra, curve.algebra)
-    total = np.zeros(algebra.dim)
-    err = 0.0
-    for point, velocity, t0, t1 in curve.pieces:
-        def g(t: np.ndarray) -> np.ndarray:
-            return mul_batch(algebra, f.eval_coords(point(t)), velocity(t))
+    _check_same(f.algebra, curve.algebra)
+    values, err = _curve_integrals(f, curve.trace, *curve.spans)
+    return IntegralResult(value=f.algebra.element(values.sum(axis=0)), error_bound=err)
 
-        v, e = _adaptive_simpson(g, t0, t1, QUAD_TOL)
-        total = total + v
-        err += e
-    return IntegralResult(value=algebra.element(total), error_bound=err)
+
+def _samples(curve: Curve, per: int) -> tuple[np.ndarray, np.ndarray]:
+    """Piece tags and ``per`` evenly spaced parameters of every piece, shaped (pieces, per)."""
+    t = np.linspace(*curve.spans, per, axis=1)
+    return np.broadcast_to(np.arange(len(t))[:, None], t.shape), t
 
 
 def riemann_sum(f: ExprFn, curve: Curve, m: int) -> AElement:
     """Literal broken-line sum over m steps per piece: sum f(z_i) * (z_i - z_{i-1})."""
     algebra = f.algebra
     _check_same(algebra, curve.algebra)
-    start, _, t0, _ = curve.pieces[0]
-    pts = np.concatenate([start(np.array([t0]))] + [
-        point(np.linspace(t0, t1, m + 1)[1:]) for point, _, t0, t1 in curve.pieces
-    ])
+    piece, t = _samples(curve, m + 1)
+    pts = curve.trace(piece.ravel(), t.ravel())[0].reshape(t.shape + (-1,))
+    # each piece starts where the one before it ends
+    pts = np.concatenate([pts[0, :1], pts[:, 1:].reshape(-1, algebra.dim)])
     products = mul_batch(algebra, f.eval_coords(pts[1:]), np.diff(pts, axis=0))
     return algebra.element(products.sum(axis=0))
 
@@ -275,11 +323,10 @@ def riemann_sum(f: ExprFn, curve: Curve, m: int) -> AElement:
 # ---------------------------------------------------------------------------
 
 def _arclength(curve: Curve) -> float:
-    return float(sum(
-        _adaptive_simpson(lambda t: np.linalg.norm(velocity(t), axis=1, keepdims=True),
-                          t0, t1, QUAD_TOL)[0][0]
-        for _, velocity, t0, t1 in curve.pieces
-    ))
+    def speed(piece: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(curve.trace(piece, t)[1], axis=1, keepdims=True)
+
+    return float(_gauss_kronrod(speed, *curve.spans)[0].sum())
 
 
 def ml_bound_check(f: ExprFn, curve: Curve) -> MLReport:
@@ -290,19 +337,15 @@ def ml_bound_check(f: ExprFn, curve: Curve) -> MLReport:
     parameter space, so refined points stay on the curve); L is the
     arclength.
     """
-    def sizes(point, ts: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(f.eval_coords(point(ts)), axis=1)
+    def sizes(piece: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(f.eval_coords(curve.trace(piece, t)[0]), axis=1)
 
     _check_same(f.algebra, curve.algebra)
-    per = max(2, ML_SAMPLES // len(curve.pieces))
-    coarse = []
-    for point, _, t0, t1 in curve.pieces:
-        ts = np.linspace(t0, t1, per)
-        norms = sizes(point, ts)
-        best = int(np.argmax(norms))
-        coarse.append((float(norms[best]), point, ts[max(0, best - 1)], ts[min(per - 1, best + 1)]))
-    M, point, lo, hi = max(coarse, key=lambda c: c[0])
-    M = max(M, float(sizes(point, np.linspace(lo, hi, 256)).max()))
+    piece, t = _samples(curve, max(2, ML_SAMPLES // len(curve.spans[0])))
+    norms = sizes(piece.ravel(), t.ravel())
+    k, i = np.unravel_index(np.argmax(norms), t.shape)
+    lo, hi = t[k, max(0, i - 1)], t[k, min(t.shape[1] - 1, i + 1)]
+    M = max(float(norms.max()), float(sizes(np.full(256, k), np.linspace(lo, hi, 256)).max()))
     L = _arclength(curve)
     K = submult_bound(f.algebra)
     result = integrate_curve(f, curve)
@@ -325,30 +368,33 @@ def loop_integral(f: ExprFn, curve: Curve) -> LoopResult:
 
 def antiderivative_probe(f: ExprFn, region_samples, seed: int = 0) -> ProbeReport:
     """Path-independence probe: integrate along three polyline routes between
-    random endpoint pairs and report the largest discrepancy."""
+    random endpoint pairs and report the largest discrepancy.
+
+    The segments of all routes are integrated in one quadrature batch.
+    """
     algebra = f.algebra
     pts = [algebra.element(p) for p in region_samples]
     if len(pts) < 2:
         raise DimensionMismatch("need at least two region samples")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    pairs = []
+    pairs, routes = [], []
     for _ in range(PROBE_PAIRS):
         i, j = rng.choice(len(pts), size=2, replace=False)
         p, q = pts[i], pts[j]
         pairs.append((p, q))
         mid = 0.5 * (p.coords + q.coords)
         scale = 0.5 * float(np.linalg.norm(q.coords - p.coords)) or 1.0
-        detour1 = algebra.element(mid + scale * rng.uniform(-1, 1, algebra.dim))
-        detour2 = algebra.element(mid + scale * rng.uniform(-1, 1, algebra.dim))
-        routes = [
-            Polyline((p, q)),
-            Polyline((p, detour1, q)),
-            Polyline((p, detour2, q)),
-        ]
-        values = np.array([integrate_curve(f, r).value.coords for r in routes])
-        worst = max(worst, float(np.linalg.norm(values[:, None] - values[None], axis=-1).max()))
-    return ProbeReport(max_discrepancy=worst, pairs=tuple(pairs))
+        detour1 = mid + scale * rng.uniform(-1, 1, algebra.dim)
+        detour2 = mid + scale * rng.uniform(-1, 1, algebra.dim)
+        routes += [np.array(r) for r in ((p.coords, q.coords),
+                                         (p.coords, detour1, q.coords),
+                                         (p.coords, detour2, q.coords))]
+    segments = np.array([len(r) - 1 for r in routes])
+    count = int(segments.sum())
+    values, _ = _curve_integrals(f, _segment_trace(*routes), np.zeros(count), np.ones(count))
+    per_route = np.add.reduceat(values, np.cumsum(segments) - segments).reshape(PROBE_PAIRS, 3, -1)
+    spread = np.linalg.norm(per_route[:, :, None] - per_route[:, None], axis=-1)
+    return ProbeReport(max_discrepancy=float(spread.max()), pairs=tuple(pairs))
 
 
 # ---------------------------------------------------------------------------

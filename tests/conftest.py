@@ -35,3 +35,21 @@ def eval_calls(monkeypatch):
 
     monkeypatch.setattr(ExprFn, "eval_coords", counted)
     return calls
+
+
+@pytest.fixture
+def eval_rows(monkeypatch):
+    """Rows of each ``ExprFn.eval_coords`` call: 1 for a point, m for an (m, n) batch."""
+    import numpy as np
+
+    from acalc.expr import ExprFn
+
+    rows = []
+    original = ExprFn.eval_coords
+
+    def counted(self, point):
+        rows.append(len(np.atleast_2d(point)))
+        return original(self, point)
+
+    monkeypatch.setattr(ExprFn, "eval_coords", counted)
+    return rows

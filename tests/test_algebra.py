@@ -126,6 +126,12 @@ def test_elements_of_different_algebras_never_mix():
     with pytest.raises(AlgebraMismatch):
         get_algebra("dual").element(x)
     assert get_algebra("C").element(x) is x
+    # a polyline's vertices share one algebra, of the same or another dimension
+    from acalc.integrate import Polyline
+
+    for other in (get_algebra("H").element([1, 1]), get_algebra("dual3").element([1, 1, 1])):
+        with pytest.raises(AlgebraMismatch):
+            Polyline((get_algebra("C").element([0, 0]), other))
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,16 @@ def test_constant_power_errors_are_input_errors(capsys, fn, message):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["fd", "symbolic"])
+@pytest.mark.parametrize("fn, position", [("x1+1e400;0", 3), ("x1*1e400;0", 3), ("x1;-1e999", 1)])
+def test_overflowing_numeral_is_syntax_error(capsys, fn, position, method):
+    code, out, err = run(capsys, "check-adiff", "--algebra", "C", "--fn", fn, "--point", "1,1",
+                         "--method", method)
+    assert (code, out) == (2, "")
+    assert err == f"error: syntax error at position {position}: expected a finite number\n"
+
+
+@pytest.mark.filterwarnings("error")
 def test_grid_axis_with_overflowing_span_is_input_error(capsys):
     code, out, err = run(capsys, "check-adiff", "--algebra", "C", "--fn", "zeta2",
                          "--grid=-1e308:1e308:3,0:1:2")
