@@ -220,6 +220,8 @@ def make_algebra(dim, structure, unity, labels=None, name="algebra") -> Algebra:
         raise DimensionMismatch(f"structure tensor must be {dim}^3, got {C.shape}")
     if u.shape != (dim,):
         raise DimensionMismatch(f"unity must have {dim} coordinates, got {u.shape}")
+    if not (np.isfinite(C).all() and np.isfinite(u).all()):
+        raise ValueError("structure tensor and unity must be finite")
     if labels is None:
         labels = tuple(f"v{i + 1}" for i in range(dim))
     labels = tuple(str(s) for s in labels)

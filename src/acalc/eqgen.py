@@ -186,7 +186,7 @@ def check_residual(system: EquationSystem, f: ExprFn, grid) -> float:
     Equations with ``component=None`` are applied to each scalar component
     of f separately; derivatives are exact symbolic partials.
     """
-    X = np.array([getattr(p, "coords", p) for p in grid], dtype=float).reshape(-1, f.algebra.dim)
+    X = np.array([f.algebra.element(p).coords for p in grid]).reshape(-1, f.algebra.dim)
     worst = 0.0
     for eq in system.equations:
         per_component = all(t.component is None for t in eq.terms)

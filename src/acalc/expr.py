@@ -652,7 +652,7 @@ class ExprFn:
             )
 
     def __call__(self, point) -> AElement:
-        coords = self.eval_coords(point)
+        coords = self.eval_coords(self.algebra.element(point))
         return AElement(self.algebra, _freeze(coords))
 
     def eval_coords(self, point) -> np.ndarray:
@@ -662,6 +662,11 @@ class ExprFn:
             x = self.algebra.element(point).coords
         else:
             x = np.asarray(point, dtype=float)
+            if x.shape[-1:] != (self.algebra.dim,) or x.ndim > 2:
+                raise DimensionMismatch(
+                    f"expected a point ({self.algebra.dim},) or a batch (m, {self.algebra.dim}), "
+                    f"got shape {x.shape}"
+                )
         return eval_compiled(self._compiled, x)
 
     @cached_property
@@ -690,16 +695,14 @@ class ExprFn:
 
         Along the unity coordinates this is the derivative function of a
         differentiable f; it reduces to d/dx1 when the unity is the first
-        basis vector.
+        basis vector.  Only the partials along nonzero c_i are taken.
         """
-        comps = []
-        for comp in self.components:
-            s: Expr = _ZERO
-            for i, c in enumerate(np.asarray(coords, dtype=float)):
-                if c != 0.0:
-                    s = add(s, mul(lit(c), diff(comp, i)))
-            comps.append(s)
-        return ExprFn(self.algebra, tuple(comps))
+        c = np.asarray(coords, dtype=float).tolist()
+        nonzero = [i for i, v in enumerate(c) if v != 0.0]
+        row = [[c[i] for i in nonzero]]
+        return ExprFn(self.algebra, tuple(
+            _combine(row, [diff(comp, i) for i in nonzero])[0] for comp in self.components
+        ))
 
 
 def constant_fn(algebra: Algebra, value: AElement) -> ExprFn:
@@ -720,21 +723,25 @@ def conjugate_fn(algebra: Algebra, j: int) -> ExprFn:
     return ExprFn(algebra, tuple(comps))
 
 
-def _sym_product(algebra: Algebra, u: tuple[Expr, ...], v: tuple[Expr, ...]) -> tuple[Expr, ...]:
-    C = algebra.structure
-    n = algebra.dim
+def _combine(rows, exprs) -> tuple[Expr, ...]:
+    """One expression per row, sum_j row[j] * exprs[j]; zero terms drop."""
     out = []
-    for k in range(n):
+    for row in np.asarray(rows, dtype=float).tolist():
         s: Expr = _ZERO
-        for i in range(n):
-            if u[i] == _ZERO:
-                continue
-            for j in range(n):
-                c = C[i, j, k]
-                if c != 0.0 and v[j] != _ZERO:
-                    s = add(s, mul(lit(c), mul(u[i], v[j])))
+        for c, e in zip(row, exprs):
+            s = add(s, mul(lit(c), e))
         out.append(s)
     return tuple(out)
+
+
+def _sym_product(algebra: Algebra, u: tuple[Expr, ...], v: tuple[Expr, ...]) -> tuple[Expr, ...]:
+    """Components of u*v: row k of the structure tensor, C[i, j, k] at i*n + j,
+    applied to the pair products u_i v_j.  A pair with v_i v_j = 0 is not
+    multiplied, so two constants there cannot fold to an overflow."""
+    n = algebra.dim
+    table = algebra.structure.reshape(n * n, n)
+    pairs = [mul(u[p // n], v[p % n]) if table[p].any() else _ZERO for p in range(n * n)]
+    return _combine(table.T, pairs)
 
 
 def exprfn_mul(f: ExprFn, g: ExprFn) -> ExprFn:

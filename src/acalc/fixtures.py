@@ -42,6 +42,8 @@ def cyclic_algebra(n: int, power_value, name: str, labels=None) -> Algebra:
     power_value = np.asarray(power_value, dtype=float)
     if power_value.shape != (n,):
         raise DimensionMismatch(f"power value needs {n} coordinates")
+    if not np.isfinite(power_value).all():
+        raise ValueError("power value must be finite")
     # coords of g^m for m = 0 .. 2n-2, reducing g^n -> power_value
     reps = [np.eye(n)[m] for m in range(n)]
     for m in range(n, 2 * n - 1):

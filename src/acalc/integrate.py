@@ -190,6 +190,7 @@ class IntegralResult:
 
 @dataclass(frozen=True)
 class MLReport:
+    integral: IntegralResult
     lhs: float      # || int f * dz ||
     M: float        # max ||f|| on the curve
     L: float        # arclength
@@ -335,12 +336,13 @@ def ml_bound_check(f: ExprFn, curve: Curve) -> MLReport:
     M is the max of ||f|| over a dense uniform sample (split evenly between
     the pieces), refined once around the coarse argmax within its piece (in
     parameter space, so refined points stay on the curve); L is the
-    arclength.
+    arclength.  The report holds the integral it bounds.
     """
     def sizes(piece: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.linalg.norm(f.eval_coords(curve.trace(piece, t)[0]), axis=1)
 
     _check_same(f.algebra, curve.algebra)
+    result = integrate_curve(f, curve)
     piece, t = _samples(curve, max(2, ML_SAMPLES // len(curve.spans[0])))
     norms = sizes(piece.ravel(), t.ravel())
     k, i = np.unravel_index(np.argmax(norms), t.shape)
@@ -348,10 +350,9 @@ def ml_bound_check(f: ExprFn, curve: Curve) -> MLReport:
     M = max(float(norms.max()), float(sizes(np.full(256, k), np.linspace(lo, hi, 256)).max()))
     L = _arclength(curve)
     K = submult_bound(f.algebra)
-    result = integrate_curve(f, curve)
     lhs = norm(result.value)
     holds = lhs <= K * M * L * (1 + 1e-9) + 1e-12
-    return MLReport(lhs=lhs, M=M, L=L, K=K, holds=holds)
+    return MLReport(integral=result, lhs=lhs, M=M, L=L, K=K, holds=holds)
 
 
 def loop_integral(f: ExprFn, curve: Curve) -> LoopResult:

@@ -14,7 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import AElement, Algebra, _freeze
-from .errors import DimensionMismatch, NotAnIsomorphism
+from .errors import AlgebraMismatch, DimensionMismatch, NotAnIsomorphism
+from .expr import ExprFn, _combine, parse, substitute, var
 from .fixtures import direct_product, get_algebra, real_algebra, wave_algebra
 
 __all__ = [
@@ -51,11 +52,15 @@ class LinMap:
         """Whether the map verifies as an isomorphism at the default tolerance."""
         return verify_isomorphism(self).ok
 
+    @cached_property
+    def inverse(self) -> "LinMap":
+        """The inverse map, held; its own ``inverse`` is this map."""
+        inv = LinMap(source=self.target, target=self.source, matrix=np.linalg.inv(self.matrix))
+        inv.__dict__["inverse"] = self  # where cached_property keeps its value
+        return inv
+
     def __call__(self, x: AElement) -> AElement:
         return self.target.element(self.matrix @ x.coords)
-
-    def inverse_apply(self, y: AElement) -> AElement:
-        return self.source.element(np.linalg.solve(self.matrix, y.coords))
 
 
 @dataclass(frozen=True)
@@ -98,20 +103,21 @@ def verify_isomorphism(m: LinMap, tol: float = MULT_TOL) -> IsoReport:
     )
 
 
-def transfer_function(m: LinMap, f):
+def transfer_function(m: LinMap, f: ExprFn) -> ExprFn:
     """Conjugate a function on the source into one on the target.
 
-    Returns ``g = m o f o m^{-1}`` as a callable on target elements;
-    differentiability carries over, with g' obtained the same way.
-    Refuses maps that do not verify as isomorphisms.
+    Returns ``g = m o f o m^{-1}`` as an ExprFn on the target: the rows of
+    m^{-1} replace the variables of f, and m combines its components.
+    Differentiability carries over, with g' = m o f' o m^{-1}.  Refuses maps
+    that do not verify as isomorphisms, then functions of another algebra.
     """
     if not m.verified_isomorphism:
         raise NotAnIsomorphism("transfer needs a verified isomorphism")
-
-    def g(y: AElement) -> AElement:
-        return m(f(m.inverse_apply(y)))
-
-    return g
+    if not f.algebra.same_structure(m.source):
+        raise AlgebraMismatch("function does not live on the source of the map")
+    rows = _combine(m.inverse.matrix, [var(i) for i in range(m.source.dim)])
+    composed = [substitute(c, dict(enumerate(rows))) for c in f.components]
+    return ExprFn(m.target, _combine(m.matrix, composed))
 
 
 def wave_isomorphism(c: float = 1.0) -> LinMap:
@@ -144,27 +150,11 @@ def dalembert_solution(c: float, f1_src: str = "sin(s)", f2_src: str = "s^2"):
 
     F1, F2 are one-variable expressions in ``s``.  Returns (function, map).
     """
-    from .expr import ExprFn, add, lit, mul as emul, parse, substitute, var
-
     iso = wave_isomorphism(c)
-    phi = iso.matrix
-    f_sources = (f1_src, f2_src)
-    n = iso.source.dim
-    # component i of F(phi(x, t)) with phi rows as linear expressions
-    composed = []
-    for i in range(n):
-        row = lit(0.0)
-        for m_idx in range(n):
-            row = add(row, emul(lit(phi[i, m_idx]), var(m_idx)))
-        composed.append(substitute(parse(f_sources[i], 1, names={"s": 0}), {0: row}))
-    inv = np.linalg.inv(phi)
-    components = []
-    for k in range(n):
-        acc = lit(0.0)
-        for i in range(n):
-            acc = add(acc, emul(lit(inv[k, i]), composed[i]))
-        components.append(acc)
-    return ExprFn(iso.source, tuple(components)), iso
+    profiles = ExprFn(iso.target, tuple(
+        substitute(parse(src, 1, names={"s": 0}), {0: var(i)}) for i, src in enumerate((f1_src, f2_src))
+    ))
+    return transfer_function(iso.inverse, profiles), iso
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,22 @@ def test_verify_iso_false(capsys, tmp_path):
     assert code == 1
 
 
+def test_integrate_command_integrates_once(capsys, tmp_path, monkeypatch):
+    from acalc import integrate
+
+    calls = []
+    original = integrate.integrate_curve
+    monkeypatch.setattr(integrate, "integrate_curve", lambda *a: calls.append(a) or original(*a))
+    doc = {"algebra": "C", "kind": "polyline", "vertices": [[0, 0], [1, 0], [1, 1]]}
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "integrate", "--algebra", "C", "--fn", "zeta2", "--curve", str(path))
+    assert code == 0
+    assert len(calls) == 1
+    # z^3/3 at 1+i: (-2 + 2i)/3
+    assert out.startswith("integral:    -0.666666666667, 0.666666666667\nerror bound: ")
+
+
 def test_transfer_command(capsys, tmp_path):
     doc = {"source": "RxR", "target": "H", "matrix": [[0.5, 0.5], [0.5, -0.5]]}
     path = tmp_path / "iso.json"
@@ -570,3 +586,25 @@ def test_negative_taylor_degree_is_input_error(capsys):
                          "--offset", "0.1,0.1", "--degree", "-1")
     assert (code, out) == (2, "")
     assert err == "error: Taylor degree must be >= 0, got -1\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", ["wave:nan", "wave:inf", "file"])
+def test_non_finite_algebra_is_input_error(capsys, tmp_path, spec):
+    if spec == "file":
+        doc = {"name": "nan", "dim": 2, "unity": [1, 0],
+               "table": [[[1, 0], [0, 1]], [[0, 1], [float("nan"), 0]]]}
+        spec = str(tmp_path / "nan.json")
+        with open(spec, "w") as fh:
+            json.dump(doc, fh)   # writes the bare NaN token Python's json reads back
+    code, out, err = run(capsys, "validate-algebra", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.filterwarnings("error")
+def test_infinite_wave_speed_refused_before_arithmetic(capsys):
+    code, _, err = run(capsys, "check-adiff", "--algebra", "wave:inf", "--fn", "zeta2", "--point", "1,0")
+    assert code == 2
+    assert err == "error: power value must be finite\n"

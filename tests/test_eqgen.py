@@ -258,6 +258,19 @@ def test_non_solution_detected():
     assert abs(check_residual(system, f, [C.element([0.0, 0.0])]) - 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("grid", [
+    [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],    # once read as three points of C
+    [[1.0], [2.0]],
+    [get_algebra("H").element([1.0, 2.0])],
+])
+def test_residual_refuses_points_of_another_shape(grid):
+    from acalc.errors import AlgebraMismatch, DimensionMismatch
+
+    C = get_algebra("C")
+    with pytest.raises((DimensionMismatch, AlgebraMismatch)):
+        check_residual(gen_laplace(C), poly_fn(C, [0.0, 0.0, 1.0]), grid)
+
+
 def test_cr_residual_matches_adiff_on_grid(commutative_fixtures):
     rng = np.random.default_rng(3)
     for a in commutative_fixtures.values():

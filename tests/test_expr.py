@@ -6,8 +6,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from acalc import expr as E
 from acalc.errors import (
     ArityError,
+    DimensionMismatch,
     DomainError,
     ExprSyntaxError,
     UnknownVariable,
@@ -435,3 +437,94 @@ def test_constant_components_broadcast_over_a_batch():
     f = ExprFn(C, (parse("2", 2), parse("x1 + x2", 2)))
     X = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     np.testing.assert_array_equal(f.eval_coords(X), [[2.0, 3.0], [2.0, 7.0], [2.0, 11.0]])
+
+
+@pytest.mark.parametrize("point", [
+    [1.0, 2.0, 99.0],          # one coordinate too many is not ignored
+    np.zeros((3, 5)),          # a batch of 5-coordinate rows
+    [1.0],                     # too few, once a bare IndexError
+    2.0,
+    np.zeros((2, 2, 2)),
+])
+def test_eval_coords_refuses_points_of_another_width(point):
+    f = poly_fn(get_algebra("C"), [0.0, 0.0, 1.0])
+    with pytest.raises(DimensionMismatch):
+        f.eval_coords(point)
+
+
+def test_call_takes_one_point_only():
+    f = poly_fn(get_algebra("C"), [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(f([1.0, 2.0]).coords, [-3.0, 4.0])
+    with pytest.raises(DimensionMismatch):
+        f([[1.0, 2.0], [0.5, 0.0]])
+
+
+# ---------------------------------------------------------------------------
+# combination trees against the sum loops they replace
+# ---------------------------------------------------------------------------
+
+def _loop_product(C, u, v):
+    """sum_ij C[i, j, k] u_i v_j by the triple loop, skipping zero terms."""
+    n = len(u)
+    out = []
+    for k in range(n):
+        s = E.lit(0.0)
+        for i in range(n):
+            if u[i] == E.lit(0.0):
+                continue
+            for j in range(n):
+                c = C[i, j, k]
+                if c != 0.0 and v[j] != E.lit(0.0):
+                    s = E.add(s, E.mul(E.lit(c), E.mul(u[i], v[j])))
+        out.append(s)
+    return tuple(out)
+
+
+def _loop_poly(a, coeffs):
+    """poly_fn's expansion with the triple-loop product."""
+    zeta = tuple(E.var(i) for i in range(a.dim))
+    power = tuple(E.lit(v) for v in a.unity)
+    comps = (E.lit(0.0),) * a.dim
+    for k, c in enumerate(coeffs):
+        c_coords = c.coords if hasattr(c, "coords") else float(c) * a.unity
+        if any(v != 0.0 for v in c_coords):
+            term = _loop_product(a.structure, tuple(E.lit(v) for v in c_coords), power)
+            comps = tuple(E.add(s, t) for s, t in zip(comps, term))
+        if k + 1 < len(coeffs):
+            power = _loop_product(a.structure, power, zeta)
+    return comps
+
+
+def _loop_directional(components, coords):
+    out = []
+    for comp in components:
+        s = E.lit(0.0)
+        for i, c in enumerate(np.asarray(coords, dtype=float)):
+            if c != 0.0:
+                s = E.add(s, E.mul(E.lit(c), diff(comp, i)))
+        out.append(s)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(bundled_algebras()))
+def test_combination_trees_match_sum_loops(name):
+    a = get_algebra(name)
+    n = a.dim
+    rng = np.random.default_rng(43)
+    direction = rng.integers(-2, 3, n).astype(float)
+    direction[0] = 0.0
+    elements = [a.element(rng.integers(-2, 3, n).astype(float)) for _ in range(4)]
+    for coeffs in ([0.0] * 4 + [1.0], [1.0, 0.0, -2.0, 3.0], elements):
+        f = poly_fn(a, coeffs)
+        assert f.components == _loop_poly(a, coeffs)
+        assert f.directional(direction).components == _loop_directional(f.components, direction)
+        assert f.unity_derivative.components == _loop_directional(f.components, a.unity)
+        g = conjugate_fn(a, n) if n >= 2 else identity_fn(a)
+        assert exprfn_mul(g, f).components == _loop_product(a.structure, g.components, f.components)
+
+
+def test_product_skips_pairs_whose_basis_product_is_zero():
+    # eps * eps = 0, so the huge constants there are never multiplied
+    dual = get_algebra("dual")
+    big = ExprFn(dual, (E.lit(1.0), E.lit(1e200)))
+    assert exprfn_mul(big, big).components == (E.lit(1.0), E.lit(2e200))

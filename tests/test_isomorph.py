@@ -5,8 +5,8 @@ import pytest
 
 from acalc.algebra import Kind, classify, invert, mul, norm
 from acalc.calculus import adiff_test, derivative
-from acalc.errors import NotAnIsomorphism
-from acalc.expr import poly_fn
+from acalc.errors import AlgebraMismatch, NotAnIsomorphism
+from acalc.expr import ExprFn, identity_fn, poly_fn
 from acalc.fixtures import get_algebra
 from acalc.isomorph import (
     LinMap,
@@ -88,7 +88,7 @@ def test_transfer_square_function():
 
 def test_transfer_identity_function():
     m = pairs_to_hyperbolic()
-    g = transfer_function(m, lambda x: x)
+    g = transfer_function(m, identity_fn(m.source))
     rng = np.random.default_rng(7)
     y = random_element(m.target, rng)
     assert norm(g(y) - y) <= 1e-15
@@ -101,7 +101,7 @@ def test_transfer_round_trip():
     rng = np.random.default_rng(9)
     for _ in range(20):
         x = random_element(m.source, rng)
-        back = m.inverse_apply(g(m(x)))
+        back = m.inverse(g(m(x)))
         assert norm(back - f(x)) <= 1e-10
 
 
@@ -110,14 +110,20 @@ def test_transfer_preserves_differentiability_and_derivative():
     f = poly_fn(m.source, [0.0, 0.0, 1.0])
     g_exprfn = poly_fn(m.target, [0.0, 0.0, 1.0])  # same polynomial on H
     g = transfer_function(m, f)
+    assert isinstance(g, ExprFn) and g.algebra is m.target
     rng = np.random.default_rng(11)
     y = random_element(m.target, rng)
     assert norm(g(y) - g_exprfn(y)) <= 1e-12
     report = adiff_test(g_exprfn, y)
     assert report.is_adiff
     # g' = m o f' o m^{-1}
-    d_source = derivative(f, m.inverse_apply(y))
+    d_source = derivative(f, m.inverse(y))
     assert norm(report.derivative - m(d_source)) <= 1e-6
+    # the transferred function itself, by both Jacobian methods
+    for method in ("fd", "symbolic"):
+        transferred = adiff_test(g, y, method=method)
+        assert transferred.is_adiff
+        assert norm(transferred.derivative - m(d_source)) <= 1e-6 * max(1.0, norm(m(d_source)))
 
 
 def test_transfer_refuses_non_isomorphism():
@@ -125,6 +131,23 @@ def test_transfer_refuses_non_isomorphism():
     bad = LinMap(source=C, target=C, matrix=np.array([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotAnIsomorphism):
         transfer_function(bad, lambda x: x)
+
+
+def test_transfer_refuses_function_of_another_algebra():
+    # C has the dimension of R x R but not its product
+    m = pairs_to_hyperbolic()
+    with pytest.raises(AlgebraMismatch):
+        transfer_function(m, poly_fn(get_algebra("C"), [0.0, 0.0, 1.0]))
+
+
+def test_inverse_is_held_and_inverts():
+    m = wave_isomorphism(2.0)
+    assert m.inverse is m.inverse
+    assert m.inverse.inverse is m
+    assert m.inverse.source is m.target and m.inverse.target is m.source
+    np.testing.assert_allclose(m.inverse.matrix @ m.matrix, np.eye(2), atol=1e-15)
+    x = m.source.element([0.3, -1.2])
+    assert norm(m.inverse(m(x)) - x) <= 1e-15
 
 
 def test_loose_verification_does_not_unlock_transfer():
