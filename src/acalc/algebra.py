@@ -222,6 +222,10 @@ def make_algebra(dim, structure, unity, labels=None, name="algebra") -> Algebra:
         raise DimensionMismatch(f"unity must have {dim} coordinates, got {u.shape}")
     if not (np.isfinite(C).all() and np.isfinite(u).all()):
         raise ValueError("structure tensor and unity must be finite")
+    cmax = float(np.max(np.abs(C)))
+    # the associativity check below subtracts two sums of dim products of entries
+    if cmax > math.sqrt(np.finfo(float).max / (2 * dim)):
+        raise ValueError(f"structure tensor entry {cmax:g} is too large: its products leave the float range")
     if labels is None:
         labels = tuple(f"v{i + 1}" for i in range(dim))
     labels = tuple(str(s) for s in labels)
@@ -229,7 +233,7 @@ def make_algebra(dim, structure, unity, labels=None, name="algebra") -> Algebra:
         raise DimensionMismatch(f"expected {dim} basis labels, got {len(labels)}")
 
     exact = np.array_equal(C, np.round(C)) and np.array_equal(u, np.round(u))
-    scale = max(1.0, float(np.max(np.abs(C))) ** 2)
+    scale = max(1.0, cmax ** 2)
     tol = 0.0 if exact else 1e-10 * scale
 
     # (v_i v_j) v_l  vs  v_i (v_j v_l), all components m
@@ -240,7 +244,7 @@ def make_algebra(dim, structure, unity, labels=None, name="algebra") -> Algebra:
         i, j, l, m = np.unravel_index(int(np.argmax(diff)), diff.shape)
         raise AssociativityViolation(int(i), int(j), int(l), int(m), float(diff[i, j, l, m]))
 
-    utol = 0.0 if exact else 1e-10 * max(1.0, float(np.max(np.abs(C))))
+    utol = 0.0 if exact else 1e-10 * max(1.0, cmax)
     left = np.einsum("i,ijk->jk", u, C)    # row j: coords of unity * v_j
     right = np.einsum("i,jik->jk", u, C)   # row j: coords of v_j * unity
     eye = np.eye(dim)

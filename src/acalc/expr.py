@@ -5,6 +5,12 @@ expressions in the coordinates x1..xn.  Expressions support + - * / ,
 integer powers, unary minus and sin/cos/exp/log/sqrt, and can be
 differentiated symbolically, which serves as the exact oracle against the
 finite-difference machinery elsewhere in the package.
+
+A tree holds constants (``Lit``), coordinates (``Var``) and operators
+(``Op``).  The table ``_OPS`` is the one place that defines an operator: its
+primitive for points, batches and constant folds, its compiled and printed
+forms, its precedence, its derivative rule and its smart constructor.
+Evaluation, compiling, printing, differentiation and substitution only read it.
 """
 
 from __future__ import annotations
@@ -13,8 +19,9 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -72,66 +79,43 @@ class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr
+@dataclass(frozen=True, slots=True)
+class Op(Expr):
+    """Operator ``op`` (a key of ``_OPS``) applied to ``args``; ``k`` is the
+    exponent of ``^``, else None.  The hash is held, so the caches of
+    :func:`diff` and :func:`compile_expr` do not walk the tree."""
 
+    op: str
+    args: tuple[Expr, ...]
+    k: int | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.op, self.args, self.k)))
 
+    def __hash__(self) -> int:
+        return self._hash
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Call(Expr):
-    fn: str
-    arg: Expr
-
-
-FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
 _ZERO = Lit(0.0)
 _ONE = Lit(1.0)
 
 
 def lit(v: float) -> Expr:
-    return Lit(float(v))
+    # + 0.0 makes -0.0 a plain zero: Lit(-0.0) prints as 0 and is equal to
+    # Lit(0.0), so the caches would hand either one the other's compiled code
+    return Lit(float(v) + 0.0)
 
 
 def var(i: int, name: str | None = None) -> Expr:
     return Var(i, name or f"x{i + 1}")
 
 
-def _binary(node: type, a: Expr, b: Expr) -> Expr:
-    """``node(a, b)``; two constants fold to one by :func:`_fold`."""
+def _binary(op: str, a: Expr, b: Expr) -> Expr:
+    """``a op b``; two constants fold to one by :func:`_fold`."""
     if isinstance(a, Lit) and isinstance(b, Lit):
-        return _fold(node, a.value, b.value)
-    return node(a, b)
+        return _fold(op, a.value, b.value)
+    return Op(op, (a, b))
 
 
 # smart constructors: fold constants and drop identity terms so that
@@ -141,7 +125,7 @@ def add(a: Expr, b: Expr) -> Expr:
         return b
     if b == _ZERO:
         return a
-    return _binary(Add, a, b)
+    return _binary("+", a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -149,15 +133,15 @@ def sub(a: Expr, b: Expr) -> Expr:
         return a
     if a == _ZERO:
         return neg(b)
-    return _binary(Sub, a, b)
+    return _binary("-", a, b)
 
 
 def neg(a: Expr) -> Expr:
     if isinstance(a, Lit):
-        return Lit(-a.value)
-    if isinstance(a, Neg):
-        return a.arg
-    return Neg(a)
+        return lit(-a.value)
+    if isinstance(a, Op) and a.op == "neg":
+        return a.args[0]
+    return Op("neg", (a,))
 
 
 def mul(a: Expr, b: Expr) -> Expr:
@@ -167,7 +151,7 @@ def mul(a: Expr, b: Expr) -> Expr:
         return b
     if b == _ONE:
         return a
-    return _binary(Mul, a, b)
+    return _binary("*", a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
@@ -175,7 +159,7 @@ def div(a: Expr, b: Expr) -> Expr:
         return a
     if a == _ZERO and not b == _ZERO:
         return _ZERO
-    return _binary(Div, a, b)
+    return _binary("/", a, b)
 
 
 def pow_(a: Expr, k: int) -> Expr:
@@ -184,12 +168,119 @@ def pow_(a: Expr, k: int) -> Expr:
     if k == 1:
         return a
     if isinstance(a, Lit):
-        return _fold(Pow, a.value, k)
-    return Pow(a, int(k))
+        return _fold("^", a.value, k)
+    return Op("^", (a,), int(k))
 
 
 def call(fn: str, arg: Expr) -> Expr:
-    return Call(fn, arg)
+    return Op(fn, (arg,))
+
+
+# ---------------------------------------------------------------------------
+# the operator table
+# ---------------------------------------------------------------------------
+
+# Every primitive takes a float (one point), which goes to ``math`` and keeps
+# single-point calls cheap, or an array (one entry per point of a batch), which
+# goes to numpy.  A value outside the real domain raises DomainError on both
+# routes; an overflow gives numpy's inf or nan on both, which evaluation then
+# refuses.
+
+def _div(a, b):
+    if not (b.all() if isinstance(b, np.ndarray) else b != 0.0):
+        raise DomainError("division by zero")
+    return a / b
+
+
+def _pow(a, k: int):
+    if k < 0 and not (a.all() if isinstance(a, np.ndarray) else a != 0.0):
+        raise DomainError("zero raised to a negative power")
+    try:
+        return a ** k
+    except OverflowError:
+        return math.copysign(math.inf, a) if k % 2 else math.inf
+
+
+def _primitive(scalar, vector, fallback=math.nan, invalid=None, message=""):
+    """A primitive that sends a float to ``scalar`` and an array to ``vector``.
+
+    ``fallback`` is numpy's value where ``math`` raises (an overflowing exp,
+    the sine of an infinity); ``invalid`` flags arguments outside the domain.
+    """
+    def fn(a):
+        if isinstance(a, np.ndarray):
+            if invalid is not None and invalid(a).any():
+                raise DomainError(f"{message} {np.min(a):g}")
+            return vector(a)
+        if invalid is not None and invalid(a):
+            raise DomainError(f"{message} {a:g}")
+        try:
+            return scalar(a)
+        except (OverflowError, ValueError):
+            return fallback
+
+    return fn
+
+
+class _Operator(NamedTuple):
+    fn: Callable      # the primitive, for evaluation, compiled code and folds
+    source: str       # compiled template: {0}, {1} are the operands, {k} the exponent
+    text: str         # printed template over the printed operands
+    prec: int         # printing precedence
+    rule: Callable    # rule(e, d): the derivative of e, d that of each operand
+    make: Callable    # the smart constructor, which substitution rebuilds with
+    noun: str = ""    # names a constant fold that is not finite
+
+
+_ATOM = 5  # the precedence of constants, coordinates and calls
+
+
+def _function(name: str, fn, rule) -> _Operator:
+    # its operand is one above every precedence, so it prints in parentheses
+    return _Operator(fn, f"_{name}({{0}})", f"{name}{{0}}", _ATOM, rule, partial(call, name))
+
+
+_OPS = {
+    "+": _Operator(operator.add, "({0}+{1})", "{0} + {1}", 1, lambda e, d: add(*d), add, "sum"),
+    "-": _Operator(operator.sub, "({0}-{1})", "{0} - {1}", 1, lambda e, d: sub(*d), sub, "difference"),
+    "*": _Operator(operator.mul, "({0}*{1})", "{0}*{1}", 2,
+                   lambda e, d: add(mul(d[0], e.args[1]), mul(e.args[0], d[1])), mul, "product"),
+    # (u/v)' = (u' - (u/v) v') / v, which needs no v^2 that could overflow
+    "/": _Operator(_div, "_div({0},{1})", "{0}/{1}", 2,
+                   lambda e, d: div(sub(d[0], mul(e, d[1])), e.args[1]), div, "quotient"),
+    "neg": _Operator(operator.neg, "(-{0})", "-{0}", 3, lambda e, d: neg(*d), neg),
+    "^": _Operator(_pow, "_pow({0},{k})", "{0}^{k}", 4,
+                   lambda e, d: mul(mul(lit(e.k), pow_(e.args[0], e.k - 1)), *d), pow_, "power"),
+    "sin": _function("sin", _primitive(math.sin, np.sin),
+                     lambda e, d: mul(call("cos", *e.args), *d)),
+    "cos": _function("cos", _primitive(math.cos, np.cos),
+                     lambda e, d: neg(mul(call("sin", *e.args), *d))),
+    "exp": _function("exp", _primitive(math.exp, np.exp, fallback=math.inf),
+                     lambda e, d: mul(e, *d)),
+    "log": _function("log", _primitive(math.log, np.log, invalid=lambda a: a <= 0.0,
+                                       message="log of non-positive value"),
+                     lambda e, d: div(*d, *e.args)),
+    "sqrt": _function("sqrt", _primitive(math.sqrt, np.sqrt, invalid=lambda a: a < 0.0,
+                                         message="sqrt of negative value"),
+                      lambda e, d: div(*d, mul(lit(2.0), e))),
+}
+
+FUNCTIONS = tuple(name for name, o in _OPS.items() if o.prec == _ATOM)
+
+
+def _apply(fn, e: Op, operands):
+    """``fn`` of ``operands`` and, for ``^``, the exponent."""
+    return fn(*operands) if e.k is None else fn(*operands, e.k)
+
+
+# Every constant fold, in the smart constructors and the parser, computes as
+# evaluation does and refuses a value that is not finite, as evaluation does.
+def _fold(op: str, a: float, b: float) -> Lit:
+    o = _OPS[op]
+    value = o.fn(a, b)
+    if not math.isfinite(value):
+        raise DomainError(f"constant {o.noun} {a:g}{op}{b:.6g} is not finite")
+    return lit(value)
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +349,14 @@ class _Parser:
     def expression(self) -> Expr:
         e = self.term()
         while self.peek()[1] in ("+", "-"):
-            op = self.advance()[1]
-            e = _binary(Add if op == "+" else Sub, e, self.term())
+            e = _binary(self.advance()[1], e, self.term())
         return e
 
     def term(self) -> Expr:
         e = self.factor()
         while self.peek()[1] in ("*", "/"):
-            op = self.advance()[1]
             # constants fold, but no identity is dropped: 0*(1/x1) still fails at x1 = 0
-            e = _binary(Mul if op == "*" else Div, e, self.factor())
+            e = _binary(self.advance()[1], e, self.factor())
         return e
 
     def factor(self) -> Expr:
@@ -317,7 +406,7 @@ class _Parser:
                 self.expect(")")
                 if len(args) != 1:
                     raise ArityError(text, pos, len(args))
-                return Call(text, args[0])
+                return call(text, args[0])
             if text in self.names:
                 return Var(self.names[text], text)
             m = _VAR_PATTERN.match(text)
@@ -350,99 +439,27 @@ def parse(src: str, dim: int, names: dict[str, int] | None = None) -> Expr:
 # evaluation
 # ---------------------------------------------------------------------------
 
-# Every primitive takes a float (one point), which goes to ``math`` and keeps
-# single-point calls cheap, or an array (one entry per point of a batch), which
-# goes to numpy.  A value outside the real domain raises DomainError on both
-# routes; an overflow gives numpy's inf or nan on both, which eval_compiled
-# then refuses.
-
-def _div(a, b):
-    if not (b.all() if isinstance(b, np.ndarray) else b != 0.0):
-        raise DomainError("division by zero")
-    return a / b
-
-
-def _pow(a, k: int):
-    if k < 0 and not (a.all() if isinstance(a, np.ndarray) else a != 0.0):
-        raise DomainError("zero raised to a negative power")
-    try:
-        return a ** k
-    except OverflowError:
-        return math.copysign(math.inf, a) if k % 2 else math.inf
-
-
-def _primitive(scalar, vector, fallback=math.nan, invalid=None, message=""):
-    """A primitive that sends a float to ``scalar`` and an array to ``vector``.
-
-    ``fallback`` is numpy's value where ``math`` raises (an overflowing exp,
-    the sine of an infinity); ``invalid`` flags arguments outside the domain.
-    """
-    def fn(a):
-        if isinstance(a, np.ndarray):
-            if invalid is not None and invalid(a).any():
-                raise DomainError(f"{message} {np.min(a):g}")
-            return vector(a)
-        if invalid is not None and invalid(a):
-            raise DomainError(f"{message} {a:g}")
-        try:
-            return scalar(a)
-        except (OverflowError, ValueError):
-            return fallback
-
-    return fn
-
-
-# the one primitive table, used by the interpreter and the compiled code
-_PRIMITIVES = {
-    "div": _div,
-    "pow": _pow,
-    "sin": _primitive(math.sin, np.sin),
-    "cos": _primitive(math.cos, np.cos),
-    "exp": _primitive(math.exp, np.exp, fallback=math.inf),
-    "log": _primitive(math.log, np.log, invalid=lambda a: a <= 0.0, message="log of non-positive value"),
-    "sqrt": _primitive(math.sqrt, np.sqrt, invalid=lambda a: a < 0.0, message="sqrt of negative value"),
-}
-
-# Every constant fold, in the smart constructors and the parser, computes as
-# evaluation does and refuses a value that is not finite, as evaluation does.
-_FOLDS = {
-    Add: ("sum", "+", operator.add),
-    Sub: ("difference", "-", operator.sub),
-    Mul: ("product", "*", operator.mul),
-    Div: ("quotient", "/", _PRIMITIVES["div"]),
-    Pow: ("power", "^", _PRIMITIVES["pow"]),
-}
-
-
-def _fold(node: type, a: float, b: float) -> Lit:
-    name, op, fn = _FOLDS[node]
-    value = fn(a, b)
-    if not math.isfinite(value):
-        raise DomainError(f"constant {name} {a:g}{op}{b:.6g} is not finite")
-    return Lit(value)
+_NOT_FINITE = "evaluation overflowed or gave a non-finite value"
 
 
 def evaluate(e: Expr, point) -> float:
-    """Interpret the tree at a coordinate point (sequence of reals)."""
+    """Interpret the tree at a coordinate point (sequence of reals).
+
+    As in compiled evaluation, only the result must be finite: ``1/exp(x1)``
+    at x1 = 1000 is 0, and ``exp(x1)`` there raises DomainError.
+    """
+    value = _interpret(e, point)
+    if not math.isfinite(value):
+        raise DomainError(_NOT_FINITE)
+    return value
+
+
+def _interpret(e: Expr, point) -> float:
     if isinstance(e, Lit):
         return e.value
     if isinstance(e, Var):
         return float(point[e.index])
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, point)
-    if isinstance(e, Add):
-        return evaluate(e.left, point) + evaluate(e.right, point)
-    if isinstance(e, Sub):
-        return evaluate(e.left, point) - evaluate(e.right, point)
-    if isinstance(e, Mul):
-        return evaluate(e.left, point) * evaluate(e.right, point)
-    if isinstance(e, Div):
-        return _div(evaluate(e.left, point), evaluate(e.right, point))
-    if isinstance(e, Pow):
-        return _pow(evaluate(e.base, point), e.exponent)
-    if isinstance(e, Call):
-        return _PRIMITIVES[e.fn](evaluate(e.arg, point))
-    raise TypeError(f"not an expression node: {e!r}")
+    return _apply(_OPS[e.op].fn, e, [_interpret(a, point) for a in e.args])
 
 
 def _source(e: Expr) -> str:
@@ -450,24 +467,11 @@ def _source(e: Expr) -> str:
         return repr(e.value)
     if isinstance(e, Var):
         return f"x[{e.index}]"
-    if isinstance(e, Neg):
-        return f"(-{_source(e.arg)})"
-    if isinstance(e, Add):
-        return f"({_source(e.left)}+{_source(e.right)})"
-    if isinstance(e, Sub):
-        return f"({_source(e.left)}-{_source(e.right)})"
-    if isinstance(e, Mul):
-        return f"({_source(e.left)}*{_source(e.right)})"
-    if isinstance(e, Div):
-        return f"_div({_source(e.left)},{_source(e.right)})"
-    if isinstance(e, Pow):
-        return f"_pow({_source(e.base)},{e.exponent})"
-    if isinstance(e, Call):
-        return f"_{e.fn}({_source(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    return _OPS[e.op].source.format(*map(_source, e.args), k=e.k)
 
 
-_COMPILE_NS = {f"_{name}": fn for name, fn in _PRIMITIVES.items()}
+# the names the compiled templates call, such as _div
+_COMPILE_NS = {o.source.partition("(")[0]: o.fn for o in _OPS.values() if o.source.startswith("_")}
 
 
 @lru_cache(maxsize=4096)
@@ -500,7 +504,7 @@ def eval_compiled(fns, x: np.ndarray) -> np.ndarray:
         values = _eval_batch(fns, x.T)
         if np.isfinite(values).all():
             return values.T
-    raise DomainError("evaluation overflowed or gave a non-finite value")
+    raise DomainError(_NOT_FINITE)
 
 
 @np.errstate(all="ignore")  # an overflow is refused by the caller, not warned about
@@ -515,19 +519,13 @@ def _eval_batch(fns, coords: np.ndarray) -> np.ndarray:
 # printing
 # ---------------------------------------------------------------------------
 
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}
-
-
 def _prec(e: Expr) -> int:
-    return _PREC.get(type(e), 5)
+    return _OPS[e.op].prec if isinstance(e, Op) else _ATOM
 
 
-def _wrap(e: Expr, parent_prec: int, strict: bool = False) -> str:
+def _wrap(e: Expr, prec: int) -> str:
     s = to_str(e)
-    p = _prec(e)
-    if p < parent_prec or (strict and p == parent_prec):
-        return f"({s})"
-    return s
+    return f"({s})" if _prec(e) < prec else s
 
 
 def to_str(e: Expr) -> str:
@@ -538,22 +536,13 @@ def to_str(e: Expr) -> str:
         return f"({s})" if e.value < 0 else s
     if isinstance(e, Var):
         return e.name
-    if isinstance(e, Neg):
-        return f"-{_wrap(e.arg, 3, strict=True)}"
-    if isinstance(e, Add):
-        return f"{_wrap(e.left, 1)} + {_wrap(e.right, 1, strict=True)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.left, 1)} - {_wrap(e.right, 1, strict=True)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.left, 2)}*{_wrap(e.right, 2, strict=True)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.left, 2)}/{_wrap(e.right, 2, strict=True)}"
-    if isinstance(e, Pow):
-        exp = str(e.exponent) if e.exponent >= 0 else f"({e.exponent})"
-        return f"{_wrap(e.base, 4, strict=True)}^{exp}"
-    if isinstance(e, Call):
-        return f"{e.fn}({to_str(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    o = _OPS[e.op]
+    # an operand binding looser than the operator is parenthesised, and so is
+    # the last one when it binds as loosely: a - (b - c), (x1^2)^3, -(-x1)
+    last = len(e.args) - 1
+    operands = [_wrap(a, o.prec + (j == last)) for j, a in enumerate(e.args)]
+    k = f"({e.k})" if e.k is not None and e.k < 0 else e.k
+    return o.text.format(*operands, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -567,34 +556,7 @@ def diff(e: Expr, i: int) -> Expr:
         return _ZERO
     if isinstance(e, Var):
         return _ONE if e.index == i else _ZERO
-    if isinstance(e, Neg):
-        return neg(diff(e.arg, i))
-    if isinstance(e, Add):
-        return add(diff(e.left, i), diff(e.right, i))
-    if isinstance(e, Sub):
-        return sub(diff(e.left, i), diff(e.right, i))
-    if isinstance(e, Mul):
-        return add(mul(diff(e.left, i), e.right), mul(e.left, diff(e.right, i)))
-    if isinstance(e, Div):
-        # (u/v)' = (u' - (u/v) v') / v, which needs no v^2 that could overflow
-        return div(sub(diff(e.left, i), mul(e, diff(e.right, i))), e.right)
-    if isinstance(e, Pow):
-        du = diff(e.base, i)
-        return mul(mul(lit(e.exponent), pow_(e.base, e.exponent - 1)), du)
-    if isinstance(e, Call):
-        du = diff(e.arg, i)
-        u = e.arg
-        if e.fn == "sin":
-            return mul(call("cos", u), du)
-        if e.fn == "cos":
-            return neg(mul(call("sin", u), du))
-        if e.fn == "exp":
-            return mul(call("exp", u), du)
-        if e.fn == "log":
-            return div(du, u)
-        if e.fn == "sqrt":
-            return div(du, mul(lit(2.0), call("sqrt", u)))
-    raise TypeError(f"not an expression node: {e!r}")
+    return _OPS[e.op].rule(e, [diff(a, i) for a in e.args])
 
 
 @lru_cache(maxsize=16384)
@@ -613,21 +575,7 @@ def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
         return e
     if isinstance(e, Var):
         return mapping.get(e.index, e)
-    if isinstance(e, Neg):
-        return neg(substitute(e.arg, mapping))
-    if isinstance(e, Add):
-        return add(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Sub):
-        return sub(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Mul):
-        return mul(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Div):
-        return div(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Pow):
-        return pow_(substitute(e.base, mapping), e.exponent)
-    if isinstance(e, Call):
-        return call(e.fn, substitute(e.arg, mapping))
-    raise TypeError(f"not an expression node: {e!r}")
+    return _apply(_OPS[e.op].make, e, [substitute(a, mapping) for a in e.args])
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,8 @@ def wave_algebra(c: float = 1.0) -> Algebra:
     equation is the speed-c wave equation."""
     if c <= 0:
         raise ValueError("wave speed must be positive")
+    if c * c < np.finfo(float).tiny:  # k^2 = 0 would be the dual numbers
+        raise ValueError(f"wave speed {c:g} squares below the normal float range")
     return cyclic_algebra(2, [c * c, 0.0], f"wave(c={c:g})", labels=["1", "k"])
 
 

@@ -1,28 +1,43 @@
-"""The library names and options that the benchmark in ``bench/`` relies on.
+"""The library names, options and call shapes that the benchmark in
+``bench/`` relies on.
 
 The traced benchmark run rebinds the functions listed in ``bench/tracer.py``
 by name and reads the expression caches' ``cache_info``; the ``cli_session``
-workload passes ``check-adiff --jobs``.  A rename in the library would break
-the benchmark silently, so these checks read the tracer's own tables.
+workload passes ``check-adiff --jobs``; the workloads in ``bench/workloads.py``
+call the library with their own arguments, such as
+``adiff_test(..., method="symbolic")``.  A rename in the library would show
+only as failed ops of the benchmark, so these checks read the tracer's own
+tables and run the workloads' own ops through their oracles.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 from acalc.cli import build_parser, main
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("bench_tracer", BENCH / "tracer.py")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("bench_workloads", BENCH / "workloads.py")
 
 
 def test_every_traced_target_resolves(tracer):
@@ -47,3 +62,14 @@ def test_check_adiff_accepts_jobs(capsys):
     assert build_parser().parse_args(argv).jobs == 2
     assert main(argv) == 0
     assert capsys.readouterr().out.count("adiff=True") == 4
+
+
+def test_every_adiff_grid_slot_meets_its_oracle(workloads):
+    for op in workloads.AdiffGrid(1).pool:
+        assert op.check(op.run()), op.slot
+
+
+def test_one_contour_variant_meets_its_oracles(workloads):
+    contour = workloads.Contour(1)
+    for op in contour.pool[:len(contour.pool) // workloads.CONTOUR_VARIANTS]:
+        assert op.check(op.run()), op.slot

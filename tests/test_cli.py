@@ -603,6 +603,33 @@ def test_non_finite_algebra_is_input_error(capsys, tmp_path, spec):
     assert err.startswith("error:")
 
 
+UNDERFLOW = "squares below the normal float range"
+TOO_LARGE = "is too large: its products leave the float range"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    # k^2 underflows to 0 (or to a subnormal): the dual numbers under a wave name
+    (["validate-algebra", "wave:1e-200"], f"wave speed 1e-200 {UNDERFLOW}"),
+    (["validate-algebra", "wave:1e-170"], f"wave speed 1e-170 {UNDERFLOW}"),
+    (["gen-laplace", "--algebra", "wave:1e-200"], f"wave speed 1e-200 {UNDERFLOW}"),
+    # k^2 = 1e200 is finite, but make_algebra multiplies entries
+    (["validate-algebra", "wave:1e100"], f"structure tensor entry 1e+200 {TOO_LARGE}"),
+    (["validate-algebra", "big.json"], f"structure tensor entry 1e+200 {TOO_LARGE}"),
+    # not associative; its check would compute inf - inf and miss that
+    (["validate-algebra", "edge.json"], f"structure tensor entry 1.3e+154 {TOO_LARGE}"),
+])
+def test_algebra_leaving_the_float_range_is_input_error(capsys, tmp_path, monkeypatch, argv, message):
+    big = [[[1, 0], [0, 1]], [[0, 1], [1e200, 0]]]
+    c = 1.3e154
+    edge = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, -c, c], [0, c, c]], [[0, 0, 1], [0, c, c], [0, c, c]]]
+    for name, dim, table in (("big", 2, big), ("edge", 3, edge)):
+        doc = {"name": name, "dim": dim, "unity": [1] + [0] * (dim - 1), "table": table}
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.filterwarnings("error")
 def test_infinite_wave_speed_refused_before_arithmetic(capsys):
     code, _, err = run(capsys, "check-adiff", "--algebra", "wave:inf", "--fn", "zeta2", "--point", "1,0")

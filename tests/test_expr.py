@@ -18,8 +18,7 @@ from acalc.expr import (
     MAX_NESTING,
     ExprFn,
     Lit,
-    Neg,
-    Pow,
+    Op,
     Var,
     compile_expr,
     conjugate_fn,
@@ -176,15 +175,13 @@ def _random_expr(rng, depth, dim):
         i = int(rng.integers(0, dim))
         return Var(i, f"x{i + 1}")
     if roll == 1:
-        return Neg(_random_expr(rng, depth - 1, dim))
+        return Op("neg", (_random_expr(rng, depth - 1, dim),))
     if roll == 2:
-        return Pow(_random_expr(rng, depth - 1, dim), int(rng.integers(0, 4)))
+        return Op("^", (_random_expr(rng, depth - 1, dim),), int(rng.integers(0, 4)))
     if roll == 3:
-        from acalc.expr import Call
-        return Call(["sin", "cos", "exp"][rng.integers(0, 3)], _random_expr(rng, depth - 1, dim))
-    from acalc.expr import Add, Div, Mul, Sub
-    cls = [Add, Sub, Mul, Div][rng.integers(0, 4)]
-    return cls(_random_expr(rng, depth - 1, dim), _random_expr(rng, depth - 1, dim))
+        return Op(["sin", "cos", "exp"][rng.integers(0, 3)], (_random_expr(rng, depth - 1, dim),))
+    op = ["+", "-", "*", "/"][rng.integers(0, 4)]
+    return Op(op, (_random_expr(rng, depth - 1, dim), _random_expr(rng, depth - 1, dim)))
 
 
 def test_parse_print_parse_fixpoint():
@@ -209,6 +206,52 @@ def test_parse_print_parse_fixpoint():
             ok_points += 1
         if ok_points:
             count += 1
+
+
+_BINARY = {"+": E.add, "-": E.sub, "*": E.mul, "/": E.div}
+
+
+@st.composite
+def _smart_trees(draw, depth=4):
+    """Trees over x1, x2 built by the smart constructors: every operator, all
+    five functions, exponents -3..4 (0 and 1 included) and constants in -5..5."""
+    if depth == 0 or draw(st.integers(0, 5)) == 0:
+        if draw(st.booleans()):
+            return E.lit(draw(st.floats(-5.0, 5.0)))
+        return E.var(draw(st.integers(0, 1)))
+    op = draw(st.sampled_from(["neg", "^", "call", *_BINARY]))
+    a = draw(_smart_trees(depth - 1))
+    try:
+        if op == "neg":
+            return E.neg(a)
+        if op == "^":
+            return E.pow_(a, draw(st.integers(-3, 4)))
+        if op == "call":
+            return E.call(draw(st.sampled_from(E.FUNCTIONS)), a)
+        return _BINARY[op](a, draw(_smart_trees(depth - 1)))
+    except DomainError:  # two constants folded to a value that is not finite
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_smart_trees())
+def test_printing_is_a_fixpoint_of_parsing(e):
+    assert to_str(parse(to_str(e), 2)) == to_str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_smart_trees(), st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+def test_compiled_point_equals_interpreter_bit_for_bit(e, point):
+    # the batch route is not compared: numpy's sin and exp differ from math's
+    # in the last bits
+    compiled = (compile_expr(e),)
+    try:
+        want = evaluate(e, point)
+    except DomainError:
+        with pytest.raises(DomainError):
+            E.eval_compiled(compiled, np.array(point))
+        return
+    assert float(E.eval_compiled(compiled, np.array(point))[0]).hex() == want.hex()
 
 
 def test_print_known_forms():
@@ -430,6 +473,16 @@ def test_one_point_and_batch_raise_alike(src, bad):
         f.eval_coords(np.array([bad, 1.0]))
     with pytest.raises(DomainError):
         f.eval_coords(np.array([good, [bad, 1.0], good]))
+    with pytest.raises(DomainError):
+        evaluate(f.components[0], (bad, 1.0))
+    with pytest.raises(DomainError):
+        f.components[0]((bad, 1.0))
+
+
+def test_only_the_result_must_be_finite():
+    # exp(1000) overflows on the way, and 1/inf = 0 is a finite result
+    e = parse("1/exp(x1)", 1)
+    assert evaluate(e, (1000.0,)) == compile_expr(e)([1000.0]) == 0.0
 
 
 def test_constant_components_broadcast_over_a_batch():
