@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -357,6 +356,8 @@ def minimal_polynomial_witness(x: AElement) -> AElement | None:
     cross-check of the SVD-based witness in :func:`classify`.  Returns a
     unit-norm b with x*b = 0 = b*x, or None when M(x) is invertible.
     """
+    from fractions import Fraction  # only this routine needs it; not loaded with algebra
+
     n = x.algebra.dim
     A = [[Fraction(v) for v in row] for row in regrep(x)]
 

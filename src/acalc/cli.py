@@ -15,16 +15,21 @@ import sys
 
 import numpy as np
 
+# Each handler imports the modules that only it uses, so that a command loads
+# only the code it runs; expr is here because every --fn command needs it.
 from . import algebra as alg
-from . import calculus, diffquot, eqgen, integrate
 from .errors import AcalcError, NotADifferentiable
 from .expr import ExprFn, conjugate_fn, load_function, parse, poly_fn
 from .fixtures import get_algebra, is_file_spec
-from .isomorph import dalembert_solution, load_linmap, transfer_function, verify_isomorphism
 
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
+
+# the library's defaults, calculus.DEFAULT_ADIFF_TOL and D2Options().tol, written
+# out so that building the parser imports neither module
+ADIFF_TOL = 1e-6
+D2_TOL = 1e-4
 
 
 def _fmt(x: float) -> str:
@@ -115,6 +120,8 @@ def cmd_invertible_basis(args) -> int:
 
 
 def cmd_check_adiff(args) -> int:
+    from . import calculus
+
     if args.grid:
         points = _parse_grid(args.grid, args.algebra)
     elif args.point:
@@ -146,6 +153,8 @@ def cmd_check_adiff(args) -> int:
 
 
 def cmd_derivative(args) -> int:
+    from . import calculus
+
     try:
         d = calculus.derivative(args.fn, args.point, tol=args.tol, method=args.method)
     except NotADifferentiable as exc:
@@ -156,12 +165,16 @@ def cmd_derivative(args) -> int:
 
 
 def cmd_wirtinger(args) -> int:
+    from . import calculus
+
     value = calculus.wirtinger_apply(args.fn, args.which, args.point)
     print(f"d f / d {args.which} at ({_fmt_vec(args.point.coords)}): {_fmt_vec(value.coords)}")
     return EXIT_OK
 
 
 def _print_system(system, args) -> None:
+    from . import eqgen
+
     coords = args.coords.split(",") if args.coords else None
     comps = args.components.split(",") if args.components else None
     lines = eqgen.render_system(system, coords=coords, components=comps,
@@ -191,16 +204,22 @@ def _print_system(system, args) -> None:
 
 
 def cmd_gen_cr(args) -> int:
+    from . import eqgen
+
     _print_system(eqgen.gen_cr(args.algebra), args)
     return EXIT_OK
 
 
 def cmd_gen_laplace(args) -> int:
+    from . import eqgen
+
     _print_system(eqgen.gen_laplace_k(args.algebra, args.order), args)
     return EXIT_OK
 
 
 def cmd_taylor(args) -> int:
+    from . import calculus
+
     f, p = args.fn, args.point
     h = _parse_point(args.offset, args.algebra)
     t = calculus.taylor_eval(f, p, h, args.degree)
@@ -212,6 +231,8 @@ def cmd_taylor(args) -> int:
 
 
 def cmd_integrate(args) -> int:
+    from . import integrate
+
     curve = integrate.load_curve(args.curve, args.algebra)
     report = integrate.ml_bound_check(args.fn, curve)
     print(f"integral:    {_fmt_vec(report.integral.value.coords)}")
@@ -222,6 +243,8 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_d2_probe(args) -> int:
+    from . import diffquot
+
     probe = diffquot.d2_probe(args.fn, args.point, diffquot.D2Options(seed=args.seed, tol=args.tol))
     print(f"point:   {_fmt_vec(probe.point.coords)}")
     print(f"verdict: {probe.verdict}")
@@ -235,6 +258,8 @@ def cmd_d2_probe(args) -> int:
 
 
 def cmd_verify_iso(args) -> int:
+    from .isomorph import load_linmap, verify_isomorphism
+
     m = load_linmap(args.path)
     report = verify_isomorphism(m)
     print(f"source: {m.source.name}   target: {m.target.name}")
@@ -244,6 +269,8 @@ def cmd_verify_iso(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    from .isomorph import load_linmap, transfer_function
+
     m = load_linmap(args.iso)
     if not m.verified_isomorphism:
         print("map is not an isomorphism; refusing to transfer", file=sys.stderr)
@@ -256,6 +283,9 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_demo_dalembert(args) -> int:
+    from . import calculus, eqgen
+    from .isomorph import dalembert_solution, transfer_function
+
     f, iso = dalembert_solution(args.c, args.f1, args.f2)
     wave = iso.source
     print(f"algebra: {wave.name}")
@@ -332,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_invertible_basis)
 
     p = sub.add_parser("check-adiff", help="test differentiability over the algebra")
-    _add_common(p, point=False, tol=calculus.DEFAULT_ADIFF_TOL)
+    _add_common(p, point=False, tol=ADIFF_TOL)
     p.add_argument("--point", default=None, help="comma-separated coordinates")
     p.add_argument("--grid", default=None, help="lo:hi:count per coordinate, comma-separated")
     p.add_argument("--method", choices=("fd", "symbolic"), default="fd")
@@ -342,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_adiff)
 
     p = sub.add_parser("derivative", help="derivative element at a point")
-    _add_common(p, tol=calculus.DEFAULT_ADIFF_TOL)
+    _add_common(p, tol=ADIFF_TOL)
     p.add_argument("--method", choices=("fd", "symbolic"), default="fd")
     p.set_defaults(func=cmd_derivative)
 
@@ -377,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("d2-probe", help="deleted difference quotient probe")
-    _add_common(p, tol=diffquot.D2Options.tol)
+    _add_common(p, tol=D2_TOL)
     p.add_argument("--seed", type=int, default=0, help="seed for the random directions")
     p.set_defaults(func=cmd_d2_probe)
 

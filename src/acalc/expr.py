@@ -338,7 +338,14 @@ class _Parser:
         self.advance()
 
     def parse(self) -> Expr:
-        e = self.expression()
+        try:
+            e = self.expression()
+        except DomainError:
+            # a constant fold met the inf of an overflowing numeral: report the
+            # numeral, which comes first in the input, not the fold
+            if self.overflow is None:
+                raise
+            raise ExprSyntaxError(self.overflow, "a finite number") from None
         kind, text, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(pos, "end of input or an operator")

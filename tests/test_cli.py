@@ -426,7 +426,8 @@ def test_constant_power_errors_are_input_errors(capsys, fn, message):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("method", ["fd", "symbolic"])
-@pytest.mark.parametrize("fn, position", [("x1+1e400;0", 3), ("x1*1e400;0", 3), ("x1;-1e999", 1)])
+@pytest.mark.parametrize("fn, position", [("x1+1e400;0", 3), ("x1*1e400;0", 3), ("x1;-1e999", 1),
+                                          ("1e400*0;x1", 0), ("x1;2+1e400", 2)])
 def test_overflowing_numeral_is_syntax_error(capsys, fn, position, method):
     code, out, err = run(capsys, "check-adiff", "--algebra", "C", "--fn", fn, "--point", "1,1",
                          "--method", method)
@@ -500,6 +501,16 @@ def test_each_subcommand_declares_only_what_its_handler_reads():
 
 
 _FN_POINT = ("--algebra", "C", "--fn", "zeta2", "--point", "1,1")
+
+
+def test_parser_tolerances_are_the_librarys_defaults():
+    from acalc.calculus import DEFAULT_ADIFF_TOL
+    from acalc.diffquot import D2Options
+
+    parse = build_parser().parse_args
+    assert parse(["check-adiff", *_FN_POINT]).tol == DEFAULT_ADIFF_TOL
+    assert parse(["derivative", *_FN_POINT]).tol == DEFAULT_ADIFF_TOL
+    assert parse(["d2-probe", *_FN_POINT]).tol == D2Options().tol
 
 
 @pytest.mark.parametrize("argv", [

@@ -102,6 +102,17 @@ def test_integer_exponent_required():
         parse("x1^1e400", 1)
 
 
+@pytest.mark.parametrize("src, position", [
+    ("-1e400", 1), ("-(1e400)*x1", 2), ("1e400*0", 0), ("1e400+1", 0), ("2-1e400", 2),
+    ("1e400^2", 0), ("1/1e400", 2), ("1e400+0^(-1)", 0),
+])
+def test_overflowing_numeral_is_reported_at_the_numeral(src, position):
+    # not as the fold it meets, whose message would name an inf the input never wrote
+    with pytest.raises(ExprSyntaxError, match="expected a finite number") as excinfo:
+        parse(src, 1)
+    assert excinfo.value.position == position
+
+
 def test_constant_powers_fold():
     assert parse("x1^(2^2)", 1) == parse("x1^4", 1)
     assert parse("(-2)^3", 1) == Lit(-8.0)
