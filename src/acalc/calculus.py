@@ -80,7 +80,7 @@ def _central_stencil(n: int) -> np.ndarray:
 
 def jacobian_sym(f: ExprFn, p) -> np.ndarray:
     """Exact Jacobian from symbolic partials (oracle for the FD route)."""
-    return np.array([f.partial(i).eval_coords(p) for i in range(f.algebra.dim)]).T
+    return f.eval_jacobian(p)
 
 
 def adiff_test(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "fd") -> DiffReport:
@@ -88,8 +88,11 @@ def adiff_test(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "fd")
 
     Checks the identity J = M(J 1), with M(d) formed from the algebra's held
     representation basis; the residual is ||J - M(J 1)||_F / max(1, ||J||_F).
-    On success the derivative is J 1.
+    On success the derivative is J 1.  ``method`` is ``"fd"`` (central
+    differences) or ``"symbolic"`` (exact partials).
     """
+    if method not in ("fd", "symbolic"):
+        raise ValueError(f"method must be 'fd' or 'symbolic', got {method!r}")
     algebra = f.algebra
     point = algebra.element(p)
     J = jacobian_fd(f, point) if method == "fd" else jacobian_sym(f, point)
@@ -189,14 +192,12 @@ def wirtinger_apply(f: ExprFn, which: str, p, frame: ConjugateFrame | None = Non
     n = algebra.dim
     point = algebra.element(p)
     kind, j = _parse_which(which, n)
-    d1 = f.partial(0)(point)
+    partials = [algebra.element(column) for column in jacobian_sym(f, point).T]
     if kind == "zbar":
-        dj = f.partial(j - 1)(point)
-        return 0.5 * (d1 - mul(frame.inverse_basis[j - 2], dj))
-    acc = (3.0 - n) * d1
+        return 0.5 * (partials[0] - mul(frame.inverse_basis[j - 2], partials[j - 1]))
+    acc = (3.0 - n) * partials[0]
     for m in range(1, n):
-        dm = f.partial(m)(point)
-        acc = acc + mul(frame.inverse_basis[m - 1], dm)
+        acc = acc + mul(frame.inverse_basis[m - 1], partials[m])
     return 0.5 * acc
 
 

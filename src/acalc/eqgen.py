@@ -187,17 +187,23 @@ def check_residual(system: EquationSystem, f: ExprFn, grid) -> float:
     of f separately; derivatives are exact symbolic partials.
     """
     X = np.array([f.algebra.element(p).coords for p in grid]).reshape(-1, f.algebra.dim)
-    worst = 0.0
+    derivs: list = []
+    blocks = []  # the coefficients of each applied equation, over its run of derivs
     for eq in system.equations:
         per_component = all(t.component is None for t in eq.terms)
         coeffs = np.array([t.coeff for t in eq.terms])
         for target in range(f.algebra.dim) if per_component else [None]:
-            derivs = tuple(
-                compile_expr(derive(f.components[target if per_component else t.component], t.orders))
+            derivs.extend(
+                derive(f.components[target if per_component else t.component], t.orders)
                 for t in eq.terms
             )
-            residuals = eval_compiled(derivs, X) @ coeffs
-            worst = max(worst, float(np.max(np.abs(residuals), initial=0.0)))
+            blocks.append(coeffs)
+    values = eval_compiled(compile_expr(tuple(derivs)), X)
+    worst, start = 0.0, 0
+    for coeffs in blocks:
+        residuals = values[:, start:start + len(coeffs)] @ coeffs
+        start += len(coeffs)
+        worst = max(worst, float(np.max(np.abs(residuals), initial=0.0)))
     return worst
 
 

@@ -31,7 +31,6 @@ from .errors import (
     ArityError,
     DimensionMismatch,
     DomainError,
-    ExprError,
     ExprSyntaxError,
     UnknownVariable,
 )
@@ -469,12 +468,32 @@ def _interpret(e: Expr, point) -> float:
     return _apply(_OPS[e.op].fn, e, [_interpret(a, point) for a in e.args])
 
 
-def _source(e: Expr) -> str:
-    if isinstance(e, Lit):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return f"x[{e.index}]"
-    return _OPS[e.op].source.format(*map(_source, e.args), k=e.k)
+def _kernel_source(exprs: tuple[Expr, ...]) -> str:
+    """One ``def`` with a line ``tN = ...`` per distinct operator node of
+    ``exprs``, in the order the trees evaluate, and a line ``xI = x[I]`` per
+    coordinate read; constants are inlined.  It returns the value of every
+    tree."""
+    names: dict[Expr, str] = {}
+    lines = ["def kernel(x):"]
+
+    def emit(e: Expr) -> str:
+        if isinstance(e, Lit):
+            return repr(e.value)
+        name = names.get(e)
+        if name is None:
+            if isinstance(e, Var):
+                # a batch row is a new view on every x[I], so read it once
+                name = names[e] = f"x{e.index}"
+                lines.append(f"    {name} = x[{e.index}]")
+            else:
+                operands = [emit(a) for a in e.args]
+                name = names[e] = f"t{len(names)}"
+                lines.append(f"    {name} = {_OPS[e.op].source.format(*operands, k=e.k)}")
+        return name
+
+    outputs = [emit(e) for e in exprs]
+    lines.append(f"    return ({''.join(o + ',' for o in outputs)})")
+    return "\n".join(lines)
 
 
 # the names the compiled templates call, such as _div
@@ -482,44 +501,41 @@ _COMPILE_NS = {o.source.partition("(")[0]: o.fn for o in _OPS.values() if o.sour
 
 
 @lru_cache(maxsize=4096)
-def compile_expr(e: Expr):
-    """Compile a tree to a Python callable of the coordinates ``x``.
+def compile_expr(exprs: tuple[Expr, ...]):
+    """Compile a tuple of trees to one kernel: a Python function of the
+    coordinates ``x`` that returns the tuple of their values.
 
-    ``x[i]`` may be a float or an array of one coordinate over a batch of
-    points; the result is then a float or an array (a constant stays a float).
+    A subterm that several trees share is computed once.  ``x[i]`` may be a
+    float or an array of one coordinate over a batch of points; each value is
+    then a float or an array (a constant stays a float).
     """
-    try:
-        return eval(f"lambda x: {_source(e)}", dict(_COMPILE_NS))
-    except SyntaxError as exc:  # CPython nests at most 200 parentheses
-        raise ExprError(f"expression too deeply nested to compile ({exc.msg})") from exc
+    namespace = dict(_COMPILE_NS)
+    exec(_kernel_source(exprs), namespace)
+    return namespace["kernel"]
 
 
-def eval_compiled(fns, x: np.ndarray) -> np.ndarray:
-    """Evaluate compiled callables at one point ``(n,)`` -> ``(k,)`` or at a
-    batch ``(m, n)`` -> ``(m, k)``, one column per callable.
+def eval_compiled(kernel, x: np.ndarray) -> np.ndarray:
+    """Evaluate a kernel at one point ``(n,)`` -> ``(k,)`` or at a batch
+    ``(m, n)`` -> ``(m, k)``, one column per compiled tree.
 
-    A batch is passed transposed, so each ``x[i]`` is one coordinate over all
-    points; constant results are broadcast to the batch.  A non-finite result
-    raises DomainError, on either route.
+    A point is passed as floats, so the primitives take their ``math`` route;
+    a batch is passed transposed, so each ``x[i]`` is one coordinate over all
+    points, and constant results are broadcast to the batch.  A non-finite
+    result raises DomainError, on either route.
     """
     if x.ndim == 1:
-        coords = x.tolist()
-        values = [fn(coords) for fn in fns]
+        values = kernel(x.tolist())
         if all(map(math.isfinite, values)):
             return np.array(values)
     else:
-        values = _eval_batch(fns, x.T)
+        with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+            columns = kernel(x.T)
+        values = np.empty((len(columns), len(x)))
+        for j, column in enumerate(columns):
+            values[j] = column
         if np.isfinite(values).all():
             return values.T
     raise DomainError(_NOT_FINITE)
-
-
-@np.errstate(all="ignore")  # an overflow is refused by the caller, not warned about
-def _eval_batch(fns, coords: np.ndarray) -> np.ndarray:
-    values = np.empty((len(fns), coords.shape[1]))
-    for j, fn in enumerate(fns):
-        values[j] = fn(coords)
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +609,9 @@ def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
 class ExprFn:
     """A function A -> A given by one component expression per coordinate.
 
-    The compiled components and the partial derivatives are built on first
-    use and held, so repeated evaluation does not hash the trees again.
+    The kernel of the components, the kernel of the Jacobian and the partial
+    derivatives are built on first use and held, so repeated evaluation does
+    not hash the trees again.
     """
 
     algebra: Algebra
@@ -610,23 +627,41 @@ class ExprFn:
         coords = self.eval_coords(self.algebra.element(point))
         return AElement(self.algebra, _freeze(coords))
 
+    def _coords(self, point) -> np.ndarray:
+        """A point ``(n,)`` or a batch ``(m, n)`` as a float array."""
+        if isinstance(point, AElement):
+            return self.algebra.element(point).coords
+        x = np.asarray(point, dtype=float)
+        if x.shape[-1:] != (self.algebra.dim,) or x.ndim > 2:
+            raise DimensionMismatch(
+                f"expected a point ({self.algebra.dim},) or a batch (m, {self.algebra.dim}), "
+                f"got shape {x.shape}"
+            )
+        return x
+
     def eval_coords(self, point) -> np.ndarray:
         """Coordinates of f at one point ``(n,)``, or at a batch ``(m, n)``
         with one row per point; raises DomainError on a non-finite value."""
-        if isinstance(point, AElement):
-            x = self.algebra.element(point).coords
-        else:
-            x = np.asarray(point, dtype=float)
-            if x.shape[-1:] != (self.algebra.dim,) or x.ndim > 2:
-                raise DimensionMismatch(
-                    f"expected a point ({self.algebra.dim},) or a batch (m, {self.algebra.dim}), "
-                    f"got shape {x.shape}"
-                )
-        return eval_compiled(self._compiled, x)
+        return eval_compiled(self._compiled, self._coords(point))
+
+    def eval_jacobian(self, point) -> np.ndarray:
+        """The exact Jacobian, J[k, i] = d f_k / d x_{i+1}, at one point
+        ``(n,)`` -> ``(n, n)`` or at a batch ``(m, n)`` -> ``(m, n, n)``, from
+        one evaluation of the held Jacobian kernel; raises DomainError on a
+        non-finite entry."""
+        n = self.algebra.dim
+        x = self._coords(point)
+        return eval_compiled(self._jacobian, x).reshape(x.shape[:-1] + (n, n)).swapaxes(-1, -2)
 
     @cached_property
-    def _compiled(self) -> tuple:
-        return tuple(compile_expr(c) for c in self.components)
+    def _compiled(self):
+        return compile_expr(self.components)
+
+    @cached_property
+    def _jacobian(self):
+        # partial by partial, as the rows of the transposed Jacobian
+        n = self.algebra.dim
+        return compile_expr(tuple(diff(c, i) for i in range(n) for c in self.components))
 
     @cached_property
     def _partials(self) -> tuple["ExprFn", ...]:

@@ -72,20 +72,20 @@ class ParametricCurve:
             )
 
     @cached_property
-    def _point_fns(self) -> tuple:
-        return tuple(compile_expr(c) for c in self.components)
+    def _point_kernel(self):
+        return compile_expr(self.components)
 
     @cached_property
-    def _velocity_fns(self) -> tuple:
-        return tuple(compile_expr(diff(c, 0)) for c in self.components)
+    def _velocity_kernel(self):
+        return compile_expr(tuple(diff(c, 0) for c in self.components))
 
     def point(self, t) -> np.ndarray:
         """z(t) for one parameter ``t`` -> ``(n,)``, or an array ``(k,)`` -> ``(k, n)``."""
-        return eval_compiled(self._point_fns, np.asarray(t, dtype=float)[..., None])
+        return eval_compiled(self._point_kernel, np.asarray(t, dtype=float)[..., None])
 
     def velocity(self, t) -> np.ndarray:
         """z'(t), shaped like :meth:`point`."""
-        return eval_compiled(self._velocity_fns, np.asarray(t, dtype=float)[..., None])
+        return eval_compiled(self._velocity_kernel, np.asarray(t, dtype=float)[..., None])
 
     @property
     def spans(self) -> tuple[np.ndarray, np.ndarray]:

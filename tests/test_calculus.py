@@ -15,7 +15,17 @@ from acalc.calculus import (
 )
 from acalc.diffquot import d2_probe
 from acalc.errors import AlgebraMismatch, NonInvertibleBasis, NotADifferentiable
-from acalc.expr import ExprFn, conjugate_fn, exprfn_mul, identity_fn, parse, poly_fn, substitute
+from acalc.expr import (
+    ExprFn,
+    conjugate_fn,
+    diff,
+    evaluate,
+    exprfn_mul,
+    identity_fn,
+    parse,
+    poly_fn,
+    substitute,
+)
 from acalc.fixtures import get_algebra, triangular6
 from acalc.integrate import Polyline, antiderivative_probe, integrate_curve, ml_bound_check, riemann_sum
 
@@ -75,6 +85,23 @@ def test_fd_and_symbolic_jacobians_agree(commutative_fixtures):
         assert np.max(np.abs(J_fd - J_sym)) <= 1e-6 * max(1.0, np.max(np.abs(J_sym)))
 
 
+def test_symbolic_jacobian_equals_interpreted_partials_bit_for_bit(fixtures):
+    # one kernel computes every entry, each shared subterm once; a point must
+    # still give the interpreter's bits, and a batch those of one batch
+    # evaluation per partial
+    rng = np.random.default_rng(4)
+    for a in fixtures.values():
+        n = a.dim
+        g = ExprFn(a, tuple(parse(f"sin(x{k + 1})*exp(x1/4) + x{n}^2", n) for k in range(n)))
+        f = exprfn_mul(zeta_power(a, 2), g)
+        p = random_element(a, rng)
+        want = [[evaluate(diff(c, i), p.coords).hex() for i in range(n)] for c in f.components]
+        assert [[v.hex() for v in row] for row in jacobian_sym(f, p).tolist()] == want, a.name
+        X = np.array([random_element(a, rng).coords for _ in range(3)])
+        per_partial = np.stack([f.partial(i).eval_coords(X) for i in range(n)], axis=-1)
+        np.testing.assert_array_equal(f.eval_jacobian(X), per_partial)
+
+
 # ---------------------------------------------------------------------------
 # differentiability test
 # ---------------------------------------------------------------------------
@@ -131,6 +158,13 @@ def test_derivative_raises_on_failure():
     C = get_algebra("C")
     with pytest.raises(NotADifferentiable):
         derivative(conjugate_fn(C, 2), C.element([0.3, 0.4]))
+
+
+@pytest.mark.parametrize("call", [adiff_test, derivative])
+def test_unknown_method_is_refused(call):
+    C = get_algebra("C")
+    with pytest.raises(ValueError, match="'fd' or 'symbolic'"):
+        call(zeta_power(C, 2), C.element([0.3, 0.4]), method="exact")
 
 
 def test_derivative_of_constant_is_zero(commutative_fixtures):

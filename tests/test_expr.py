@@ -162,14 +162,14 @@ def test_compiled_matches_interpreter():
     ]
     for src in srcs:
         e = parse(src, 2)
-        fn = compile_expr(e)
+        fn = compile_expr((e,))
         for _ in range(20):
             pt = rng.uniform(-2, 2, 2)
-            assert abs(fn(pt) - evaluate(e, pt)) < 1e-12
+            assert abs(fn(pt)[0] - evaluate(e, pt)) < 1e-12
 
 
 def test_compiled_domain_errors():
-    fn = compile_expr(parse("log(x1)", 1))
+    fn = compile_expr((parse("log(x1)", 1),))
     with pytest.raises(DomainError):
         fn((0.0,))
 
@@ -250,19 +250,56 @@ def test_printing_is_a_fixpoint_of_parsing(e):
     assert to_str(parse(to_str(e), 2)) == to_str(e)
 
 
+@st.composite
+def _tree_tuples(draw):
+    """One to three trees, then one to two more built on them, so that the
+    tuple's trees share subtrees; tuples of 2 to 5 trees."""
+    trees = draw(st.lists(_smart_trees(), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 2))):
+        op = draw(st.sampled_from([*_BINARY]))
+        a, b = draw(st.sampled_from(trees)), draw(st.sampled_from(trees))
+        try:
+            trees.append(_BINARY[op](a, b))
+        except DomainError:  # two constants folded to a value that is not finite
+            assume(False)
+    return tuple(trees)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_smart_trees(), st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
-def test_compiled_point_equals_interpreter_bit_for_bit(e, point):
+@given(_tree_tuples(), st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+def test_compiled_point_equals_interpreter_bit_for_bit(trees, point):
     # the batch route is not compared: numpy's sin and exp differ from math's
     # in the last bits
-    compiled = (compile_expr(e),)
+    kernel = compile_expr(trees)
     try:
-        want = evaluate(e, point)
+        want = [evaluate(e, point) for e in trees]
     except DomainError:
         with pytest.raises(DomainError):
-            E.eval_compiled(compiled, np.array(point))
+            E.eval_compiled(kernel, np.array(point))
         return
-    assert float(E.eval_compiled(compiled, np.array(point))[0]).hex() == want.hex()
+    got = E.eval_compiled(kernel, np.array(point))
+    assert [float(v).hex() for v in got] == [v.hex() for v in want]
+
+
+def _distinct_ops(trees) -> set:
+    seen, todo = set(), list(trees)
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Op) and e not in seen:
+            seen.add(e)
+            todo.extend(e.args)
+    return seen
+
+
+def test_kernel_has_one_line_per_distinct_operator_node():
+    Q = get_algebra("quaternions")
+    f = poly_fn(Q, [0.0] * 8 + [1.0])  # z^8
+    lines = E._kernel_source(f.components).splitlines()
+    assignments = [line for line in lines if line.lstrip().startswith("t")]
+    assert len(assignments) == len(_distinct_ops(f.components))
+    assert len(set(line.split(" = ")[1] for line in assignments)) == len(assignments)
+    # besides: the def, one read of each coordinate and the return
+    assert len(lines) == len(assignments) + 1 + Q.dim + 1
 
 
 def test_print_known_forms():
@@ -493,7 +530,7 @@ def test_one_point_and_batch_raise_alike(src, bad):
 def test_only_the_result_must_be_finite():
     # exp(1000) overflows on the way, and 1/inf = 0 is a finite result
     e = parse("1/exp(x1)", 1)
-    assert evaluate(e, (1000.0,)) == compile_expr(e)([1000.0]) == 0.0
+    assert evaluate(e, (1000.0,)) == compile_expr((e,))([1000.0])[0] == 0.0
 
 
 def test_constant_components_broadcast_over_a_batch():
