@@ -82,6 +82,14 @@ class Algebra:
         return _freeze(self.structure.transpose(0, 2, 1).reshape(n, n * n).T)
 
     @cached_property
+    def cr_projector(self) -> np.ndarray:
+        """Shape (n^2, n^2): P = I - rep_basis (I kron unity^T).  For a Jacobian
+        J, ``P @ J.ravel()`` is vec(J - M(J 1)), the residual of the generalized
+        Cauchy-Riemann equations."""
+        n = self.dim
+        return _freeze(np.eye(n * n) - self.rep_basis @ np.kron(np.eye(n), self.unity[None, :]))
+
+    @cached_property
     def unity_first(self) -> bool:
         """Whether the unity is the first basis vector v_1."""
         return bool(np.array_equal(self.unity, np.eye(self.dim)[0]))

@@ -1,8 +1,15 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acalc.algebra import mul, norm, regrep
 from acalc.calculus import (
+    _EPS_CUBE_ROOT,
+    _central_stencil,
     adiff_test,
     conjugate_coords,
     conjugate_frame,
@@ -14,7 +21,7 @@ from acalc.calculus import (
     wirtinger_apply,
 )
 from acalc.diffquot import d2_probe
-from acalc.errors import AlgebraMismatch, NonInvertibleBasis, NotADifferentiable
+from acalc.errors import AlgebraMismatch, DomainError, NonInvertibleBasis, NotADifferentiable
 from acalc.expr import (
     ExprFn,
     conjugate_fn,
@@ -26,7 +33,7 @@ from acalc.expr import (
     poly_fn,
     substitute,
 )
-from acalc.fixtures import get_algebra, triangular6
+from acalc.fixtures import bundled_algebras, get_algebra, triangular6
 from acalc.integrate import Polyline, antiderivative_probe, integrate_curve, ml_bound_check, riemann_sum
 
 from conftest import random_element
@@ -601,13 +608,111 @@ def test_point_or_curve_of_another_algebra_is_refused(call):
         call(f, p, Polyline((H.zero(), p)))
 
 
-def test_jacobian_fd_is_one_batch_call(eval_calls):
+def _interpreted_fd(f, p):
+    """Central differences of the interpreter at the rows of ``jacobian_fd``'s stencil."""
+    n = f.algebra.dim
+    h = _EPS_CUBE_ROOT * max(1.0, math.sqrt(p.coords.dot(p.coords)))
+    rows = p.coords + h * _central_stencil(n)
+    values = [[evaluate(c, row) for c in f.components] for row in rows]
+    return np.array([[(values[i][k] - values[n + i][k]) / (2.0 * h) for i in range(n)]
+                     for k in range(n)])
+
+
+def test_jacobian_fd_evaluates_stencil_points_on_floats(eval_calls):
+    # each stencil row runs through the components kernel on floats, so J is
+    # the interpreter's central differences bit for bit, and C-ordered
     Q = get_algebra("quaternions")
     f = zeta_power(Q, 3)
     p = Q.element([0.3, -0.2, 0.5, 0.1])
     J = jacobian_fd(f, p)
-    assert len(eval_calls) == 1
+    assert eval_calls == []
+    assert J.flags.c_contiguous
+    assert [v.hex() for v in J.ravel().tolist()] == [v.hex() for v in _interpreted_fd(f, p).ravel().tolist()]
     assert np.max(np.abs(J - jacobian_sym(f, p))) <= 1e-6
+
+
+_FD_TEMPLATES = ("exp(x{a}/2)*x{b}", "log(x{a})", "sqrt(x{a}^2 + x{b})", "x{a}^3/(x{b}^2 + 1)",
+                 "x{b}/x{a}", "sin(x{a})^2 - x{b}^-1", "cos(x{b})*exp(x{a})^2")
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(bundled_algebras())), data=st.data())
+def test_jacobian_fd_equals_interpreted_central_differences(name, data):
+    a = get_algebra(name)
+    n = a.dim
+    index = st.integers(1, n)
+    components = tuple(
+        parse(data.draw(st.sampled_from(_FD_TEMPLATES)).format(a=data.draw(index), b=data.draw(index)), n)
+        for _ in range(n)
+    )
+    f = ExprFn(a, components)
+    p = a.element(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    try:
+        want = _interpreted_fd(f, p)
+    except DomainError:
+        want = None
+    if want is None or not np.isfinite(want).all():
+        with pytest.raises(DomainError):
+            jacobian_fd(f, p)
+        return
+    J = jacobian_fd(f, p)
+    assert J.flags.c_contiguous
+    assert [v.hex() for v in J.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+
+
+# ---------------------------------------------------------------------------
+# the held projector P = I - rep_basis (I kron unity^T)
+# ---------------------------------------------------------------------------
+
+def test_projector_annihilates_representation_matrices(fixtures):
+    rng = np.random.default_rng(21)
+    for a in fixtures.values():
+        P = a.cr_projector
+        assert P.shape == (a.dim ** 2, a.dim ** 2)
+        for _ in range(20):
+            M = regrep(random_element(a, rng))
+            bound = 4 * np.spacing(np.linalg.norm(M))
+            assert np.max(np.abs(P @ M.ravel())) <= bound, a.name
+
+
+def _exact_residual(a, J):
+    """||J - M(J 1)||_F / max(1, ||J||_F) in rational arithmetic, rounded twice:
+    to a float, then by its square root."""
+    n = a.dim
+    Jq = [[Fraction(v) for v in row] for row in J.tolist()]
+    d = [sum(Jq[k][i] * Fraction(u) for i, u in enumerate(a.unity.tolist())) for k in range(n)]
+    C = a.structure.tolist()
+    r2 = sum((Jq[k][j] - sum(d[i] * Fraction(C[i][j][k]) for i in range(n))) ** 2
+             for k in range(n) for j in range(n))
+    return math.sqrt(r2 / max(1, sum(v * v for row in Jq for v in row)))
+
+
+def test_projected_residual_matches_exact_residual(fixtures):
+    # the oracle is exact: a float J - M(J 1) rounds d = J 1 first, which on
+    # RxR (d_1 = J_11 + J_12) moves the residual by up to 7 ulps
+    rng = np.random.default_rng(22)
+    for a in fixtures.values():
+        n = a.dim
+        g = ExprFn(a, tuple(parse(f"exp(x{n})", n) for _ in range(n)))
+        fns = [zeta_power(a, 3), conjugate_fn(a, 2) if n > 1 else zeta_power(a, 2),
+               exprfn_mul(zeta_power(a, 2), g)]
+        for f in fns:
+            for method in ("fd", "symbolic"):
+                report = adiff_test(f, random_element(a, rng), method=method)
+                J = report.jacobian
+                exact = _exact_residual(a, J)
+                assert abs(report.residual - exact) <= 4 * np.spacing(exact), (a.name, method)
+                if report.is_adiff:
+                    assert report.derivative.coords.tobytes() == (J @ a.unity).tobytes()
+
+
+def test_projector_is_held_and_read_only(fixtures):
+    for a in fixtures.values():
+        P = a.cr_projector
+        assert a.cr_projector is P
+        assert not P.flags.writeable
+        with pytest.raises(ValueError):
+            P[0, 0] = 1.0
 
 
 def test_repeat_taylor_reuses_held_derivatives():

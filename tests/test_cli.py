@@ -381,11 +381,13 @@ def test_transfer_refuses_bad_map(capsys, tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("fn, point", [("exp(x1);0", "1000,0"), ("x1^1000000;0", "2,0")])
+@pytest.mark.parametrize("fn, point", [("exp(x1);0", "1000,0"), ("x1^1000000;0", "2,0"),
+                                       # finite stencil values whose difference overflows
+                                       ("1e308*x1/sqrt(x1^2+1e-30);x2", "0,0")])
 def test_overflow_is_input_error(capsys, fn, point):
     code, _, err = run(capsys, "check-adiff", "--algebra", "C", "--fn", fn, "--point", point)
     assert code == 2
-    assert err.startswith("error:")
+    assert err == "error: evaluation overflowed or gave a non-finite value\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -409,6 +411,27 @@ def test_huge_point_overflows_without_warnings(capsys):
                        "--point", "1e200,0")
     assert code == 2
     assert err == "error: evaluation overflowed or gave a non-finite value\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method, code, verdict", [
+    # the FD step grows with ||p||, so its verdict at x1 = 700 is still false
+    ("fd", 1, "residual=4.23500143288e-06  adiff=False"),
+    ("symbolic", 0, "residual=0  adiff=True  derivative=(8.90072364946e+303, 4.86248749111e+303)"),
+])
+def test_residual_of_a_jacobian_past_1e154_does_not_overflow(capsys, method, code, verdict):
+    got = run(capsys, "check-adiff", "--algebra", "C", "--fn", "exp(x1)*cos(x2);exp(x1)*sin(x2)",
+              "--point", "700,0.5", "--method", method)
+    assert got == (code, f"point=(700, 0.5)  {verdict}\n", "")
+
+
+@pytest.mark.filterwarnings("error")
+def test_taylor_residual_past_1e154_is_finite(capsys):
+    # (exp(x1), x2) is not C-differentiable, at any scale; the verdict is the
+    # only line on stderr, with no overflow warning before it
+    got = run(capsys, "taylor", "--algebra", "C", "--fn", "exp(x1);x2", "--point", "700,0",
+              "--offset", "0.1,0", "--degree", "3")
+    assert got == (1, "", "verdict: function is not algebra-differentiable here (residual 1)\n")
 
 
 @pytest.mark.filterwarnings("error")
