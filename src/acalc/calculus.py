@@ -52,7 +52,8 @@ class DiffReport:
 
 
 def jacobian_fd(f: ExprFn, p) -> np.ndarray:
-    """Central-difference Jacobian; column i is d f / d x_{i+1}.
+    """Central-difference Jacobian, the test oracle of :func:`jacobian_sym`;
+    no verdict reads it.  Column i is d f / d x_{i+1}.
 
     The step balances truncation and rounding: h = eps^(1/3) * max(1, ||p||).
     Each stencil point is evaluated on floats, the route of ``f(p)``.
@@ -63,12 +64,9 @@ def jacobian_fd(f: ExprFn, p) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         h = _EPS_CUBE_ROOT * max(1.0, math.sqrt(x.dot(x)))
         stencil = x + h * _central_stencil(n)
-    kernel = f._compiled
-    values = [kernel(row) for row in stencil.tolist()]
+    values = [f._compiled(row) for row in stencil.tolist()]
     two_h = 2.0 * h
-    # row k from f_k at the 2n stencil points, on floats: a difference that
-    # overflows gives inf, unwarned, and is refused with any non-finite value.
-    # J is C-ordered, which fixes the bits of J @ unity.
+    # a difference that overflows gives inf, unwarned, and is refused
     J = np.array([[(fk[i] - fk[n + i]) / two_h for i in range(n)] for fk in zip(*values)])
     if not np.isfinite(J).all():
         raise DomainError(_NOT_FINITE)
@@ -82,45 +80,46 @@ def _central_stencil(n: int) -> np.ndarray:
 
 
 def jacobian_sym(f: ExprFn, p) -> np.ndarray:
-    """Exact Jacobian from symbolic partials (oracle for the FD route)."""
+    """The exact Jacobian that every verdict reads, from f's held kernel."""
     return f.eval_jacobian(p)
 
 
-def adiff_test(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "fd") -> DiffReport:
+def adiff_test(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "symbolic") -> DiffReport:
     """Test differentiability over the algebra at p.
 
-    Checks the identity J = M(J 1) through the algebra's held projector,
-    vec(J - M(J 1)) = P vec(J); the residual is
-    ||J - M(J 1)||_F / max(1, ||J||_F).
-    On success the derivative is J 1.  ``method`` is ``"fd"`` (central
-    differences) or ``"symbolic"`` (exact partials).
+    Checks the identity J = M(J 1) on the exact Jacobian through the
+    algebra's held projector, vec(J - M(J 1)) = P vec(J); the residual is
+    ||J - M(J 1)||_F / max(1, ||J||_F).  On success the derivative is J 1.
+    ``method`` may be ``"fd"`` or ``"symbolic"``; both name the one route.
     """
     if method not in ("fd", "symbolic"):
         raise ValueError(f"method must be 'fd' or 'symbolic', got {method!r}")
     algebra = f.algebra
     point = algebra.element(p)
-    J = jacobian_fd(f, point) if method == "fd" else jacobian_sym(f, point)
-    # hypot scales its operands, so entries past 1e154 do not overflow
-    vec = J.ravel()
-    residual = (math.hypot(*(algebra.cr_projector @ vec).tolist())
-                / max(1.0, math.hypot(*vec.tolist())))
+    J = jacobian_sym(f, point)
+    # scaled exactly by a power of two to a largest entry in [1/2, 1), vec(J)
+    # overflows neither the product with P nor hypot; the ratio undoes it
+    e = math.frexp(float(np.abs(J).max()))[1]
+    vec = np.ldexp(J.ravel(), -e)
+    num, den = math.hypot(*(algebra.cr_projector @ vec).tolist()), math.hypot(*vec.tolist())
+    residual = num / den if e > 0 else math.ldexp(num, e) / max(1.0, math.ldexp(den, e))
     ok = residual <= tol
     deriv = AElement(algebra, _freeze(J @ algebra.unity)) if ok else None
     return DiffReport(point=point, jacobian=J, residual=residual,
                       is_adiff=ok, derivative=deriv, tol=tol)
 
 
-def _require_adiff(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "fd") -> DiffReport:
+def _require_adiff(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL) -> DiffReport:
     """:func:`adiff_test`, raising :class:`NotADifferentiable` on failure."""
-    report = adiff_test(f, p, tol=tol, method=method)
+    report = adiff_test(f, p, tol=tol)
     if not report.is_adiff:
         raise NotADifferentiable(report.residual)
     return report
 
 
-def derivative(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "fd") -> AElement:
+def derivative(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL) -> AElement:
     """The derivative element; raises :class:`NotADifferentiable` on failure."""
-    return _require_adiff(f, p, tol, method).derivative
+    return _require_adiff(f, p, tol).derivative
 
 
 def higher_derivative(f: ExprFn, p, k: int) -> AElement:

@@ -128,7 +128,7 @@ def cmd_check_adiff(args) -> int:
         points = [args.point]
     else:
         raise ValueError("check-adiff needs --point or --grid")
-    reports = [calculus.adiff_test(args.fn, p, tol=args.tol, method=args.method) for p in points]
+    reports = [calculus.adiff_test(args.fn, p, tol=args.tol) for p in points]
     all_ok = all(r.is_adiff for r in reports)
     if args.format == "json":
         doc = [
@@ -156,7 +156,7 @@ def cmd_derivative(args) -> int:
     from . import calculus
 
     try:
-        d = calculus.derivative(args.fn, args.point, tol=args.tol, method=args.method)
+        d = calculus.derivative(args.fn, args.point, tol=args.tol)
     except NotADifferentiable as exc:
         print(f"not differentiable over {args.algebra.name}: residual {_fmt(exc.residual)}")
         return EXIT_FALSE
@@ -365,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, point=False, tol=ADIFF_TOL)
     p.add_argument("--point", default=None, help="comma-separated coordinates")
     p.add_argument("--grid", default=None, help="lo:hi:count per coordinate, comma-separated")
-    p.add_argument("--method", choices=("fd", "symbolic"), default="fd")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; has no effect (sweeps run in-process)")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -373,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derivative", help="derivative element at a point")
     _add_common(p, tol=ADIFF_TOL)
-    p.add_argument("--method", choices=("fd", "symbolic"), default="fd")
     p.set_defaults(func=cmd_derivative)
 
     p = sub.add_parser("wirtinger", help="apply d/dzeta or d/dzbar<j>")

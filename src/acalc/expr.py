@@ -2,9 +2,9 @@
 
 A function f on an n-dimensional algebra is given by n real component
 expressions in the coordinates x1..xn.  Expressions support + - * / ,
-integer powers, unary minus and sin/cos/exp/log/sqrt, and can be
-differentiated symbolically, which serves as the exact oracle against the
-finite-difference machinery elsewhere in the package.
+integer powers, unary minus and sin/cos/exp/log/sqrt, and are
+differentiated exactly: every differentiability verdict of the package reads
+these partials, and central differences remain only as a test oracle.
 
 A tree holds constants (``Lit``), coordinates (``Var``) and operators
 (``Op``).  The table ``_OPS`` is the one place that defines an operator: its
@@ -579,7 +579,9 @@ def diff(e: Expr, i: int) -> Expr:
         return _ZERO
     if isinstance(e, Var):
         return _ONE if e.index == i else _ZERO
-    return _OPS[e.op].rule(e, [diff(a, i) for a in e.args])
+    # map calls diff from C: a list comprehension is a third frame per tree
+    # level on Python 3.11, so long sums would hit the recursion limit here
+    return _OPS[e.op].rule(e, list(map(diff, e.args, (i,) * len(e.args))))
 
 
 @lru_cache(maxsize=16384)
@@ -609,9 +611,9 @@ def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
 class ExprFn:
     """A function A -> A given by one component expression per coordinate.
 
-    The kernel of the components, the kernel of the Jacobian and the partial
-    derivatives are built on first use and held, so repeated evaluation does
-    not hash the trees again.
+    The kernel of the components, the kernel of f(p) with its Jacobian, and
+    the partial derivatives are built on first use and held, so repeated
+    evaluation does not hash the trees again.
     """
 
     algebra: Algebra
@@ -647,11 +649,11 @@ class ExprFn:
     def eval_jacobian(self, point) -> np.ndarray:
         """The exact Jacobian, J[k, i] = d f_k / d x_{i+1}, at one point
         ``(n,)`` -> ``(n, n)`` or at a batch ``(m, n)`` -> ``(m, n, n)``, from
-        one evaluation of the held Jacobian kernel; raises DomainError on a
-        non-finite entry."""
+        one evaluation of the held Jacobian kernel; raises DomainError where
+        f or an entry is not finite."""
         n = self.algebra.dim
         x = self._coords(point)
-        return eval_compiled(self._jacobian, x).reshape(x.shape[:-1] + (n, n)).swapaxes(-1, -2)
+        return eval_compiled(self._jacobian, x)[..., n:].reshape(x.shape[:-1] + (n, n)).swapaxes(-1, -2)
 
     @cached_property
     def _compiled(self):
@@ -659,9 +661,10 @@ class ExprFn:
 
     @cached_property
     def _jacobian(self):
-        # partial by partial, as the rows of the transposed Jacobian
+        # f's components, then the rows of the transposed Jacobian: f(p) is
+        # checked too, so 0*(1/x1) is refused at x1 = 0, where J is finite
         n = self.algebra.dim
-        return compile_expr(tuple(diff(c, i) for i in range(n) for c in self.components))
+        return compile_expr(self.components + tuple(diff(c, i) for i in range(n) for c in self.components))
 
     @cached_property
     def _partials(self) -> tuple["ExprFn", ...]:

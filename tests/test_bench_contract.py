@@ -15,9 +15,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from acalc.calculus import adiff_test
 from acalc.cli import build_parser, main
+from acalc.expr import poly_fn
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -62,6 +65,22 @@ def test_check_adiff_accepts_jobs(capsys):
     assert build_parser().parse_args(argv).jobs == 2
     assert main(argv) == 0
     assert capsys.readouterr().out.count("adiff=True") == 4
+
+
+def test_adiff_test_method_values_name_one_route(fixtures):
+    # the adiff_grid workload runs adiff_test with method="fd" (the default
+    # until the exact route replaced it) next to method="symbolic"
+    rng = np.random.default_rng(41)
+    for a in fixtures.values():
+        f = poly_fn(a, [0.0, 0.0, 0.0, 1.0])
+        p = a.element(rng.uniform(-2.0, 2.0, a.dim))
+        fd, sym = adiff_test(f, p, method="fd"), adiff_test(f, p, method="symbolic")
+        assert fd.jacobian.tobytes() == sym.jacobian.tobytes(), a.name
+        assert (fd.residual, fd.is_adiff, fd.tol) == (sym.residual, sym.is_adiff, sym.tol), a.name
+        assert fd.point.coords.tobytes() == sym.point.coords.tobytes()
+        assert (fd.derivative is None) == (sym.derivative is None)
+        if fd.derivative is not None:
+            assert fd.derivative.coords.tobytes() == sym.derivative.coords.tobytes()
 
 
 def test_every_adiff_grid_slot_meets_its_oracle(workloads):

@@ -167,11 +167,15 @@ def test_derivative_raises_on_failure():
         derivative(conjugate_fn(C, 2), C.element([0.3, 0.4]))
 
 
-@pytest.mark.parametrize("call", [adiff_test, derivative])
-def test_unknown_method_is_refused(call):
+@pytest.mark.parametrize("call, method, error, match", [
+    (adiff_test, "exact", ValueError, "'fd' or 'symbolic'"),
+    # derivative takes no method: both names meant the one exact route
+    (derivative, "fd", TypeError, "'method'"),
+], ids=["adiff_test", "derivative"])
+def test_unknown_method_is_refused(call, method, error, match):
     C = get_algebra("C")
-    with pytest.raises(ValueError, match="'fd' or 'symbolic'"):
-        call(zeta_power(C, 2), C.element([0.3, 0.4]), method="exact")
+    with pytest.raises(error, match=match):
+        call(zeta_power(C, 2), C.element([0.3, 0.4]), method=method)
 
 
 def test_derivative_of_constant_is_zero(commutative_fixtures):
@@ -188,10 +192,8 @@ def test_product_rule(commutative_fixtures):
         g = poly_fn(a, [0.0, 1.0, 0.0, 2.0])         # z + 2 z^3
         h = exprfn_mul(f, g)
         p = random_element(a, rng)
-        lhs = derivative(h, p, method="symbolic")
-        rhs = mul(derivative(f, p, method="symbolic"), g(p)) + mul(
-            f(p), derivative(g, p, method="symbolic")
-        )
+        lhs = derivative(h, p)
+        rhs = mul(derivative(f, p), g(p)) + mul(f(p), derivative(g, p))
         assert norm(lhs - rhs) <= 1e-9 * max(1.0, norm(rhs))
 
 
@@ -208,8 +210,8 @@ def test_chain_rule(commutative_fixtures):
             ),
         )
         p = random_element(a, rng, scale=1.0)
-        lhs = derivative(composed, p, method="symbolic")
-        rhs = mul(derivative(f, g(p), method="symbolic"), derivative(g, p, method="symbolic"))
+        lhs = derivative(composed, p)
+        rhs = mul(derivative(f, g(p)), derivative(g, p))
         assert norm(lhs - rhs) <= 1e-8 * max(1.0, norm(rhs))
 
 
@@ -258,14 +260,13 @@ def test_adiff_verdict_matches_least_squares_oracle(fixtures):
             for scale in (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2):
                 v = rng.normal(size=a.dim)
                 p = a.element(scale * v / np.linalg.norm(v))
-                for method in ("fd", "symbolic"):
-                    r = adiff_test(f, p, method=method)
-                    vec = r.jacobian.reshape(-1)
-                    coeffs, *_ = np.linalg.lstsq(B, vec, rcond=None)
-                    dist = np.linalg.norm(vec - B @ coeffs) / max(1.0, np.linalg.norm(vec))
-                    assert dist - 1e-13 <= r.residual <= kappa * dist + 1e-13
-                    if not r.tol / kappa < dist <= r.tol:
-                        assert r.is_adiff == (dist <= r.tol), (a.name, scale, method)
+                r = adiff_test(f, p)
+                vec = r.jacobian.reshape(-1)
+                coeffs, *_ = np.linalg.lstsq(B, vec, rcond=None)
+                dist = np.linalg.norm(vec - B @ coeffs) / max(1.0, np.linalg.norm(vec))
+                assert dist - 1e-13 <= r.residual <= kappa * dist + 1e-13
+                if not r.tol / kappa < dist <= r.tol:
+                    assert r.is_adiff == (dist <= r.tol), (a.name, scale)
 
 
 def test_derivative_of_left_multiplication(fixtures):
@@ -274,9 +275,36 @@ def test_derivative_of_left_multiplication(fixtures):
     rng = np.random.default_rng(37)
     for a in fixtures.values():
         b, c, p = random_element(a, rng), random_element(a, rng), random_element(a, rng)
-        for method in ("fd", "symbolic"):
-            d = derivative(poly_fn(a, [b, c]), p, method=method)
-            assert norm(d - c) <= 1e-8 * max(1.0, norm(c)), (a.name, method)
+        d = derivative(poly_fn(a, [b, c]), p)
+        assert norm(d - c) <= 1e-8 * max(1.0, norm(c)), a.name
+
+
+_EXP = ("exp(x1)*cos(x2)", "exp(x1)*sin(x2)")
+
+
+@settings(max_examples=200, deadline=None)
+@given(x1=st.floats(-700.0, 700.0), x2=st.floats(-1e6, 1e6))
+def test_exp_is_differentiable_at_every_scale(x1, x2):
+    # a step that grew with ||p|| read exp as not differentiable at 0 + 1e4 i
+    C = get_algebra("C")
+    r = adiff_test(ExprFn(C, tuple(parse(s, 2) for s in _EXP)), C.element([x1, x2]))
+    assert r.is_adiff, r.residual
+    want = (math.exp(x1) * math.cos(x2), math.exp(x1) * math.sin(x2))
+    d = r.derivative.coords.tolist()
+    assert math.hypot(d[0] - want[0], d[1] - want[1]) <= 4 * np.finfo(float).eps * math.hypot(*want)
+
+
+_COMMUTATIVE = sorted(name for name, a in bundled_algebras().items() if a.commutative)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(_COMMUTATIVE), k=st.integers(2, 5), data=st.data())
+def test_powers_are_differentiable_at_every_scale(name, k, data):
+    a = get_algebra(name)
+    v = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=a.dim, max_size=a.dim))
+    for t in (1e-3, 1.0, 1e3):
+        r = adiff_test(zeta_power(a, k), a.element([t * x for x in v]))
+        assert r.is_adiff, (t, r.residual)
 
 
 def test_symmetric_cr_form_commutative(commutative_fixtures):
@@ -589,7 +617,7 @@ def test_wirtinger_rejects_bad_operator_name():
 
 
 @pytest.mark.parametrize("call", [
-    lambda f, p, curve: adiff_test(f, p),
+    lambda f, p, curve: adiff_test(f, p, method="fd"),
     lambda f, p, curve: adiff_test(f, p, method="symbolic"),
     lambda f, p, curve: wirtinger_apply(f, "zbar2", p),
     lambda f, p, curve: d2_probe(f, p),
@@ -697,13 +725,12 @@ def test_projected_residual_matches_exact_residual(fixtures):
         fns = [zeta_power(a, 3), conjugate_fn(a, 2) if n > 1 else zeta_power(a, 2),
                exprfn_mul(zeta_power(a, 2), g)]
         for f in fns:
-            for method in ("fd", "symbolic"):
-                report = adiff_test(f, random_element(a, rng), method=method)
-                J = report.jacobian
-                exact = _exact_residual(a, J)
-                assert abs(report.residual - exact) <= 4 * np.spacing(exact), (a.name, method)
-                if report.is_adiff:
-                    assert report.derivative.coords.tobytes() == (J @ a.unity).tobytes()
+            report = adiff_test(f, random_element(a, rng))
+            J = report.jacobian
+            exact = _exact_residual(a, J)
+            assert abs(report.residual - exact) <= 4 * np.spacing(exact), a.name
+            if report.is_adiff:
+                assert report.derivative.coords.tobytes() == (J @ a.unity).tobytes()
 
 
 def test_projector_is_held_and_read_only(fixtures):

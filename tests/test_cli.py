@@ -1,16 +1,32 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from acalc.cli import build_parser, main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_without_method(capsys, method, *argv):
+    """``run`` of argv, once argv with the removed ``--method`` flag is shown
+    to exit 2: its values ``fd`` and ``symbolic`` named the one exact route."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--method", method])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: --method {method}" in capsys.readouterr().err
+    return run(capsys, *argv)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +142,7 @@ def test_inline_function_spec_with_division(capsys):
 
 def test_derivative_command(capsys):
     code, out, _ = run(capsys, "derivative", "--algebra", "C",
-                       "--fn", "x1^2 - x2^2;2*x1*x2", "--point", "1,1",
-                       "--method", "symbolic")
+                       "--fn", "x1^2 - x2^2;2*x1*x2", "--point", "1,1")
     assert code == 0
     assert "derivative: 2, 2" in out
 
@@ -338,8 +353,7 @@ def test_function_file_poly_shorthand(capsys, tmp_path):
     doc = {"algebra": "H", "poly": [[0.0, 0.0], [0.0, 0.0], [3.0, 0.0]]}
     path = tmp_path / "threezsq.json"
     path.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "derivative", "--algebra", "H", "--fn", str(path),
-                       "--point", "1,2", "--method", "symbolic")
+    code, out, _ = run(capsys, "derivative", "--algebra", "H", "--fn", str(path), "--point", "1,2")
     assert code == 0
     assert "derivative: 6, 12" in out  # 6*(1+2j)
 
@@ -413,16 +427,36 @@ def test_huge_point_overflows_without_warnings(capsys):
     assert err == "error: evaluation overflowed or gave a non-finite value\n"
 
 
+_EXP = "exp(x1)*cos(x2);exp(x1)*sin(x2)"
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("method, code, verdict", [
-    # the FD step grows with ||p||, so its verdict at x1 = 700 is still false
-    ("fd", 1, "residual=4.23500143288e-06  adiff=False"),
-    ("symbolic", 0, "residual=0  adiff=True  derivative=(8.90072364946e+303, 4.86248749111e+303)"),
+@pytest.mark.parametrize("method", ["fd", "symbolic"])
+def test_residual_of_a_jacobian_past_1e154_does_not_overflow(capsys, method):
+    # the FD step grew with ||p||, so --method fd read residual=4.235e-06 adiff=False here
+    got = run_without_method(capsys, method, "check-adiff", "--algebra", "C", "--fn", _EXP,
+                             "--point", "700,0.5")
+    verdict = "residual=0  adiff=True  derivative=(8.90072364946e+303, 4.86248749111e+303)"
+    assert got == (0, f"point=(700, 0.5)  {verdict}\n", "")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("point, derivative", [
+    ("0,1e4", "(-0.952155368259, -0.305614388888)"),
+    ("0,1e6", "(0.936752127533, -0.349993502171)"),
 ])
-def test_residual_of_a_jacobian_past_1e154_does_not_overflow(capsys, method, code, verdict):
-    got = run(capsys, "check-adiff", "--algebra", "C", "--fn", "exp(x1)*cos(x2);exp(x1)*sin(x2)",
-              "--point", "700,0.5", "--method", method)
-    assert got == (code, f"point=(700, 0.5)  {verdict}\n", "")
+def test_exp_verdict_does_not_depend_on_scale(capsys, point, derivative):
+    code, out, err = run(capsys, "check-adiff", "--algebra", "C", "--fn", _EXP, "--point", point)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"  residual=0  adiff=True  derivative={derivative}\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_cauchy_riemann_sum_past_the_float_range_does_not_overflow(capsys):
+    # J = [[0, 1e308], [1e308, 0]]: the equation J_12 + J_21 = 0 sums to 2e308
+    got = run(capsys, "check-adiff", "--algebra", "C", "--fn", "1e308*x2;1e308*x1",
+              "--point", "0.5,0.5")
+    assert got == (1, "point=(0.5, 0.5)  residual=1.41421356237  adiff=False\n", "")
 
 
 @pytest.mark.filterwarnings("error")
@@ -452,8 +486,8 @@ def test_constant_power_errors_are_input_errors(capsys, fn, message):
 @pytest.mark.parametrize("fn, position", [("x1+1e400;0", 3), ("x1*1e400;0", 3), ("x1;-1e999", 1),
                                           ("1e400*0;x1", 0), ("x1;2+1e400", 2)])
 def test_overflowing_numeral_is_syntax_error(capsys, fn, position, method):
-    code, out, err = run(capsys, "check-adiff", "--algebra", "C", "--fn", fn, "--point", "1,1",
-                         "--method", method)
+    code, out, err = run_without_method(capsys, method, "check-adiff", "--algebra", "C", "--fn", fn,
+                                        "--point", "1,1")
     assert (code, out) == (2, "")
     assert err == f"error: syntax error at position {position}: expected a finite number\n"
 
@@ -488,6 +522,13 @@ def test_long_sum_below_the_compile_limit_still_works(capsys):
         code, out, _ = run(capsys, "check-adiff", "--algebra", "C", "--fn", _sum(terms), "--point", "1,1")
         assert code == 1
         assert "adiff=False" in out
+    # diff recurses one Python frame per level, so 450 terms pass it too.  They
+    # run as one command runs, in a new process: in this one, the diff cache's
+    # hit on the equal but distinct 250-term prefix compares it by recursion
+    proc = subprocess.run([sys.executable, "-m", "acalc.cli", "check-adiff", "--algebra", "C",
+                           "--fn", _sum(450), "--point", "1,1"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert (proc.returncode, "adiff=False" in proc.stdout, proc.stderr) == (1, True, "")
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +541,8 @@ HANDLER_FIELDS = {
     "validate-algebra": {"path"},
     "classify": {"algebra", "point"},
     "invertible-basis": {"algebra"},
-    "check-adiff": {"algebra", "fn", "point", "grid", "tol", "method", "format", "jobs"},
-    "derivative": {"algebra", "fn", "point", "tol", "method"},
+    "check-adiff": {"algebra", "fn", "point", "grid", "tol", "format", "jobs"},
+    "derivative": {"algebra", "fn", "point", "tol"},
     "wirtinger": {"algebra", "fn", "point", "which"},
     "gen-cr": {"algebra", "coords", "components", "format", "output"},
     "gen-laplace": {"algebra", "order", "coords", "components", "format", "output"},
@@ -521,7 +562,7 @@ def test_each_subcommand_declares_only_what_its_handler_reads():
     for name, p in sub.choices.items():
         dests = {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
         assert dests == HANDLER_FIELDS[name], name
-    assert sum(map(len, HANDLER_FIELDS.values())) == 54
+    assert sum(map(len, HANDLER_FIELDS.values())) == 52
 
 
 _FN_POINT = ("--algebra", "C", "--fn", "zeta2", "--point", "1,1")
@@ -541,7 +582,9 @@ def test_parser_tolerances_are_the_librarys_defaults():
     ("classify", "--algebra", "C", "--point", "1,1", "--tol", "1"),
     ("classify", "--algebra", "C", "--point", "1,1", "--seed", "1"),
     ("check-adiff", *_FN_POINT, "--seed", "1"),
+    ("check-adiff", *_FN_POINT, "--method", "fd"),
     ("derivative", *_FN_POINT, "--seed", "1"),
+    ("derivative", *_FN_POINT, "--method", "symbolic"),
     ("wirtinger", *_FN_POINT, "--which", "zeta", "--tol", "1"),
     ("wirtinger", *_FN_POINT, "--which", "zeta", "--seed", "1"),
     ("taylor", *_FN_POINT, "--offset", "0.1,0", "--tol", "1"),
@@ -571,8 +614,8 @@ def test_first_input_error_follows_algebra_fn_point_order(capsys):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("method", ["fd", "symbolic"])
 def test_huge_constant_divisor_is_differentiable(capsys, method):
-    code, out, _ = run(capsys, "check-adiff", "--algebra", "C", "--fn", "x1/1e200;x2/1e200",
-                       "--point", "1,1", "--method", method)
+    code, out, _ = run_without_method(capsys, method, "check-adiff", "--algebra", "C",
+                                      "--fn", "x1/1e200;x2/1e200", "--point", "1,1")
     assert code == 0
     assert out.endswith("adiff=True  derivative=(1e-200, 0)\n")
 
@@ -584,8 +627,9 @@ def test_huge_constant_divisor_is_differentiable(capsys, method):
     ("x1^(2*2);0", "1,1", "symbolic", 1, ""),
 ])
 def test_constant_folding_through_main(capsys, fn, point, method, code, text):
-    got, out, err = run(capsys, "check-adiff", "--algebra", "C", "--fn", fn, "--point", point,
-                        "--method", method)
+    # 0*(1/x1) has finite partials at x1 = 0; the verdict's kernel computes f(p) too
+    got, out, err = run_without_method(capsys, method, "check-adiff", "--algebra", "C", "--fn", fn,
+                                       "--point", point)
     assert (got, err) == (code, text)
     assert ("adiff=False" in out) == (code == 1)
 
