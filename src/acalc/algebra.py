@@ -82,12 +82,28 @@ class Algebra:
         return _freeze(self.structure.transpose(0, 2, 1).reshape(n, n * n).T)
 
     @cached_property
+    def _unity_rows(self) -> np.ndarray:
+        """Shape (n, n^2): I kron unity^T, which takes vec(J) to J 1."""
+        return _freeze(np.kron(np.eye(self.dim), self.unity[None, :]))
+
+    @cached_property
     def cr_projector(self) -> np.ndarray:
         """Shape (n^2, n^2): P = I - rep_basis (I kron unity^T).  For a Jacobian
         J, ``P @ J.ravel()`` is vec(J - M(J 1)), the residual of the generalized
         Cauchy-Riemann equations."""
-        n = self.dim
-        return _freeze(np.eye(n * n) - self.rep_basis @ np.kron(np.eye(n), self.unity[None, :]))
+        return _freeze(np.eye(self.dim ** 2) - self.rep_basis @ self._unity_rows)
+
+    @cached_property
+    def cr_kernel(self):
+        """``cr_projector`` compiled to straight-line code: a function of
+        vec(J), as n^2 floats or arrays, that returns the entries of
+        P vec(J).  Each line is a nonzero entry of P."""
+        return _vec_kernel(self.cr_projector)
+
+    @cached_property
+    def unity_kernel(self):
+        """The kernel of vec(J) that returns J 1, the candidate derivative."""
+        return _vec_kernel(self._unity_rows)
 
     @cached_property
     def unity_first(self) -> bool:
@@ -131,6 +147,13 @@ class Algebra:
     def __repr__(self) -> str:
         kind = "commutative" if self.commutative else "noncommutative"
         return f"Algebra({self.name!r}, dim={self.dim}, {kind})"
+
+
+def _vec_kernel(rows: np.ndarray):
+    """The kernel of x_1..x_{n^2} that returns ``rows @ x``, zero terms dropped."""
+    from .expr import _combine, compile_expr, var  # expr imports this module
+
+    return compile_expr(_combine(rows, [var(j) for j in range(rows.shape[1])]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,6 +11,7 @@ generalized Wirtinger operators for algebras with an invertible basis.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -80,7 +81,7 @@ def _central_stencil(n: int) -> np.ndarray:
 
 
 def jacobian_sym(f: ExprFn, p) -> np.ndarray:
-    """The exact Jacobian that every verdict reads, from f's held kernel."""
+    """The exact Jacobian, from the held kernel that every verdict reads."""
     return f.eval_jacobian(p)
 
 
@@ -90,22 +91,31 @@ def adiff_test(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "symb
     Checks the identity J = M(J 1) on the exact Jacobian through the
     algebra's held projector, vec(J - M(J 1)) = P vec(J); the residual is
     ||J - M(J 1)||_F / max(1, ||J||_F).  On success the derivative is J 1.
+    From f's Jacobian kernel to the residual, the test runs on floats
+    through the algebra's compiled ``cr_kernel`` and ``unity_kernel``.
     ``method`` may be ``"fd"`` or ``"symbolic"``; both name the one route.
     """
     if method not in ("fd", "symbolic"):
         raise ValueError(f"method must be 'fd' or 'symbolic', got {method!r}")
     algebra = f.algebra
     point = algebra.element(p)
-    J = jacobian_sym(f, point)
+    n = algebra.dim
+    values = f._jacobian(point.coords.tolist())
+    if not all(map(math.isfinite, values)):
+        raise DomainError(_NOT_FINITE)
+    vec = values[n:]
     # scaled exactly by a power of two to a largest entry in [1/2, 1), vec(J)
-    # overflows neither the product with P nor hypot; the ratio undoes it
-    e = math.frexp(float(np.abs(J).max()))[1]
-    vec = np.ldexp(J.ravel(), -e)
-    num, den = math.hypot(*(algebra.cr_projector @ vec).tolist()), math.hypot(*vec.tolist())
+    # overflows neither P vec(J) nor hypot; the ratio undoes it.  The exponent
+    # stops at that of the least normal float, so the factor stays finite
+    # when the largest entry is subnormal
+    e = max(math.frexp(max(map(abs, vec)))[1], sys.float_info.min_exp)
+    s = math.ldexp(1.0, -e)
+    scaled = [v * s for v in vec]
+    num, den = math.hypot(*algebra.cr_kernel(scaled)), math.hypot(*scaled)
     residual = num / den if e > 0 else math.ldexp(num, e) / max(1.0, math.ldexp(den, e))
     ok = residual <= tol
-    deriv = AElement(algebra, _freeze(J @ algebra.unity)) if ok else None
-    return DiffReport(point=point, jacobian=J, residual=residual,
+    deriv = AElement(algebra, _freeze(algebra.unity_kernel(vec))) if ok else None
+    return DiffReport(point=point, jacobian=np.array(vec).reshape(n, n), residual=residual,
                       is_adiff=ok, derivative=deriv, tol=tol)
 
 

@@ -82,7 +82,9 @@ class Var(Expr):
 class Op(Expr):
     """Operator ``op`` (a key of ``_OPS``) applied to ``args``; ``k`` is the
     exponent of ``^``, else None.  The hash is held, so the caches of
-    :func:`diff` and :func:`compile_expr` do not walk the tree."""
+    :func:`diff` and :func:`compile_expr` do not walk the tree to hash it, and
+    equality walks it with an explicit stack, so no tree is too deep to
+    compare."""
 
     op: str
     args: tuple[Expr, ...]
@@ -94,6 +96,25 @@ class Op(Expr):
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Op:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if type(a) is not Op:
+                if a != b:
+                    return False
+            elif a._hash != b._hash or a.op != b.op or a.k != b.k or len(a.args) != len(b.args):
+                return False
+            else:
+                stack.extend(zip(a.args, b.args))
+        return True
 
 
 _ZERO = Lit(0.0)
@@ -648,12 +669,12 @@ class ExprFn:
 
     def eval_jacobian(self, point) -> np.ndarray:
         """The exact Jacobian, J[k, i] = d f_k / d x_{i+1}, at one point
-        ``(n,)`` -> ``(n, n)`` or at a batch ``(m, n)`` -> ``(m, n, n)``, from
-        one evaluation of the held Jacobian kernel; raises DomainError where
-        f or an entry is not finite."""
+        ``(n,)`` -> ``(n, n)`` or at a batch ``(m, n)`` -> ``(m, n, n)``: the
+        held Jacobian kernel's values after f's n components, which are J row
+        by row.  Raises DomainError where f or an entry is not finite."""
         n = self.algebra.dim
         x = self._coords(point)
-        return eval_compiled(self._jacobian, x)[..., n:].reshape(x.shape[:-1] + (n, n)).swapaxes(-1, -2)
+        return eval_compiled(self._jacobian, x)[..., n:].reshape(x.shape[:-1] + (n, n))
 
     @cached_property
     def _compiled(self):
@@ -661,10 +682,11 @@ class ExprFn:
 
     @cached_property
     def _jacobian(self):
-        # f's components, then the rows of the transposed Jacobian: f(p) is
-        # checked too, so 0*(1/x1) is refused at x1 = 0, where J is finite
+        # f's components, then J row by row, so its values after the n-th are
+        # vec(J): f(p) is checked too, so 0*(1/x1) is refused at x1 = 0, where
+        # J is finite
         n = self.algebra.dim
-        return compile_expr(self.components + tuple(diff(c, i) for i in range(n) for c in self.components))
+        return compile_expr(self.components + tuple(diff(c, i) for c in self.components for i in range(n)))
 
     @cached_property
     def _partials(self) -> tuple["ExprFn", ...]:

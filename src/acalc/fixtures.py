@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,9 +178,16 @@ _FIXTURES = {
 }
 
 
+@lru_cache(maxsize=None)  # at most one entry per name in _FIXTURES
+def _fixture(key: str) -> Algebra:
+    """The process's one algebra for a fixture name, so the facts it holds
+    (``rep_basis``, ``cr_projector``, its kernels) are computed once."""
+    return _FIXTURES[key]()
+
+
 def bundled_algebras() -> dict[str, Algebra]:
     """All fixture algebras keyed by canonical name."""
-    return {name: build() for name, build in _FIXTURES.items()}
+    return {name: _fixture(name) for name in _FIXTURES}
 
 
 _ALIASES = {
@@ -199,7 +207,10 @@ def is_file_spec(spec: str) -> bool:
 
 
 def get_algebra(name: str) -> Algebra:
-    """Resolve a fixture name (with aliases, e.g. ``wave:2.5``) or a file path."""
+    """Resolve a fixture name (with aliases, e.g. ``wave:2.5``) or a file path.
+
+    A fixture name gives the same object on every call; a file or a
+    ``wave:<c>`` spec builds a new algebra."""
     if is_file_spec(name):
         return load_algebra(name)
     if name.startswith("wave:"):
@@ -207,7 +218,7 @@ def get_algebra(name: str) -> Algebra:
     key = _ALIASES.get(name, name)
     if key not in _FIXTURES:
         raise KeyError(f"unknown algebra {name!r}; known: {', '.join(sorted(_FIXTURES))}")
-    return _FIXTURES[key]()
+    return _fixture(key)
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,35 @@ def test_held_projection_matches_lstsq(fixtures):
         assert res_got <= 1e-12 * max(1.0, np.linalg.norm(vec))
 
 
+def test_held_kernels_match_the_products_on_points_and_columns(fixtures):
+    # oracle: numpy's products with P and with I kron unity^T
+    rng = np.random.default_rng(12)
+    for a in fixtures.values():
+        vecs = rng.uniform(-2.0, 2.0, (5, a.dim ** 2))
+        unity_rows = np.kron(np.eye(a.dim), a.unity[None, :])
+        for kernel, rows in ((a.cr_kernel, a.cr_projector), (a.unity_kernel, unity_rows)):
+            points = np.array([kernel(v) for v in vecs.tolist()])
+            assert np.allclose(points, vecs @ rows.T, rtol=0.0, atol=1e-13), a.name
+            # a column of entries runs the same lines; a constant row stays a float
+            columns = np.array([np.broadcast_to(c, len(vecs)) for c in kernel(vecs.T)]).T
+            assert np.array_equal(columns, points), a.name
+
+
+def test_fixture_names_give_one_algebra_that_holds_its_facts():
+    held = bundled_algebras()
+    for name, a in held.items():
+        assert get_algebra(name) is a
+    assert get_algebra("complex") is held["C"] and get_algebra("wave1") is held["wave"]
+
+    def facts(a):
+        return a.rep_basis, a.cr_projector, a.cr_kernel, a.unity_kernel
+
+    first = facts(get_algebra("C"))
+    assert all(x is y for x, y in zip(facts(get_algebra("C")), first))
+    # a wave speed is not a fixture name: each spec builds its own algebra
+    assert get_algebra("wave:2") is not get_algebra("wave:2")
+
+
 def test_unity_first_flag(fixtures):
     for a in fixtures.values():
         assert a.unity_first == bool(np.allclose(a.unity, np.eye(a.dim)[0]))

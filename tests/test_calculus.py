@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from acalc.algebra import mul, norm, regrep
@@ -25,10 +25,13 @@ from acalc.errors import AlgebraMismatch, DomainError, NonInvertibleBasis, NotAD
 from acalc.expr import (
     ExprFn,
     conjugate_fn,
+    constant_fn,
     diff,
     evaluate,
     exprfn_mul,
     identity_fn,
+    lit,
+    mul as expr_mul,
     parse,
     poly_fn,
     substitute,
@@ -731,6 +734,50 @@ def test_projected_residual_matches_exact_residual(fixtures):
             assert abs(report.residual - exact) <= 4 * np.spacing(exact), a.name
             if report.is_adiff:
                 assert report.derivative.coords.tobytes() == (J @ a.unity).tobytes()
+
+
+def test_derivative_is_the_first_jacobian_column_when_unity_first(fixtures):
+    # J 1 reads column 1 of J when 1 = v_1; tol=inf asks for it at every point
+    rng = np.random.default_rng(25)
+    for a in fixtures.values():
+        if not a.unity_first:
+            continue
+        n = a.dim
+        g = ExprFn(a, tuple(parse(f"exp(x{n})", n) for _ in range(n)))
+        for f in (zeta_power(a, 3), exprfn_mul(zeta_power(a, 2), g)):
+            for _ in range(5):
+                report = adiff_test(f, random_element(a, rng), tol=math.inf)
+                assert report.derivative.coords.tobytes() == report.jacobian[:, 0].tobytes(), a.name
+
+
+def test_constant_function_has_zero_residual(fixtures):
+    # J = 0: no power of two scales its largest entry into [1/2, 1)
+    for a in fixtures.values():
+        f = constant_fn(a, a.element(np.linspace(-1.0, 2.0, a.dim)))
+        report = adiff_test(f, a.one())
+        assert (report.residual, report.is_adiff) == (0.0, True), a.name
+        assert not report.jacobian.any() and not report.derivative.coords.any()
+
+
+_ALL = sorted(bundled_algebras())
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(_ALL), which=st.integers(0, 2), k=st.integers(-60, 60), data=st.data())
+def test_power_of_two_multiple_has_the_same_residual(name, which, k, data):
+    # vec(J) is scaled by an exact power of two, so where both largest entries
+    # are at least 1 (e > 0), f and 2^k f must read the same residual, bit for bit
+    a = get_algebra(name)
+    n = a.dim
+    v = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n))
+    g = ExprFn(a, tuple(parse(f"exp(x{n})", n) for _ in range(n)))
+    f = (zeta_power(a, 3), conjugate_fn(a, 2) if n > 1 else g, exprfn_mul(zeta_power(a, 2), g))[which]
+    scaled = ExprFn(a, tuple(expr_mul(lit(2.0 ** k), c) for c in f.components))
+    r, r2 = adiff_test(f, v), adiff_test(scaled, v)
+    assume(np.array_equal(r2.jacobian, np.ldexp(r.jacobian, k)))  # 2^k J is exact
+    assume(min(np.abs(r.jacobian).max(), np.abs(r2.jacobian).max()) >= 1.0)
+    assert r2.is_adiff == r.is_adiff
+    assert r2.residual.hex() == r.residual.hex()
 
 
 def test_projector_is_held_and_read_only(fixtures):

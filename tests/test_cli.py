@@ -457,6 +457,26 @@ def test_cauchy_riemann_sum_past_the_float_range_does_not_overflow(capsys):
     got = run(capsys, "check-adiff", "--algebra", "C", "--fn", "1e308*x2;1e308*x1",
               "--point", "0.5,0.5")
     assert got == (1, "point=(0.5, 0.5)  residual=1.41421356237  adiff=False\n", "")
+    # the largest float: vec(J) is scaled by 2^-1024, and a Jacobian in M(C) still passes
+    top = repr(sys.float_info.max)
+    got = run(capsys, "check-adiff", "--algebra", "C", "--fn", f"{top}*x2;{top}*x1",
+              "--point", "0.5,0.5")
+    assert got == (1, "point=(0.5, 0.5)  residual=1.41421356237  adiff=False\n", "")
+    got = run(capsys, "check-adiff", "--algebra", "C", "--fn", f"{top}*x1;{top}*x2",
+              "--point", "0.5,0.5")
+    assert got == (0, "point=(0.5, 0.5)  residual=0  adiff=True  derivative=(1.79769313486e+308, 0)\n", "")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn, verdict", [
+    ("5e-324*x1;5e-324*x2", "residual=0  adiff=True  derivative=(4.94065645841e-324, 0)"),
+    # J - M(J 1) = [[0, 2^-1073], [0, 0]], and ||J||_F < 1
+    ("5e-324*x2;5e-324*x1", "residual=9.88131291682e-324  adiff=True  derivative=(0, 4.94065645841e-324)"),
+])
+def test_subnormal_jacobian_is_scaled_without_overflow(capsys, fn, verdict):
+    # scaling vec(J) to a largest entry in [1/2, 1) would need the factor 2^1073
+    got = run(capsys, "check-adiff", "--algebra", "C", "--fn", fn, "--point", "1,1")
+    assert got == (0, f"point=(1, 1)  {verdict}\n", "")
 
 
 @pytest.mark.filterwarnings("error")
@@ -517,14 +537,15 @@ def test_deep_expressions_are_input_errors(capsys, fn, message):
 
 
 def test_long_sum_below_the_compile_limit_still_works(capsys):
-    # a kernel is one line per operator, so a sum's length sets no nesting depth
-    for terms in (150, 250):
+    # a kernel is one line per operator, so a sum's length sets no nesting depth,
+    # and diff recurses one Python frame per level, so 450 terms pass it too.
+    # After 250 terms, the caches of diff and compile_expr hit on the equal but
+    # distinct 250-term prefix, which Op equality compares without recursion
+    for terms in (150, 250, 450):
         code, out, _ = run(capsys, "check-adiff", "--algebra", "C", "--fn", _sum(terms), "--point", "1,1")
         assert code == 1
         assert "adiff=False" in out
-    # diff recurses one Python frame per level, so 450 terms pass it too.  They
-    # run as one command runs, in a new process: in this one, the diff cache's
-    # hit on the equal but distinct 250-term prefix compares it by recursion
+    # and alone, in a new process, as one command runs
     proc = subprocess.run([sys.executable, "-m", "acalc.cli", "check-adiff", "--algebra", "C",
                            "--fn", _sum(450), "--point", "1,1"], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)

@@ -302,6 +302,16 @@ def test_kernel_has_one_line_per_distinct_operator_node():
     assert len(lines) == len(assignments) + 1 + Q.dim + 1
 
 
+def test_equal_long_trees_compare_without_recursion():
+    # each tree is 2,000 levels deep, past the recursion limit
+    src = "+".join(["x1"] + ["1"] * 1999)
+    a, b = parse(src, 1), parse(src, 1)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != parse(src + "+1", 1)
+    assert a != parse(src.replace("x1+", "x1-", 1), 1)
+
+
 def test_print_known_forms():
     e = parse("x1^2 - x2^2", 2)
     assert evaluate(parse(to_str(e), 2), (3.0, 2.0)) == 5.0
