@@ -19,7 +19,8 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple
 
@@ -61,7 +62,7 @@ __all__ = [
 class Expr:
     """Base class for immutable expression nodes."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)  # for the node table of Op
 
     def __call__(self, point) -> float:
         return evaluate(self, point)
@@ -78,44 +79,35 @@ class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Op(Expr):
     """Operator ``op`` (a key of ``_OPS``) applied to ``args``; ``k`` is the
-    exponent of ``^``, else None.  The hash is held, so the caches of
-    :func:`diff` and :func:`compile_expr` do not walk the tree to hash it, and
-    equality walks it with an explicit stack, so no tree is too deep to
-    compare."""
+    exponent of ``^``, else None.  Nodes are hash-consed: the constructor returns
+    the live node with equal fields from ``_NODES`` if there is one, so equal
+    trees are one object, and equality and hashing are identity, whatever the
+    tree's size."""
 
     op: str
     args: tuple[Expr, ...]
     k: int | None = None
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.op, self.args, self.k)))
+    def __new__(cls, op: str, args: tuple[Expr, ...], k: int | None = None) -> "Op":
+        key = (op, args, k)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            object.__setattr__(node, "op", op)
+            object.__setattr__(node, "args", args)
+            object.__setattr__(node, "k", k)
+            _NODES[key] = node
+        return node
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        # copy, deepcopy and unpickling then return the live node
+        return Op, (self.op, self.args, self.k)
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not Op:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b):
-                return False
-            if type(a) is not Op:
-                if a != b:
-                    return False
-            elif a._hash != b._hash or a.op != b.op or a.k != b.k or len(a.args) != len(b.args):
-                return False
-            else:
-                stack.extend(zip(a.args, b.args))
-        return True
 
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 _ZERO = Lit(0.0)
 _ONE = Lit(1.0)
@@ -123,7 +115,7 @@ _ONE = Lit(1.0)
 
 def lit(v: float) -> Expr:
     # + 0.0 makes -0.0 a plain zero: Lit(-0.0) prints as 0 and is equal to
-    # Lit(0.0), so the caches would hand either one the other's compiled code
+    # Lit(0.0), so a node or a kernel built over one would serve the other
     return Lit(float(v) + 0.0)
 
 
@@ -616,12 +608,19 @@ def derive(e: Expr, orders: tuple[int, ...]) -> Expr:
 
 
 def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
-    """Replace variables by expressions (used for composition)."""
-    if isinstance(e, Lit):
-        return e
-    if isinstance(e, Var):
-        return mapping.get(e.index, e)
-    return _apply(_OPS[e.op].make, e, [substitute(a, mapping) for a in e.args])
+    """Replace variables by expressions (for composition), rebuilding each distinct node once."""
+    memo: dict[Op, Expr] = {}
+
+    def rebuild(e: Expr) -> Expr:
+        if isinstance(e, Lit):
+            return e
+        if isinstance(e, Var):
+            return mapping.get(e.index, e)
+        if e not in memo:
+            memo[e] = _apply(_OPS[e.op].make, e, [rebuild(a) for a in e.args])
+        return memo[e]
+
+    return rebuild(e)
 
 
 # ---------------------------------------------------------------------------
@@ -739,12 +738,13 @@ def conjugate_fn(algebra: Algebra, j: int) -> ExprFn:
 
 
 def _combine(rows, exprs) -> tuple[Expr, ...]:
-    """One expression per row, sum_j row[j] * exprs[j]; zero terms drop."""
+    """One expression per row, sum_j row[j] * exprs[j]; zero terms are not built."""
     out = []
     for row in np.asarray(rows, dtype=float).tolist():
         s: Expr = _ZERO
         for c, e in zip(row, exprs):
-            s = add(s, mul(lit(c), e))
+            if c != 0.0:
+                s = add(s, mul(lit(c), e))
         out.append(s)
     return tuple(out)
 

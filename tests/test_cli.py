@@ -539,8 +539,8 @@ def test_deep_expressions_are_input_errors(capsys, fn, message):
 def test_long_sum_below_the_compile_limit_still_works(capsys):
     # a kernel is one line per operator, so a sum's length sets no nesting depth,
     # and diff recurses one Python frame per level, so 450 terms pass it too.
-    # After 250 terms, the caches of diff and compile_expr hit on the equal but
-    # distinct 250-term prefix, which Op equality compares without recursion
+    # After 250 terms, the 450-term sum is built on the same 250-term prefix
+    # node, on which the cache of diff hits by identity
     for terms in (150, 250, 450):
         code, out, _ = run(capsys, "check-adiff", "--algebra", "C", "--fn", _sum(terms), "--point", "1,1")
         assert code == 1

@@ -1,4 +1,8 @@
+import copy
+import gc
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -306,10 +310,40 @@ def test_equal_long_trees_compare_without_recursion():
     # each tree is 2,000 levels deep, past the recursion limit
     src = "+".join(["x1"] + ["1"] * 1999)
     a, b = parse(src, 1), parse(src, 1)
-    assert a is not b
+    assert a is b
     assert a == b and hash(a) == hash(b)
     assert a != parse(src + "+1", 1)
     assert a != parse(src.replace("x1+", "x1-", 1), 1)
+
+
+def test_copies_and_pickles_return_the_live_node():
+    e = poly_fn(get_algebra("quaternions"), [0.0, 0.0, 1.0]).components[1]
+    assert copy.copy(e) is e
+    assert copy.deepcopy(e) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+
+
+def test_node_without_referrers_leaves_the_table():
+    inner_key = ("*", (Lit(0.123456789), Var(0, "x1")), None)
+    e = Op("sin", (Op(*inner_key),))
+    assert E._NODES[inner_key] is e.args[0] and E._NODES[("sin", e.args, None)] is e
+    refs = weakref.ref(e), weakref.ref(e.args[0])
+    del e
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+    assert inner_key not in E._NODES
+
+
+def test_equal_functions_share_nodes_and_kernels():
+    Q = get_algebra("quaternions")
+    f = poly_fn(Q, [0.0] * 8 + [1.0])
+    f._jacobian
+    before = compile_expr.cache_info()
+    g = poly_fn(Q, [0.0] * 8 + [1.0])
+    assert all(a is b for a, b in zip(f.components, g.components, strict=True))
+    assert g._jacobian is f._jacobian
+    after = compile_expr.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_print_known_forms():
@@ -374,6 +408,19 @@ def test_substitute_composition():
     composed = substitute(outer, {0: parse("x2 - 1", 2), 1: parse("3*x1", 2)})
     # f(g) with g = (x2-1, 3*x1): (x2-1)^2 + 3*x1
     assert evaluate(composed, (2.0, 5.0)) == 16.0 + 6.0
+
+
+def test_substitute_rebuilds_each_distinct_node_once(monkeypatch):
+    Q = get_algebra("quaternions")
+    f = poly_fn(Q, [0.0] * 10 + [1.0])  # z^10
+    rebuilt = []
+    apply = E._apply
+    monkeypatch.setattr(E, "_apply", lambda fn, e, operands: rebuilt.append(e) or apply(fn, e, operands))
+    identity = {i: E.var(i) for i in range(Q.dim)}
+    for c in f.components:
+        rebuilt.clear()
+        assert substitute(c, identity) is c
+        assert len(rebuilt) == len(_distinct_ops([c]))
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +679,28 @@ def test_combination_trees_match_sum_loops(name):
         assert f.unity_derivative.components == _loop_directional(f.components, a.unity)
         g = conjugate_fn(a, n) if n >= 2 else identity_fn(a)
         assert exprfn_mul(g, f).components == _loop_product(a.structure, g.components, f.components)
+
+
+@pytest.mark.parametrize("name", sorted(bundled_algebras()))
+def test_combination_skips_zero_coefficients_to_the_same_nodes(name):
+    P = get_algebra(name).cr_projector
+    xs = [E.var(j) for j in range(P.shape[1])]
+    want = []
+    for row in P.tolist():
+        s = E.lit(0.0)
+        for c, e in zip(row, xs):
+            s = E.add(s, E.mul(E.lit(c), e))
+        want.append(s)
+    assert all(a is b for a, b in zip(E._combine(P, xs), want, strict=True))
+
+
+def test_combination_multiplies_only_nonzero_coefficients(monkeypatch):
+    P = get_algebra("triangular6").cr_projector
+    products = []
+    mul_ = E.mul
+    monkeypatch.setattr(E, "mul", lambda a, b: products.append(a) or mul_(a, b))
+    E._combine(P, [E.var(j) for j in range(P.shape[1])])
+    assert len(products) == np.count_nonzero(P) == 54
 
 
 def test_product_skips_pairs_whose_basis_product_is_zero():

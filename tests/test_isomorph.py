@@ -94,6 +94,14 @@ def test_transfer_identity_function():
     assert norm(g(y) - y) <= 1e-15
 
 
+def test_transfer_through_the_identity_keeps_the_nodes():
+    Q = get_algebra("quaternions")
+    m = LinMap(source=Q, target=Q, matrix=np.eye(4))
+    f = poly_fn(Q, [0.0] * 10 + [1.0])  # z^10
+    g = transfer_function(m, f)
+    assert all(a is b for a, b in zip(g.components, f.components, strict=True))
+
+
 def test_transfer_round_trip():
     m = pairs_to_hyperbolic()
     f = poly_fn(m.source, [m.source.element([1.0, -1.0]), 0.0, 1.0])
