@@ -452,9 +452,6 @@ def main(argv=None) -> int:
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except RecursionError:
-        print("error: expression too deeply nested", file=sys.stderr)
-        return EXIT_INPUT
     except Exception as exc:  # a malformed input no check above names
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -20,7 +20,8 @@ import math
 import operator
 import re
 import weakref
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple
 
@@ -85,11 +86,13 @@ class Op(Expr):
     exponent of ``^``, else None.  Nodes are hash-consed: the constructor returns
     the live node with equal fields from ``_NODES`` if there is one, so equal
     trees are one object, and equality and hashing are identity, whatever the
-    tree's size."""
+    tree's size.  ``partials`` maps a coordinate to the node's partial
+    derivative, taken by :func:`diff` and held as long as the node lives."""
 
     op: str
     args: tuple[Expr, ...]
     k: int | None = None
+    partials: dict[int, Expr] = field(repr=False)
 
     def __new__(cls, op: str, args: tuple[Expr, ...], k: int | None = None) -> "Op":
         key = (op, args, k)
@@ -99,6 +102,7 @@ class Op(Expr):
             object.__setattr__(node, "op", op)
             object.__setattr__(node, "args", args)
             object.__setattr__(node, "k", k)
+            object.__setattr__(node, "partials", {})
             _NODES[key] = node
         return node
 
@@ -285,6 +289,31 @@ def _apply(fn, e: Op, operands):
     return fn(*operands) if e.k is None else fn(*operands, e.k)
 
 
+def _postorder(roots, skip=None) -> list[Expr]:
+    """Each distinct coordinate and operator node of the trees ``roots`` once,
+    after its operands, in the order the trees evaluate, by a walk with its own
+    stack; constants, and the operator nodes for which ``skip`` is true, with
+    what is reached only through them, are left out."""
+    order: list[Expr] = []
+    walked: dict[Expr, bool] = {}  # False while a node's operands are walked, then True
+    stack = list(reversed(roots))
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Lit):
+            continue
+        state = walked.get(e)
+        if state:
+            continue
+        if state is False or isinstance(e, Var):
+            walked[e] = True
+            order.append(e)
+        elif skip is None or not skip(e):
+            walked[e] = False
+            stack.append(e)
+            stack.extend(reversed(e.args))
+    return order
+
+
 # Every constant fold, in the smart constructors and the parser, computes as
 # evaluation does and refuses a value that is not finite, as evaluation does.
 def _fold(op: str, a: float, b: float) -> Lit:
@@ -467,18 +496,17 @@ def evaluate(e: Expr, point) -> float:
     As in compiled evaluation, only the result must be finite: ``1/exp(x1)``
     at x1 = 1000 is 0, and ``exp(x1)`` there raises DomainError.
     """
-    value = _interpret(e, point)
-    if not math.isfinite(value):
+    values: dict[Expr, float] = {}
+
+    def value(a: Expr) -> float:
+        return a.value if isinstance(a, Lit) else values[a]
+
+    for node in _postorder((e,)):
+        values[node] = (float(point[node.index]) if isinstance(node, Var)
+                        else _apply(_OPS[node.op].fn, node, [value(a) for a in node.args]))
+    if not math.isfinite(value(e)):
         raise DomainError(_NOT_FINITE)
-    return value
-
-
-def _interpret(e: Expr, point) -> float:
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, Var):
-        return float(point[e.index])
-    return _apply(_OPS[e.op].fn, e, [_interpret(a, point) for a in e.args])
+    return value(e)
 
 
 def _kernel_source(exprs: tuple[Expr, ...]) -> str:
@@ -489,23 +517,17 @@ def _kernel_source(exprs: tuple[Expr, ...]) -> str:
     names: dict[Expr, str] = {}
     lines = ["def kernel(x):"]
 
-    def emit(e: Expr) -> str:
-        if isinstance(e, Lit):
-            return repr(e.value)
-        name = names.get(e)
-        if name is None:
-            if isinstance(e, Var):
-                # a batch row is a new view on every x[I], so read it once
-                name = names[e] = f"x{e.index}"
-                lines.append(f"    {name} = x[{e.index}]")
-            else:
-                operands = [emit(a) for a in e.args]
-                name = names[e] = f"t{len(names)}"
-                lines.append(f"    {name} = {_OPS[e.op].source.format(*operands, k=e.k)}")
-        return name
+    def name(a: Expr) -> str:
+        return repr(a.value) if isinstance(a, Lit) else names[a]
 
-    outputs = [emit(e) for e in exprs]
-    lines.append(f"    return ({''.join(o + ',' for o in outputs)})")
+    for e in _postorder(exprs):
+        if isinstance(e, Var):
+            # a batch row is a new view on every x[I], so read it once
+            source, names[e] = f"x[{e.index}]", f"x{e.index}"
+        else:
+            source, names[e] = _OPS[e.op].source.format(*map(name, e.args), k=e.k), f"t{len(names)}"
+        lines.append(f"    {names[e]} = {source}")
+    lines.append(f"    return ({''.join(name(e) + ',' for e in exprs)})")
     return "\n".join(lines)
 
 
@@ -555,30 +577,35 @@ def eval_compiled(kernel, x: np.ndarray) -> np.ndarray:
 # printing
 # ---------------------------------------------------------------------------
 
-def _prec(e: Expr) -> int:
-    return _OPS[e.op].prec if isinstance(e, Op) else _ATOM
-
-
-def _wrap(e: Expr, prec: int) -> str:
-    s = to_str(e)
-    return f"({s})" if _prec(e) < prec else s
-
-
 def to_str(e: Expr) -> str:
     """Render with minimal parentheses; reparsing evaluates identically."""
-    if isinstance(e, Lit):
-        # full repr precision so that printing and reparsing round-trips
-        s = str(int(e.value)) if e.value == int(e.value) and abs(e.value) < 1e15 else repr(e.value)
-        return f"({s})" if e.value < 0 else s
-    if isinstance(e, Var):
-        return e.name
-    o = _OPS[e.op]
-    # an operand binding looser than the operator is parenthesised, and so is
-    # the last one when it binds as loosely: a - (b - c), (x1^2)^3, -(-x1)
-    last = len(e.args) - 1
-    operands = [_wrap(a, o.prec + (j == last)) for j, a in enumerate(e.args)]
-    k = f"({e.k})" if e.k is not None and e.k < 0 else e.k
-    return o.text.format(*operands, k=k)
+    order = _postorder((e,))
+    # a text is dropped at its last use: a long chain holds no text per prefix
+    uses = Counter(a for node in order if isinstance(node, Op) for a in node.args)
+    printed: dict[Expr, tuple[str, int]] = {}
+
+    def text(a: Expr, prec: int = 0) -> str:
+        if isinstance(a, Lit):
+            # full repr precision so that printing and reparsing round-trips
+            s = str(int(a.value)) if a.value == int(a.value) and abs(a.value) < 1e15 else repr(a.value)
+            s, p = (f"({s})" if a.value < 0 else s), _ATOM
+        else:
+            uses[a] -= 1
+            s, p = printed[a] if uses[a] else printed.pop(a)
+        return f"({s})" if p < prec else s
+
+    for node in order:
+        if isinstance(node, Var):
+            printed[node] = node.name, _ATOM
+            continue
+        o = _OPS[node.op]
+        # an operand binding looser than the operator is parenthesised, and so is
+        # the last one when it binds as loosely: a - (b - c), (x1^2)^3, -(-x1)
+        last = len(node.args) - 1
+        operands = [text(a, o.prec + (j == last)) for j, a in enumerate(node.args)]
+        k = f"({node.k})" if node.k is not None and node.k < 0 else node.k
+        printed[node] = o.text.format(*operands, k=k), o.prec
+    return text(e)
 
 
 # ---------------------------------------------------------------------------
@@ -587,14 +614,18 @@ def to_str(e: Expr) -> str:
 
 @lru_cache(maxsize=65536)
 def diff(e: Expr, i: int) -> Expr:
-    """Exact partial derivative with respect to coordinate i (0-based)."""
-    if isinstance(e, Lit):
-        return _ZERO
-    if isinstance(e, Var):
-        return _ONE if e.index == i else _ZERO
-    # map calls diff from C: a list comprehension is a third frame per tree
-    # level on Python 3.11, so long sums would hit the recursion limit here
-    return _OPS[e.op].rule(e, list(map(diff, e.args, (i,) * len(e.args))))
+    """Exact partial derivative with respect to coordinate i (0-based).  Each
+    node holds its partials, so its rule is applied once per coordinate, however
+    many trees and calls share it."""
+    def partial_of(a: Expr) -> Expr:
+        if isinstance(a, Op):
+            return a.partials[i]
+        return _ONE if isinstance(a, Var) and a.index == i else _ZERO
+
+    for node in _postorder((e,), skip=lambda a: i in a.partials):
+        if isinstance(node, Op):
+            node.partials[i] = _OPS[node.op].rule(node, [partial_of(a) for a in node.args])
+    return partial_of(e)
 
 
 @lru_cache(maxsize=16384)
@@ -607,20 +638,18 @@ def derive(e: Expr, orders: tuple[int, ...]) -> Expr:
     return out
 
 
-def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
-    """Replace variables by expressions (for composition), rebuilding each distinct node once."""
-    memo: dict[Op, Expr] = {}
+def substitute(exprs: tuple[Expr, ...], mapping: dict[int, Expr]) -> tuple[Expr, ...]:
+    """Replace variables by expressions in every tree (for composition),
+    rebuilding each distinct node of all the trees once."""
+    memo: dict[Expr, Expr] = {}
 
-    def rebuild(e: Expr) -> Expr:
-        if isinstance(e, Lit):
-            return e
-        if isinstance(e, Var):
-            return mapping.get(e.index, e)
-        if e not in memo:
-            memo[e] = _apply(_OPS[e.op].make, e, [rebuild(a) for a in e.args])
-        return memo[e]
+    def rebuilt(a: Expr) -> Expr:
+        return a if isinstance(a, Lit) else memo[a]
 
-    return rebuild(e)
+    for node in _postorder(exprs):
+        memo[node] = (mapping.get(node.index, node) if isinstance(node, Var)
+                      else _apply(_OPS[node.op].make, node, [rebuilt(a) for a in node.args]))
+    return tuple(map(rebuilt, exprs))
 
 
 # ---------------------------------------------------------------------------

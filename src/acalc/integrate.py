@@ -174,10 +174,7 @@ def segment(p: AElement, q: AElement) -> Polyline:
 def reverse_curve(curve: Curve) -> Curve:
     if isinstance(curve, Polyline):
         return Polyline(vertices=tuple(reversed(curve.vertices)))
-    flipped = tuple(
-        substitute(c, {0: sub(lit(curve.t0 + curve.t1), var(0, "t"))})
-        for c in curve.components
-    )
+    flipped = substitute(curve.components, {0: sub(lit(curve.t0 + curve.t1), var(0, "t"))})
     return ParametricCurve(algebra=curve.algebra, components=flipped,
                            t0=curve.t0, t1=curve.t1)
 

@@ -116,8 +116,7 @@ def transfer_function(m: LinMap, f: ExprFn) -> ExprFn:
     if not f.algebra.same_structure(m.source):
         raise AlgebraMismatch("function does not live on the source of the map")
     rows = _combine(m.inverse.matrix, [var(i) for i in range(m.source.dim)])
-    composed = [substitute(c, dict(enumerate(rows))) for c in f.components]
-    return ExprFn(m.target, _combine(m.matrix, composed))
+    return ExprFn(m.target, _combine(m.matrix, substitute(f.components, dict(enumerate(rows)))))
 
 
 def wave_isomorphism(c: float = 1.0) -> LinMap:
@@ -151,8 +150,9 @@ def dalembert_solution(c: float, f1_src: str = "sin(s)", f2_src: str = "s^2"):
     F1, F2 are one-variable expressions in ``s``.  Returns (function, map).
     """
     iso = wave_isomorphism(c)
+    # profile i reads coordinate i of R x R, named s (or x1, its one coordinate)
     profiles = ExprFn(iso.target, tuple(
-        substitute(parse(src, 1, names={"s": 0}), {0: var(i)}) for i, src in enumerate((f1_src, f2_src))
+        parse(src, 1, names={"s": i, "x1": i}) for i, src in enumerate((f1_src, f2_src))
     ))
     return transfer_function(iso.inverse, profiles), iso
 

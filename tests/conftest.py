@@ -13,6 +13,19 @@ def commutative_fixtures(fixtures):
     return {name: a for name, a in fixtures.items() if a.commutative}
 
 
+def distinct_ops(trees) -> set:
+    """The operator nodes of the trees, each once, by a walk of its own."""
+    from acalc.expr import Op
+
+    seen, todo = set(), list(trees)
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Op) and e not in seen:
+            seen.add(e)
+            todo.extend(e.args)
+    return seen
+
+
 def random_element(algebra, rng, scale=2.0):
     return algebra.element(rng.uniform(-scale, scale, algebra.dim))
 

@@ -205,13 +205,7 @@ def test_chain_rule(commutative_fixtures):
     for a in commutative_fixtures.values():
         f = poly_fn(a, [0.0, 0.0, 1.0])              # z^2
         g = poly_fn(a, [a.one(), 2.0, 0.0, 1.0])     # 1 + 2z + z^3
-        composed = ExprFn(
-            a,
-            tuple(
-                substitute(c, {i: g.components[i] for i in range(a.dim)})
-                for c in f.components
-            ),
-        )
+        composed = ExprFn(a, substitute(f.components, dict(enumerate(g.components))))
         p = random_element(a, rng, scale=1.0)
         lhs = derivative(composed, p)
         rhs = mul(derivative(f, g(p)), derivative(g, p))

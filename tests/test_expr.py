@@ -2,7 +2,9 @@ import copy
 import gc
 import math
 import pickle
+import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,9 +38,10 @@ from acalc.expr import (
     to_str,
 )
 from acalc.algebra import mul
+from acalc.calculus import taylor_eval
 from acalc.fixtures import bundled_algebras, get_algebra
 
-from conftest import random_element
+from conftest import distinct_ops, random_element
 
 
 # ---------------------------------------------------------------------------
@@ -285,25 +288,77 @@ def test_compiled_point_equals_interpreter_bit_for_bit(trees, point):
     assert [float(v).hex() for v in got] == [v.hex() for v in want]
 
 
-def _distinct_ops(trees) -> set:
-    seen, todo = set(), list(trees)
-    while todo:
-        e = todo.pop()
-        if isinstance(e, Op) and e not in seen:
-            seen.add(e)
-            todo.extend(e.args)
-    return seen
-
-
 def test_kernel_has_one_line_per_distinct_operator_node():
     Q = get_algebra("quaternions")
     f = poly_fn(Q, [0.0] * 8 + [1.0])  # z^8
     lines = E._kernel_source(f.components).splitlines()
     assignments = [line for line in lines if line.lstrip().startswith("t")]
-    assert len(assignments) == len(_distinct_ops(f.components))
+    assert len(assignments) == len(distinct_ops(f.components))
     assert len(set(line.split(" = ")[1] for line in assignments)) == len(assignments)
     # besides: the def, one read of each coordinate and the return
     assert len(lines) == len(assignments) + 1 + Q.dim + 1
+
+
+def _assert_postorder(trees):
+    order = E._postorder(trees)
+    position = {e: j for j, e in enumerate(order)}
+    ops = distinct_ops(trees)
+    # each distinct coordinate and operator node once, and no constant
+    assert len(position) == len(order)
+    assert {e for e in order if isinstance(e, Op)} == ops
+    assert {e for e in order if not isinstance(e, Op)} == {
+        a for a in (*trees, *(a for op in ops for a in op.args)) if isinstance(a, Var)}
+    # every operand before its user
+    assert all(position[a] < position[e] for e in ops for a in e.args if not isinstance(a, Lit))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tree_tuples())
+def test_postorder_lists_each_node_once_after_its_operands(trees):
+    _assert_postorder(trees)
+
+
+def test_postorder_of_every_fixture_z6_jacobian(fixtures):
+    for a in fixtures.values():
+        f = poly_fn(a, [0.0] * 6 + [1.0])
+        _assert_postorder(f.components + tuple(diff(c, i) for c in f.components for i in range(a.dim)))
+
+
+def _count_rules(monkeypatch) -> list:
+    """The node of each derivative-rule application, in order."""
+    applied = []
+    for name, o in E._OPS.items():
+        monkeypatch.setitem(E._OPS, name, o._replace(
+            rule=lambda e, d, rule=o.rule: applied.append(e) or rule(e, d)))
+    return applied
+
+
+def test_each_rule_is_applied_once_per_node_and_coordinate(monkeypatch):
+    applied = _count_rules(monkeypatch)
+
+    def held():
+        return {node: len(node.partials) for node in list(E._NODES.values())}
+
+    # the Taylor chain diffs each derivative along the unity, and the trees of
+    # its steps share nodes; the coefficient makes the top nodes new here
+    A = get_algebra("CxC")
+    f = poly_fn(A, [0.0] * 12 + [0.625])
+    before = held()
+    taylor_eval(f, A.element([0.3, 0.4, 0.5, 0.6]), A.element([0.01, 0.02, 0.03, 0.04]), 12)
+    after = held()
+    # so each application holds a partial along one more coordinate on its node
+    assert applied
+    assert all(after[e] - before.get(e, 0) == k for e, k in Counter(applied).items())
+
+    e = parse("sin(x1*x2)/(x1 + 0.123456789)^3 - exp(x2*x1)", 2)
+    applied.clear()
+    d = diff(e, 0)
+    assert e in applied and len(applied) == len(set(applied))
+    applied.clear()
+    assert diff.__wrapped__(e, 0) is d  # past the cache of diff
+    assert applied == []
+    diff(E.call("cos", e), 0)
+    assert applied == [E.call("cos", e)]
 
 
 def test_equal_long_trees_compare_without_recursion():
@@ -314,6 +369,24 @@ def test_equal_long_trees_compare_without_recursion():
     assert a == b and hash(a) == hash(b)
     assert a != parse(src + "+1", 1)
     assert a != parse(src.replace("x1+", "x1-", 1), 1)
+
+
+def test_every_pass_takes_a_sum_of_any_length():
+    # 10,000 levels deep, far past the recursion limit
+    src = "+".join(["x1"] + ["1"] * 9999)
+    e = parse(src, 1)
+    assert evaluate(e, (0.5,)) == 9999.5
+    assert E.eval_compiled(compile_expr((e,)), np.array([0.5])).tolist() == [9999.5]
+    assert diff(e, 0) == Lit(1.0)
+    assert substitute((e,), {0: E.var(0)}) == (e,)
+    # each prefix's text is dropped once it is used, so printing holds a few
+    # texts at a time, not the 200 MB of all 10,000 prefixes
+    tracemalloc.start()
+    try:
+        assert to_str(e) == src.replace("+", " + ")
+        assert tracemalloc.get_traced_memory()[1] < 10_000_000
+    finally:
+        tracemalloc.stop()
 
 
 def test_copies_and_pickles_return_the_live_node():
@@ -404,10 +477,10 @@ def test_diff_vs_fd_property():
 
 
 def test_substitute_composition():
-    outer = parse("x1^2 + x2", 2)
+    outer = (parse("x1^2 + x2", 2), parse("x1*x2", 2))
     composed = substitute(outer, {0: parse("x2 - 1", 2), 1: parse("3*x1", 2)})
-    # f(g) with g = (x2-1, 3*x1): (x2-1)^2 + 3*x1
-    assert evaluate(composed, (2.0, 5.0)) == 16.0 + 6.0
+    # f(g) with g = (x2-1, 3*x1): ((x2-1)^2 + 3*x1, (x2-1)*3*x1)
+    assert [evaluate(c, (2.0, 5.0)) for c in composed] == [16.0 + 6.0, 4.0 * 6.0]
 
 
 def test_substitute_rebuilds_each_distinct_node_once(monkeypatch):
@@ -417,10 +490,9 @@ def test_substitute_rebuilds_each_distinct_node_once(monkeypatch):
     apply = E._apply
     monkeypatch.setattr(E, "_apply", lambda fn, e, operands: rebuilt.append(e) or apply(fn, e, operands))
     identity = {i: E.var(i) for i in range(Q.dim)}
-    for c in f.components:
-        rebuilt.clear()
-        assert substitute(c, identity) is c
-        assert len(rebuilt) == len(_distinct_ops([c]))
+    # one memo for all four components, so a node they share is rebuilt once
+    assert all(a is b for a, b in zip(substitute(f.components, identity), f.components, strict=True))
+    assert len(rebuilt) == len(set(rebuilt)) == len(distinct_ops(f.components)) == 306
 
 
 # ---------------------------------------------------------------------------

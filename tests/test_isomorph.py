@@ -3,6 +3,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
+from acalc import expr as E
 from acalc.algebra import Kind, classify, invert, mul, norm
 from acalc.calculus import adiff_test, derivative
 from acalc.errors import AlgebraMismatch, NotAnIsomorphism
@@ -19,7 +20,7 @@ from acalc.isomorph import (
     wave_isomorphism,
 )
 
-from conftest import random_element
+from conftest import distinct_ops, random_element
 
 
 def test_pairs_to_hyperbolic_verifies():
@@ -94,12 +95,17 @@ def test_transfer_identity_function():
     assert norm(g(y) - y) <= 1e-15
 
 
-def test_transfer_through_the_identity_keeps_the_nodes():
+def test_transfer_through_the_identity_keeps_the_nodes(monkeypatch):
     Q = get_algebra("quaternions")
     m = LinMap(source=Q, target=Q, matrix=np.eye(4))
     f = poly_fn(Q, [0.0] * 10 + [1.0])  # z^10
+    rebuilt = []
+    apply = E._apply
+    monkeypatch.setattr(E, "_apply", lambda fn, e, operands: rebuilt.append(e) or apply(fn, e, operands))
     g = transfer_function(m, f)
     assert all(a is b for a, b in zip(g.components, f.components, strict=True))
+    # each node of the four components is rebuilt once, not once per component
+    assert len(rebuilt) == len(set(rebuilt)) == len(distinct_ops(f.components)) == 306
 
 
 def test_transfer_round_trip():
