@@ -90,7 +90,7 @@ class Algebra:
     def cr_projector(self) -> np.ndarray:
         """Shape (n^2, n^2): P = I - rep_basis (I kron unity^T).  For a Jacobian
         J, ``P @ J.ravel()`` is vec(J - M(J 1)), the residual of the generalized
-        Cauchy-Riemann equations."""
+        Cauchy-Riemann equations; :func:`acalc.eqgen.gen_cr` writes out its rows."""
         return _freeze(np.eye(self.dim ** 2) - self.rep_basis @ self._unity_rows)
 
     @cached_property

@@ -3,9 +3,9 @@
 Two families are produced from the multiplication structure alone:
 
 * the n^2 - n first-order component equations characterizing
-  algebra-differentiability (one vector equation
-  d f/d x_j = (d f/d x_1) * v_j per non-unity basis vector, expanded into
-  scalar equations), and
+  algebra-differentiability: the rows of the algebra's ``cr_projector``,
+  the components of d f/d x_j = (d f/d 1) * v_j with d/d1 the derivative
+  along the unity, less the block of the first j with u_j != 0, and
 * second- and higher-order equations: every vanishing symmetric combination
   sum B_I v_{i_1} * ... * v_{i_k} = 0 of basis products forces
   sum B_I d^k Phi / d x_{i_1} ... d x_{i_k} = 0 on every scalar component
@@ -25,11 +25,7 @@ from math import comb
 import numpy as np
 
 from .algebra import Algebra
-from .errors import (
-    CombinatorialLimit,
-    NonCommutativeUnsupported,
-    UnityNotFirst,
-)
+from .errors import CombinatorialLimit, DimensionMismatch, NonCommutativeUnsupported
 from .expr import ExprFn, compile_expr, derive, eval_compiled
 
 __all__ = [
@@ -84,22 +80,23 @@ def _orders_from_pair(index_tuple: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 
 def gen_cr(algebra: Algebra) -> EquationSystem:
-    """The n(n-1) scalar equations equivalent to differentiability over A."""
-    if not algebra.unity_first:
-        raise UnityNotFirst("component equations need v_1 = 1")
-    n = algebra.dim
-    C = algebra.structure
+    """The n^2 - n scalar equations equivalent to differentiability over A.
+
+    Row k*n + j of ``algebra.cr_projector`` is the equation
+    d f_k/d x_j - ((d f/d 1) * v_j)_k = 0, d/d1 the derivative along the
+    unity u.  The n relations sum_j u_j row(k, j) = 0 each use the block
+    j0 of the first nonzero u_j, so the rows outside it are independent.
+    Each equation leads with its d f_k/d x_j term, then follows column
+    order, and its first coefficient is positive."""
+    n, P = algebra.dim, algebra.cr_projector
+    j0 = int(np.flatnonzero(algebra.unity)[0])
     equations = []
-    for j in range(1, n):
-        dj = _orders_from_pair((j,), n)
-        d1 = _orders_from_pair((0,), n)
-        for k in range(n):
-            terms = [Term(1.0, dj, k)]
-            for i in range(n):
-                c = C[i, j, k]
-                if c != 0.0:
-                    terms.append(Term(-float(c), d1, i))
-            equations.append(Equation(tuple(terms)))
+    for r in (k * n + j for j in range(n) if j != j0 for k in range(n)):
+        cols = sorted(np.flatnonzero(P[r]).tolist(), key=lambda c: c != r)
+        sign = -1.0 if P[r, cols[0]] < 0 else 1.0
+        equations.append(Equation(tuple(
+            Term(sign * float(P[r, c]), _orders_from_pair((c % n,), n), c // n) for c in cols
+        )))
     return EquationSystem(kind="CR", order=1, algebra=algebra, equations=tuple(equations))
 
 
@@ -214,18 +211,13 @@ def check_residual(system: EquationSystem, f: ExprFn, grid) -> float:
 _DEFAULT_COMPONENTS = {2: ("u", "v"), 3: ("u", "v", "w")}
 
 
-def _coord_names(n: int, coords=None) -> tuple[str, ...]:
-    if coords is not None:
-        return tuple(coords)
-    if n <= 3:
-        return ("x", "y", "z")[:n]
-    return tuple(f"x{i + 1}" for i in range(n))
-
-
-def _component_names(n: int, components=None) -> tuple[str, ...]:
-    if components is not None:
-        return tuple(components)
-    return _DEFAULT_COMPONENTS.get(n, tuple(f"u{i + 1}" for i in range(n)))
+def _names(given, n: int, kind: str, default) -> tuple[str, ...]:
+    """The n given names, else ``default``."""
+    if given is None:
+        return default
+    if len(given := tuple(given)) != n:
+        raise DimensionMismatch(f"expected {n} {kind} names, got {len(given)}")
+    return given
 
 
 def _fmt_coeff(c: float, latex: bool) -> str:
@@ -252,8 +244,10 @@ def render_system(system: EquationSystem, coords=None, components=None,
                   latex: bool = False) -> list[str]:
     """Human-readable equation strings, one per generated equation."""
     n = system.algebra.dim
-    names = _coord_names(n, coords)
-    comps = _component_names(n, components)
+    names = _names(coords, n, "coordinate",
+                   ("x", "y", "z")[:n] if n <= 3 else tuple(f"x{i + 1}" for i in range(n)))
+    comps = _names(components, n, "component",
+                   _DEFAULT_COMPONENTS.get(n, tuple(f"u{i + 1}" for i in range(n))))
     lines = []
     for eq in system.equations:
         parts = []

@@ -100,10 +100,6 @@ class NonInvertibleBasis(AcalcError):
     """Conjugate variables need a basis of units starting with the unity."""
 
 
-class UnityNotFirst(AcalcError):
-    """The operation requires the first basis vector to be the unity."""
-
-
 class NonCommutativeUnsupported(AcalcError):
     """The operation is only defined for commutative algebras."""
 

@@ -110,6 +110,10 @@ class Op(Expr):
         # copy, deepcopy and unpickling then return the live node
         return Op, (self.op, self.args, self.k)
 
+    def __repr__(self) -> str:
+        # the walk of to_str, not the dataclass repr's recursion through args
+        return f"Op({to_str(self)!r})"
+
 
 _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -178,6 +180,47 @@ def test_gen_cr_dual(capsys):
     assert code == 0
     assert "u_y = 0" in out
     assert "v_y - u_x = 0" in out
+
+
+@pytest.mark.parametrize("name, count", [("mat2", 12), ("triangular6", 30)])
+def test_gen_cr_where_the_unity_is_not_v1(capsys, name, count):
+    code, out, err = run(capsys, "gen-cr", "--algebra", name)
+    assert (code, len(out.splitlines()), err) == (0, count, "")
+
+
+@pytest.mark.parametrize("command", ["gen-cr", "gen-laplace"])
+@pytest.mark.parametrize("flag, names, kind", [
+    ("--coords", "x", "coordinate names, got 1"),
+    ("--coords", "x,y,z", "coordinate names, got 3"),
+    ("--components", "u", "component names, got 1"),
+    ("--components", "u,v,w", "component names, got 3"),
+])
+def test_name_counts_must_match_the_dimension(capsys, command, flag, names, kind):
+    code, out, err = run(capsys, command, "--algebra", "C", flag, names)
+    assert (code, out, err) == (2, "", f"error: expected 2 {kind}\n")
+
+
+GEN_CR_GOLDEN = Path(__file__).resolve().parent / "data" / "gen_cr_unity_first.txt"
+# every fixture whose unity is v_1, and one wave algebra built from a spec
+UNITY_FIRST = ("R", "C", "H", "dual", "dual3", "dual4", "3-hyperbolic", "4-hyperbolic",
+               "quaternions", "wave", "wave2", "wave:3.5")
+
+
+def _gen_cr_outputs() -> str:
+    """The stdout and exit code of ``gen-cr`` in each format on each UNITY_FIRST algebra."""
+    blocks = []
+    for name in UNITY_FIRST:
+        for fmt in ("text", "json", "latex"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["gen-cr", "--algebra", name, "--format", fmt])
+            blocks.append(f"### gen-cr --algebra {name} --format {fmt}: exit {code}\n"
+                          f"{out.getvalue()}")
+    return "".join(blocks)
+
+
+def test_gen_cr_output_is_pinned_on_unity_first_algebras():
+    assert _gen_cr_outputs().encode("utf-8") == GEN_CR_GOLDEN.read_bytes()
 
 
 def test_gen_laplace_trihyperbolic(capsys):

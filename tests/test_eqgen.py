@@ -4,6 +4,8 @@ from math import comb
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acalc.calculus import adiff_test
 from acalc.eqgen import (
@@ -15,9 +17,9 @@ from acalc.eqgen import (
     gen_laplace_k,
     render_system,
 )
-from acalc.errors import NonCommutativeUnsupported, UnityNotFirst
-from acalc.expr import conjugate_fn, poly_fn
-from acalc.fixtures import get_algebra, wave_algebra
+from acalc.errors import NonCommutativeUnsupported
+from acalc.expr import conjugate_fn, constant_fn, exprfn_mul, identity_fn, poly_fn
+from acalc.fixtures import bundled_algebras, get_algebra, wave_algebra
 from acalc.algebra import make_algebra, mul
 
 from conftest import random_element, random_elements
@@ -82,14 +84,48 @@ def test_cr_complex_exact():
 
 def test_cr_count_is_n_squared_minus_n(fixtures):
     for a in fixtures.values():
-        if not np.allclose(a.unity, np.eye(a.dim)[0]):
-            continue
         assert len(gen_cr(a).equations) == a.dim * a.dim - a.dim
 
 
-def test_cr_requires_unity_first():
-    with pytest.raises(UnityNotFirst):
-        gen_cr(get_algebra("RxR"))
+def _permuted(a, perm):
+    """``a`` over the basis w_i = v_perm[i]."""
+    perm = np.array(perm)
+    return make_algebra(a.dim, a.structure[np.ix_(perm, perm, perm)], a.unity[perm],
+                        name=f"{a.name}-perm")
+
+
+def test_cr_rows_span_the_projector_rows(fixtures):
+    """Each equation is a row of P over vec(J), index k*n + j for d f_k/d x_j;
+    the n^2 - n of them are independent and span P's row space, also where
+    the unity's first coordinate is 0."""
+    swapped = (_permuted(fixtures["C"], [1, 0]), _permuted(fixtures["mat2"], [1, 0, 2, 3]))
+    for a in (*fixtures.values(), *swapped):
+        n = a.dim
+        P = a.cr_projector
+        G = np.zeros((len(gen_cr(a)), n * n))
+        for r, eq in enumerate(gen_cr(a).equations):
+            for t in eq.terms:
+                assert type(t.component) is int
+                G[r, t.component * n + t.orders.index(1)] = t.coeff
+        rank = np.linalg.matrix_rank
+        assert rank(G) == rank(P) == rank(np.vstack([G, P])) == n * n - n, a.name
+
+
+def test_cr_rxr_exact():
+    # the unity is v_1 + v_2, so d/d1 = d/dx + d/dy, and the block j = 1 is dropped
+    system = gen_cr(get_algebra("RxR"))
+    dx, dy = (1, 0), (0, 1)
+    assert list(system.equations) == [
+        Equation((Term(1.0, dy, 0),)),                      # u_y = 0
+        Equation((Term(1.0, dx, 1),)),                      # v_x = 0
+    ]
+    assert render_system(system) == ["u_y = 0", "v_x = 0"]
+
+
+def test_cr_complex_with_the_unity_second():
+    # v_1 = i and v_2 = 1: the block j = 2 is dropped, and d/d1 = d/dy
+    system = gen_cr(_permuted(get_algebra("C"), [1, 0]))
+    assert render_system(system) == ["u_x - v_y = 0", "v_x + u_y = 0"]
 
 
 def test_cr_rendering():
@@ -274,17 +310,36 @@ def test_residual_refuses_points_of_another_shape(grid):
 def test_cr_residual_matches_adiff_on_grid(commutative_fixtures):
     rng = np.random.default_rng(3)
     for a in commutative_fixtures.values():
-        if not np.allclose(a.unity, np.eye(a.dim)[0]) or a.dim < 2:
+        if a.dim < 2:
             continue
         system = gen_cr(a)
         good = poly_fn(a, [0.0, 0.0, 1.0])
+        # the 2nd conjugate acts per factor on RxR and RxRxR, so it is differentiable there
         bad = conjugate_fn(a, 2)
+        bad_is_adiff = a.name in ("RxR", "RxRxR")
         grid = random_elements(a, rng, 100)
         assert check_residual(system, good, grid) <= 1e-8
-        assert check_residual(system, bad, grid) > 0.1
+        assert (check_residual(system, bad, grid) <= 1e-8) == bad_is_adiff
+        if not bad_is_adiff:
+            assert check_residual(system, bad, grid) > 0.1
         for p in grid[:3]:
             assert adiff_test(good, p).is_adiff
-            assert not adiff_test(bad, p).is_adiff
+            assert adiff_test(bad, p).is_adiff == bad_is_adiff
+
+
+# integer coordinates make each residual exactly 0 or at least of order 1
+_INTS = st.integers(-3, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(bundled_algebras())), data=st.data())
+def test_cr_residual_verdict_is_the_adiff_verdict(name, data):
+    a = get_algebra(name)
+    c, p = (a.element(data.draw(st.lists(_INTS, min_size=a.dim, max_size=a.dim)))
+            for _ in range(2))
+    z, const = identity_fn(a), constant_fn(a, c)
+    for f in (exprfn_mul(const, z), exprfn_mul(z, const)):
+        assert (check_residual(gen_cr(a), f, [p]) <= 1e-9) == adiff_test(f, p).is_adiff
 
 
 def test_adiff_polynomials_solve_laplace(commutative_fixtures):

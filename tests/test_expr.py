@@ -387,6 +387,7 @@ def test_every_pass_takes_a_sum_of_any_length():
         assert tracemalloc.get_traced_memory()[1] < 10_000_000
     finally:
         tracemalloc.stop()
+    assert repr(e) == str(e) == f"Op({src.replace('+', ' + ')!r})"
 
 
 def test_copies_and_pickles_return_the_live_node():
