@@ -49,8 +49,10 @@ __all__ = [
 SINGULAR_RTOL = 1e-10
 # Absolute coordinate-norm below which an element counts as zero.
 ZERO_TOL = 1e-14
-# Shifts +/-c, c = 1, 1/2, 1/4, ..., of w + c*1 tried by find_invertible_basis.
+# Shifts +/-c, c = 1, 1/2, 1/4, ..., of w + c*1 tried by find_invertible_basis
+# after c = 0.
 MAX_UNIT_SHIFTS = 64
+_UNIT_SHIFTS = (0.0, *(s * 0.5 ** k for k in range(MAX_UNIT_SHIFTS) for s in (1.0, -1.0)))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -91,7 +93,11 @@ class Algebra:
         """Shape (n^2, n^2): P = I - rep_basis (I kron unity^T).  For a Jacobian
         J, ``P @ J.ravel()`` is vec(J - M(J 1)), the residual of the generalized
         Cauchy-Riemann equations; :func:`acalc.eqgen.gen_cr` writes out its rows."""
-        return _freeze(np.eye(self.dim ** 2) - self.rep_basis @ self._unity_rows)
+        P = np.eye(self.dim ** 2) - self.rep_basis @ self._unity_rows
+        # entries at most 1e-12 of their row's largest are rounding noise of
+        # an inexact table: exact 0, so gen_cr and cr_kernel read clean rows
+        P[np.abs(P) <= 1e-12 * np.abs(P).max(axis=1, keepdims=True)] = 0.0
+        return _freeze(P)
 
     @cached_property
     def cr_kernel(self):
@@ -104,6 +110,11 @@ class Algebra:
     def unity_kernel(self):
         """The kernel of vec(J) that returns J 1, the candidate derivative."""
         return _vec_kernel(self._unity_rows)
+
+    @cached_property
+    def basis_inverses(self) -> tuple[AElement | None, ...]:
+        """The inverse of each basis vector v_j, or None where v_j is not a unit."""
+        return tuple(classify(v).inverse for v in self.basis())
 
     @cached_property
     def unity_first(self) -> bool:
@@ -197,7 +208,7 @@ class AElement:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
+        return math.hypot(*self.coords.tolist())
 
     def allclose(self, other: "AElement", atol: float = 1e-12) -> bool:
         _check_same(self.algebra, other.algebra)
@@ -455,42 +466,22 @@ def minimal_polynomial_witness(x: AElement) -> AElement | None:
 def find_invertible_basis(algebra: Algebra) -> list[AElement]:
     """A basis of units starting with the unity.
 
-    Starting from {1} plus standard basis vectors, each zero-divisor entry w
-    is replaced by w + c*1 scanning c = 1, -1, 1/2, -1/2, ...; adding a
-    multiple of the first basis vector never breaks linear independence.
+    The unity and every standard basis vector e_i but e_m, m the last index
+    of a nonzero unity coordinate u_m, form a basis: their determinant is
+    +/-u_m.  Each of those e_i becomes its first unit e_i + c*1 over
+    c = 0, 1, -1, 1/2, -1/2, ...; adding a multiple of the unity keeps the
+    determinant.
     """
-    n = algebra.dim
     one = algebra.one()
-    chosen = [one]
-    rows = [one.coords]
-    for i in range(n):
-        if len(chosen) == n:
-            break
-        cand = algebra.basis_element(i)
-        stacked = np.vstack(rows + [cand.coords])
-        if np.linalg.matrix_rank(stacked) == len(chosen) + 1:
-            chosen.append(cand)
-            rows.append(cand.coords)
-    if len(chosen) != n:
-        raise SearchFailed("could not assemble an independent starting set")
-
+    others = algebra.basis()
+    del others[int(np.flatnonzero(algebra.unity)[-1])]
     result = [one]
-    for w in chosen[1:]:
-        if classify(w).kind is Kind.UNIT:
-            result.append(w)
-            continue
-        fixed = None
-        c = 1.0
-        for _ in range(MAX_UNIT_SHIFTS):
-            for signed in (c, -c):
-                cand = w + signed * one
-                if classify(cand).kind is Kind.UNIT:
-                    fixed = cand
-                    break
-            if fixed is not None:
+    for w in others:
+        for c in _UNIT_SHIFTS:
+            unit = w + c * one
+            if classify(unit).kind is Kind.UNIT:
                 break
-            c /= 2.0
-        if fixed is None:
+        else:
             raise SearchFailed(f"no unit of the form w + c*1 found within {MAX_UNIT_SHIFTS} attempts")
-        result.append(fixed)
+        result.append(unit)
     return result

@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AElement, Algebra, _freeze, invert, mul
-from .errors import DomainError, NonInvertibleBasis, NotADifferentiable, NotAUnit
+from .algebra import AElement, Algebra, _freeze, mul
+from .errors import DomainError, NonInvertibleBasis, NotADifferentiable
 from .expr import _NOT_FINITE, ExprFn
 
 __all__ = [
@@ -158,22 +158,19 @@ class ConjugateFrame:
 
 
 def conjugate_frame(algebra: Algebra) -> ConjugateFrame:
+    """The frame of the algebra's held ``basis_inverses``."""
     if not algebra.unity_first:
         raise NonInvertibleBasis("conjugates need the first basis vector to be the unity")
-    inverses = []
-    for j in range(1, algebra.dim):
-        vj = algebra.basis_element(j)
-        try:
-            inverses.append(invert(vj))
-        except NotAUnit as exc:
-            raise NonInvertibleBasis(
-                f"basis vector {algebra.basis_labels[j]!r} is not a unit"
-            ) from exc
-    return ConjugateFrame(algebra=algebra, inverse_basis=tuple(inverses))
+    inverses = algebra.basis_inverses[1:]
+    for label, inverse in zip(algebra.basis_labels[1:], inverses):
+        if inverse is None:
+            raise NonInvertibleBasis(f"basis vector {label!r} is not a unit")
+    return ConjugateFrame(algebra=algebra, inverse_basis=inverses)
 
 
-def conjugate_coords(frame: ConjugateFrame, zeta: AElement) -> list[AElement]:
+def conjugate_coords(frame: ConjugateFrame, zeta) -> list[AElement]:
     """The n-1 conjugates: the j-th flips the sign of coordinate j."""
+    zeta = frame.algebra.element(zeta)
     out = []
     for j in range(1, frame.algebra.dim):
         coords = zeta.coords.copy()
@@ -185,25 +182,24 @@ def conjugate_coords(frame: ConjugateFrame, zeta: AElement) -> list[AElement]:
 def _parse_which(which, dim: int) -> tuple[str, int | None]:
     if which == "zeta":
         return "zeta", None
-    if isinstance(which, str) and which.startswith("zbar"):
-        j = int(which[4:])
-    else:
+    if not (isinstance(which, str) and which.startswith("zbar") and which[4:].isdecimal()):
         raise ValueError(f"operator must be 'zeta' or 'zbar<j>', got {which!r}")
+    j = int(which[4:])
     if not 2 <= j <= dim:
         raise ValueError(f"conjugate index must be in 2..{dim}")
     return "zbar", j
 
 
-def wirtinger_apply(f: ExprFn, which: str, p, frame: ConjugateFrame | None = None) -> AElement:
+def wirtinger_apply(f: ExprFn, which: str, p) -> AElement:
     """Apply a Wirtinger operator to f at p using exact symbolic partials.
 
     ``which`` is ``"zeta"`` for
     (1/2)((3-n) d/dx1 + sum_j (1/v_j) d/dx_j), or ``"zbar<j>"`` for
-    (1/2)(d/dx1 - (1/v_j) d/dx_j).
+    (1/2)(d/dx1 - (1/v_j) d/dx_j); the 1/v_j are the algebra's held
+    ``basis_inverses``.
     """
     algebra = f.algebra
-    if frame is None:
-        frame = conjugate_frame(algebra)
+    frame = conjugate_frame(algebra)
     n = algebra.dim
     point = algebra.element(p)
     kind, j = _parse_which(which, n)

@@ -114,8 +114,7 @@ def cmd_classify(args) -> int:
 def cmd_invertible_basis(args) -> int:
     basis = alg.find_invertible_basis(args.algebra)
     for i, w in enumerate(basis):
-        kind = alg.classify(w).kind.value
-        print(f"w{i + 1}: {_fmt_vec(w.coords)}   ({kind})")
+        print(f"w{i + 1}: {_fmt_vec(w.coords)}   (unit)")
     return EXIT_OK
 
 

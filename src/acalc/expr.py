@@ -844,11 +844,10 @@ def exprfn_from_dict(doc: dict, algebra: Algebra) -> ExprFn:
 
 
 def load_function(path: str, algebra: Algebra | None = None) -> ExprFn:
-    """Load a function file: algebra name plus components or poly coefficients."""
-    from .fixtures import get_algebra
+    """Load a function file: algebra name plus components or poly coefficients.
+    A given ``algebra`` must have the structure of the declared one."""
+    from .fixtures import declared_algebra
 
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if algebra is None:
-        algebra = get_algebra(doc["algebra"])
-    return exprfn_from_dict(doc, algebra)
+    return exprfn_from_dict(doc, declared_algebra(doc, algebra))

@@ -16,12 +16,13 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import Algebra, make_algebra
-from .errors import DimensionMismatch
+from .errors import AlgebraMismatch, DimensionMismatch
 
 __all__ = [
     "bundled_algebras",
     "complex_algebra",
     "cyclic_algebra",
+    "declared_algebra",
     "direct_product",
     "dual_numbers",
     "get_algebra",
@@ -219,6 +220,16 @@ def get_algebra(name: str) -> Algebra:
     if key not in _FIXTURES:
         raise KeyError(f"unknown algebra {name!r}; known: {', '.join(sorted(_FIXTURES))}")
     return _fixture(key)
+
+
+def declared_algebra(doc, algebra: Algebra | None = None) -> Algebra:
+    """The algebra a function or curve file declares under ``"algebra"``.
+    A given ``algebra`` is returned in its place, and must have its structure,
+    else :class:`AlgebraMismatch`."""
+    declared = get_algebra(doc["algebra"])
+    if algebra is not None and not declared.same_structure(algebra):
+        raise AlgebraMismatch(f"the file declares algebra {declared.name!r}, not {algebra.name!r}")
+    return declared if algebra is None else algebra
 
 
 # ---------------------------------------------------------------------------

@@ -405,13 +405,13 @@ def load_curve(path: str, algebra: Algebra | None = None) -> Curve:
     Parametric: {"algebra": name, "kind": "parametric",
     "components": [exprs in t], "t0": a, "t1": b}.
     Polyline: {"algebra": name, "kind": "polyline", "vertices": [[...], ...]}.
+    A given ``algebra`` must have the structure of the declared one.
     """
-    from .fixtures import get_algebra
+    from .fixtures import declared_algebra
 
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if algebra is None:
-        algebra = get_algebra(doc["algebra"])
+    algebra = declared_algebra(doc, algebra)
     if doc.get("kind", "parametric") == "polyline":
         curve: Curve = Polyline(vertices=tuple(algebra.element(v) for v in doc["vertices"]))
     else:

@@ -189,16 +189,16 @@ def test_criterion_05_wirtinger_identities():
         checked += 1
         p = random_element(a, rng)
         ident = identity_fn(a)
-        if norm(wirtinger_apply(ident, "zeta", p, frame) - a.one()) > 1e-10:
+        if norm(wirtinger_apply(ident, "zeta", p) - a.one()) > 1e-10:
             ok = False
         for j in range(2, a.dim + 1):
             cj = conjugate_fn(a, j)
-            if norm(wirtinger_apply(cj, "zeta", p, frame)) > 1e-10:
+            if norm(wirtinger_apply(cj, "zeta", p)) > 1e-10:
                 ok = False
-            if norm(wirtinger_apply(ident, f"zbar{j}", p, frame)) > 1e-10:
+            if norm(wirtinger_apply(ident, f"zbar{j}", p)) > 1e-10:
                 ok = False
             for k in range(2, a.dim + 1):
-                got = wirtinger_apply(cj, f"zbar{k}", p, frame)
+                got = wirtinger_apply(cj, f"zbar{k}", p)
                 target = a.one() if j == k else a.zero()
                 if norm(got - target) > 1e-10:
                     ok = False
@@ -206,7 +206,7 @@ def test_criterion_05_wirtinger_identities():
             # the product identity needs commutativity: for quaternions the
             # conjugate derivative of zeta*conj2 is (zeta + i^-1 zeta i)/2
             f = exprfn_mul(identity_fn(a), conjugate_fn(a, 2))
-            if norm(wirtinger_apply(f, "zbar2", p, frame) - p) > 1e-10:
+            if norm(wirtinger_apply(f, "zbar2", p) - p) > 1e-10:
                 ok = False
     ok = ok and checked >= 7  # C, H, 3-/4-hyperbolic, waves, quaternions
     report(5, ok, "conjugate-variable independence table at 1e-10 on every "

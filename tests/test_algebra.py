@@ -495,6 +495,31 @@ def test_invertible_basis_all_fixtures(fixtures):
         _assert_invertible_basis(a, find_invertible_basis(a))
 
 
+def _rebased(algebra, S):
+    """``algebra`` on the basis whose k-th vector has coordinates S[:, k]."""
+    S_inv = np.linalg.inv(S)
+    C = np.einsum("ia,jb,ijk,ck->abc", S, S, algebra.structure, S_inv)
+    return make_algebra(algebra.dim, C, S_inv @ algebra.unity, name=f"{algebra.name}-rebased")
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_invertible_basis_of_rebased_fixtures(fixtures, seed):
+    rng = np.random.default_rng(seed)
+    for a in fixtures.values():
+        n = a.dim
+        rebased = _rebased(a, np.eye(n) + rng.uniform(-0.5, 0.5, (n, n)))
+        u = rebased.unity
+        assert n == 1 or np.count_nonzero(u) > 1
+        basis = find_invertible_basis(rebased)
+        assert len(basis) == n
+        assert basis[0].coords.tolist() == u.tolist()
+        assert all(classify(w).kind is Kind.UNIT for w in basis)
+        # the unity, the e_i but the last with u_i != 0, and shifts by the unity
+        det = np.linalg.det(np.vstack([w.coords for w in basis]))
+        assert abs(det) == pytest.approx(abs(u[np.flatnonzero(u)[-1]]), rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # norm and submultiplicative bound
 # ---------------------------------------------------------------------------
@@ -504,6 +529,14 @@ def test_norms():
     assert norm(H.one()) == 1.0
     assert abs(norm(H.element([1, 1])) - math.sqrt(2)) < 1e-15
     assert norm(H.zero()) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_norm_past_1e154_does_not_overflow():
+    C = get_algebra("C")
+    x = C.element([1e308, 1e308])
+    assert norm(x) == math.hypot(1e308, 1e308)
+    assert classify(x).kind is Kind.UNIT
 
 
 def test_submult_bound_values():

@@ -36,7 +36,7 @@ from acalc.expr import (
     poly_fn,
     substitute,
 )
-from acalc.fixtures import bundled_algebras, get_algebra, triangular6
+from acalc.fixtures import bundled_algebras, get_algebra, n_hyperbolic, triangular6
 from acalc.integrate import Polyline, antiderivative_probe, integrate_curve, ml_bound_check, riemann_sum
 
 from conftest import random_element
@@ -391,6 +391,31 @@ def test_conjugate_frame_inverses(fixtures):
             assert norm(prod - a.one()) <= 1e-10
 
 
+def test_repeat_frame_and_wirtinger_do_not_classify_again(monkeypatch):
+    import acalc.algebra as alg
+
+    calls = []
+    original = alg.classify
+    monkeypatch.setattr(alg, "classify", lambda x: calls.append(x) or original(x))
+    A3 = n_hyperbolic(3)  # a new algebra, whose basis inverses are not yet held
+    first = conjugate_frame(A3)
+    assert len(calls) == A3.dim
+    calls.clear()
+    again = conjugate_frame(A3)
+    assert all(x is y for x, y in zip(again.inverse_basis, first.inverse_basis))
+    wirtinger_apply(zeta_power(A3, 2), "zbar2", A3.element([0.3, -0.1, 1.1]))
+    assert calls == []
+
+
+def test_conjugate_coords_coerce_the_point():
+    C, H = get_algebra("C"), get_algebra("H")
+    frame = conjugate_frame(C)
+    (zbar,) = conjugate_coords(frame, [1.0, 2.0])
+    assert zbar.algebra is C and zbar.coords.tolist() == [1.0, -2.0]
+    with pytest.raises(AlgebraMismatch):
+        conjugate_coords(frame, H.element([1.0, 2.0]))
+
+
 def test_trihyperbolic_conjugate():
     A3 = get_algebra("3-hyperbolic")
     frame = conjugate_frame(A3)
@@ -447,13 +472,13 @@ def test_wirtinger_identity_table(fixtures):
             continue
         p = random_element(a, rng)
         ident = identity_fn(a)
-        assert norm(wirtinger_apply(ident, "zeta", p, frame) - a.one()) <= 1e-10
+        assert norm(wirtinger_apply(ident, "zeta", p) - a.one()) <= 1e-10
         for j in range(2, a.dim + 1):
             conj_j = conjugate_fn(a, j)
-            assert norm(wirtinger_apply(conj_j, "zeta", p, frame)) <= 1e-10
-            assert norm(wirtinger_apply(ident, f"zbar{j}", p, frame)) <= 1e-10
+            assert norm(wirtinger_apply(conj_j, "zeta", p)) <= 1e-10
+            assert norm(wirtinger_apply(ident, f"zbar{j}", p)) <= 1e-10
             for k in range(2, a.dim + 1):
-                val = wirtinger_apply(conj_j, f"zbar{k}", p, frame)
+                val = wirtinger_apply(conj_j, f"zbar{k}", p)
                 target = a.one() if j == k else a.zero()
                 assert norm(val - target) <= 1e-10, (name, j, k)
 
@@ -467,8 +492,8 @@ def test_wirtinger_product_zeta_zbar2():
         rng = np.random.default_rng(33)
         p = random_element(a, rng)
         conj = conjugate_coords(frame, p)
-        assert norm(wirtinger_apply(f, "zbar2", p, frame) - p) <= 1e-10
-        assert norm(wirtinger_apply(f, "zeta", p, frame) - conj[0]) <= 1e-10
+        assert norm(wirtinger_apply(f, "zbar2", p) - p) <= 1e-10
+        assert norm(wirtinger_apply(f, "zeta", p) - conj[0]) <= 1e-10
 
 
 def test_adiff_implies_conjugate_derivatives_vanish(fixtures):
@@ -483,7 +508,7 @@ def test_adiff_implies_conjugate_derivatives_vanish(fixtures):
         f = poly_fn(a, [a.one(), 2.0, 0.0, 1.0])
         p = random_element(a, rng)
         for j in range(2, a.dim + 1):
-            assert norm(wirtinger_apply(f, f"zbar{j}", p, frame)) <= 1e-9
+            assert norm(wirtinger_apply(f, f"zbar{j}", p)) <= 1e-9
 
 
 def test_wirtinger_inverse_relation(fixtures):
@@ -499,9 +524,9 @@ def test_wirtinger_inverse_relation(fixtures):
         coeffs = [random_element(a, rng), random_element(a, rng), random_element(a, rng)]
         f = poly_fn(a, coeffs)
         p = random_element(a, rng)
-        acc = wirtinger_apply(f, "zeta", p, frame)
+        acc = wirtinger_apply(f, "zeta", p)
         for j in range(2, a.dim + 1):
-            acc = acc + wirtinger_apply(f, f"zbar{j}", p, frame)
+            acc = acc + wirtinger_apply(f, f"zbar{j}", p)
         direct = f.partial(0)(p)
         assert norm(acc - direct) <= 1e-9 * max(1.0, norm(direct))
 
@@ -518,8 +543,8 @@ def test_wirtinger_inverse_relation_per_coordinate(fixtures):
             continue
         f = poly_fn(a, [random_element(a, rng), random_element(a, rng), 1.0])
         p = random_element(a, rng)
-        zeta_part = wirtinger_apply(f, "zeta", p, frame)
-        zbar_parts = [wirtinger_apply(f, f"zbar{j}", p, frame) for j in range(2, a.dim + 1)]
+        zeta_part = wirtinger_apply(f, "zeta", p)
+        zbar_parts = [wirtinger_apply(f, f"zbar{j}", p) for j in range(2, a.dim + 1)]
         total = zeta_part
         for z in zbar_parts:
             total = total + z
@@ -544,9 +569,9 @@ def test_wirtinger_product_rule(fixtures):
         h = exprfn_mul(f, g)
         p = random_element(a, rng)
         for which in ["zeta"] + [f"zbar{j}" for j in range(2, a.dim + 1)]:
-            lhs = wirtinger_apply(h, which, p, frame)
-            rhs = mul(wirtinger_apply(f, which, p, frame), g(p)) + mul(
-                f(p), wirtinger_apply(g, which, p, frame)
+            lhs = wirtinger_apply(h, which, p)
+            rhs = mul(wirtinger_apply(f, which, p), g(p)) + mul(
+                f(p), wirtinger_apply(g, which, p)
             )
             assert norm(lhs - rhs) <= 1e-8 * max(1.0, norm(rhs)), (name, which)
 
@@ -611,6 +636,14 @@ def test_wirtinger_rejects_bad_operator_name():
         wirtinger_apply(f, "nonsense", C.element([0.1, 0.2]))
     with pytest.raises(ValueError):
         wirtinger_apply(f, 2, C.element([0.1, 0.2]))
+
+
+@pytest.mark.parametrize("which", ["zbarx", "zbar", "zbar-2", "zbar²"])
+def test_wirtinger_names_the_operator_it_refuses(which):
+    C = get_algebra("C")
+    message = f"operator must be 'zeta' or 'zbar<j>', got {which!r}"
+    with pytest.raises(ValueError, match=message):
+        wirtinger_apply(zeta_power(C, 2), which, C.element([0.1, 0.2]))
 
 
 @pytest.mark.parametrize("call", [

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from acalc.cli import build_parser, main
+from acalc.fixtures import bundled_algebras, get_algebra
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -99,6 +100,38 @@ def test_invertible_basis(capsys):
     code, out, _ = run(capsys, "invertible-basis", "--algebra", "dual")
     assert code == 0
     assert out.count("(unit)") == 2
+
+
+UNIT_BASIS_GOLDEN = Path(__file__).resolve().parent / "data" / "unit_basis.txt"
+# the fixtures whose basis starts with the unity and holds only units, then
+# the refusals: a nilpotent v_2 (dual), and a unity that is not v_1 (RxR, mat2)
+WIRTINGER_FIXTURES = ("C", "H", "3-hyperbolic", "4-hyperbolic", "quaternions", "wave", "wave2",
+                      "dual", "RxR", "mat2")
+
+
+def _captured(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return f"### {' '.join(argv)}: exit {code}\n{out.getvalue()}{err.getvalue()}"
+
+
+def _unit_basis_outputs() -> str:
+    """``invertible-basis`` on every fixture, then every Wirtinger operator
+    on zeta2 and zbar2 on WIRTINGER_FIXTURES: exit code, stdout and stderr."""
+    blocks = [_captured(["invertible-basis", "--algebra", name]) for name in bundled_algebras()]
+    for name in WIRTINGER_FIXTURES:
+        n = get_algebra(name).dim
+        point = ",".join(f"{0.3 + 0.4 * i * (-1) ** i:g}" for i in range(n))
+        for fn in ("zeta2", "zbar2"):
+            for which in ["zeta"] + [f"zbar{j}" for j in range(2, n + 1)]:
+                blocks.append(_captured(["wirtinger", "--algebra", name, "--fn", fn,
+                                         "--point", point, "--which", which]))
+    return "".join(blocks)
+
+
+def test_unit_basis_outputs_are_pinned():
+    assert _unit_basis_outputs().encode("utf-8") == UNIT_BASIS_GOLDEN.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +495,41 @@ def test_non_finite_coordinates_are_input_errors(capsys, argv):
     assert err == "error: coordinates must be finite\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("check-adiff", "--algebra", "C", "--fn", "{fn}", "--point", "0.3,0.4"),
+    ("integrate", "--algebra", "C", "--fn", "zeta2", "--curve", "{curve}"),
+    ("transfer", "--iso", "{iso}", "--fn", "{fn}", "--point", "0.3,0.4"),
+], ids=["check-adiff", "integrate", "transfer"])
+def test_file_declaring_another_algebra_is_input_error(capsys, tmp_path, argv):
+    # the H function was judged on C (exit 1), the H curve integrated on C
+    # (exit 0), and the H function transferred from RxR (exit 0)
+    docs = {
+        "fn": {"algebra": "H", "components": ["x1^2+x2^2", "2*x1*x2"]},
+        "curve": {"algebra": "H", "kind": "polyline", "vertices": [[0, 0], [1, 0], [1, 1]]},
+        "iso": {"source": "RxR", "target": "H", "matrix": [[0.5, 0.5], [0.5, -0.5]]},
+    }
+    paths = {}
+    for kind, doc in docs.items():
+        paths[kind] = tmp_path / f"{kind}.json"
+        paths[kind].write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    target = "RxR" if argv[0] == "transfer" else "C"
+    assert (code, out, err) == (2, "", f"error: the file declares algebra 'H', not {target!r}\n")
+
+
+def test_file_declaring_an_algebra_of_the_same_structure_is_accepted(capsys, tmp_path):
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps({"algebra": "complex", "poly": [0, 0, 1]}))
+    code, out, _ = run(capsys, "derivative", "--algebra", "C", "--fn", str(path), "--point", "1,2")
+    assert (code, out) == (0, "derivative: 2, 4\n")
+
+
+def test_wirtinger_operator_name_is_checked(capsys):
+    code, out, err = run(capsys, "wirtinger", "--algebra", "C", "--fn", "zeta2", "--point", "1,1",
+                         "--which", "zbarx")
+    assert (code, out, err) == (2, "", "error: operator must be 'zeta' or 'zbar<j>', got 'zbarx'\n")
+
+
 @pytest.mark.filterwarnings("error")
 def test_huge_point_overflows_without_warnings(capsys):
     code, _, err = run(capsys, "check-adiff", "--algebra", "C", "--fn", "x1*x1;0",
@@ -529,6 +597,15 @@ def test_taylor_residual_past_1e154_is_finite(capsys):
     got = run(capsys, "taylor", "--algebra", "C", "--fn", "exp(x1);x2", "--point", "700,0",
               "--offset", "0.1,0", "--degree", "3")
     assert got == (1, "", "verdict: function is not algebra-differentiable here (residual 1)\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_taylor_difference_past_1e154_is_finite(capsys):
+    # the norm of the difference overflowed to inf, with a numpy warning
+    code, out, err = run(capsys, "taylor", "--algebra", "C", "--fn", _EXP, "--point", "700,0",
+                         "--offset", "1,0", "--degree", "3")
+    assert (code, err) == (0, "")
+    assert out.endswith("|difference|:          5.23497516002e+302\n")
 
 
 @pytest.mark.filterwarnings("error")

@@ -463,3 +463,19 @@ def test_laplace_rotated_table_has_no_noise_terms():
         assert all(abs(t.coeff) >= 1e-12 for eq in system.equations for t in eq.terms)
         B = _dense_rows(system, rotated, k)
         assert np.abs(_product_matrix(rotated, k) @ B.T).max() <= 1e-9
+
+
+def test_cr_rotated_table_has_no_noise_terms():
+    # the rounding noise of a 45-degree rotation of the 3-hyperbolic basis
+    # gave terms like -2.22045e-16*w_x
+    a = get_algebra("3-hyperbolic")
+    S = np.eye(3)
+    S[1:, 1:] = [[np.cos(np.pi / 4), -np.sin(np.pi / 4)], [np.sin(np.pi / 4), np.cos(np.pi / 4)]]
+    S_inv = np.linalg.inv(S)
+    C = np.einsum("ia,jb,ijk,ck->abc", S, S, a.structure, S_inv)
+    rotated = make_algebra(3, C, S_inv @ a.unity, name="3-hyperbolic-rotated")
+    system = gen_cr(rotated)
+    assert len(system) == 6
+    assert all(abs(t.coeff) >= 1e-12 for eq in system.equations for t in eq.terms)
+    P = rotated.cr_projector
+    assert np.array_equal(P != 0, np.abs(P) >= 1e-12)
