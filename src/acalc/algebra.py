@@ -85,7 +85,8 @@ class Algebra:
 
     @cached_property
     def _unity_rows(self) -> np.ndarray:
-        """Shape (n, n^2): I kron unity^T, which takes vec(J) to J 1."""
+        """Shape (n, n^2): I kron unity^T, which takes vec(J) to J 1; the
+        Jacobian kernel of an :class:`acalc.expr.ExprFn` ends with these rows."""
         return _freeze(np.kron(np.eye(self.dim), self.unity[None, :]))
 
     @cached_property
@@ -104,12 +105,9 @@ class Algebra:
         """``cr_projector`` compiled to straight-line code: a function of
         vec(J), as n^2 floats or arrays, that returns the entries of
         P vec(J).  Each line is a nonzero entry of P."""
-        return _vec_kernel(self.cr_projector)
+        from .expr import _combine, compile_expr, var  # expr imports this module
 
-    @cached_property
-    def unity_kernel(self):
-        """The kernel of vec(J) that returns J 1, the candidate derivative."""
-        return _vec_kernel(self._unity_rows)
+        return compile_expr(_combine(self.cr_projector, [var(j) for j in range(self.dim ** 2)]))
 
     @cached_property
     def basis_inverses(self) -> tuple[AElement | None, ...]:
@@ -158,13 +156,6 @@ class Algebra:
     def __repr__(self) -> str:
         kind = "commutative" if self.commutative else "noncommutative"
         return f"Algebra({self.name!r}, dim={self.dim}, {kind})"
-
-
-def _vec_kernel(rows: np.ndarray):
-    """The kernel of x_1..x_{n^2} that returns ``rows @ x``, zero terms dropped."""
-    from .expr import _combine, compile_expr, var  # expr imports this module
-
-    return compile_expr(_combine(rows, [var(j) for j in range(rows.shape[1])]))
 
 
 @dataclass(frozen=True, eq=False)

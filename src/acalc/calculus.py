@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,16 +41,21 @@ DEFAULT_ADIFF_TOL = 1e-6
 _EPS_CUBE_ROOT = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class DiffReport:
-    """Outcome of a differentiability test at one point."""
+class DiffReport(NamedTuple):
+    """Outcome of a differentiability test at one point; read-only."""
 
     point: AElement
-    jacobian: np.ndarray
+    jacobian_vec: tuple[float, ...]  # vec(J), row by row, as the kernel gave it
     residual: float          # ||J - M(J 1)||_F / max(1, ||J||_F)
     is_adiff: bool
     derivative: AElement | None  # present iff is_adiff
     tol: float
+
+    @property
+    def jacobian(self) -> np.ndarray:
+        """J, shape (n, n), built from ``jacobian_vec`` on each read."""
+        n = self.point.algebra.dim
+        return np.array(self.jacobian_vec).reshape(n, n)
 
 
 def jacobian_fd(f: ExprFn, p) -> np.ndarray:
@@ -91,19 +97,21 @@ def adiff_test(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "symb
     Checks the identity J = M(J 1) on the exact Jacobian through the
     algebra's held projector, vec(J - M(J 1)) = P vec(J); the residual is
     ||J - M(J 1)||_F / max(1, ||J||_F).  On success the derivative is J 1.
-    From f's Jacobian kernel to the residual, the test runs on floats
-    through the algebra's compiled ``cr_kernel`` and ``unity_kernel``.
-    ``method`` may be ``"fd"`` or ``"symbolic"``; both name the one route.
+    One call of f's Jacobian kernel gives f(p), vec(J) and J 1; from there
+    to the residual the test runs on floats through the algebra's compiled
+    ``cr_kernel``.  ``method`` may be ``"fd"`` or ``"symbolic"``; both name
+    the one route.
     """
     if method not in ("fd", "symbolic"):
         raise ValueError(f"method must be 'fd' or 'symbolic', got {method!r}")
     algebra = f.algebra
     point = algebra.element(p)
     n = algebra.dim
-    values = f._jacobian(point.coords.tolist())
-    if not all(map(math.isfinite, values)):
+    m = n + n * n
+    values = f._jacobian(point.coords.tolist())  # f(p), vec(J), J 1
+    if not all(map(math.isfinite, values[:m])):
         raise DomainError(_NOT_FINITE)
-    vec = values[n:]
+    vec = values[n:m]
     # scaled exactly by a power of two to a largest entry in [1/2, 1), vec(J)
     # overflows neither P vec(J) nor hypot; the ratio undoes it.  The exponent
     # stops at that of the least normal float, so the factor stays finite
@@ -114,9 +122,8 @@ def adiff_test(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "symb
     num, den = math.hypot(*algebra.cr_kernel(scaled)), math.hypot(*scaled)
     residual = num / den if e > 0 else math.ldexp(num, e) / max(1.0, math.ldexp(den, e))
     ok = residual <= tol
-    deriv = AElement(algebra, _freeze(algebra.unity_kernel(vec))) if ok else None
-    return DiffReport(point=point, jacobian=np.array(vec).reshape(n, n), residual=residual,
-                      is_adiff=ok, derivative=deriv, tol=tol)
+    deriv = AElement(algebra, _freeze(values[m:])) if ok else None
+    return DiffReport(point, vec, residual, ok, deriv, tol)
 
 
 def _require_adiff(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL) -> DiffReport:

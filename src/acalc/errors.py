@@ -47,6 +47,16 @@ class NotAUnit(AcalcError):
         super().__init__(message)
 
 
+class MissingField(AcalcError, KeyError):
+    """A function, curve, map or algebra file lacks a field its format needs."""
+
+    def __init__(self, path: str, field: str):
+        self.path, self.field = path, field
+        super().__init__(f"{path}: missing field {field!r}")
+
+    __str__ = Exception.__str__  # KeyError's would print the message quoted
+
+
 class SearchFailed(AcalcError):
     """A bounded search (e.g. for an invertible basis) exhausted its attempts."""
 

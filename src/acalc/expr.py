@@ -15,7 +15,6 @@ Evaluation, compiling, printing, differentiation and substitution only read it.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import re
@@ -664,9 +663,9 @@ def substitute(exprs: tuple[Expr, ...], mapping: dict[int, Expr]) -> tuple[Expr,
 class ExprFn:
     """A function A -> A given by one component expression per coordinate.
 
-    The kernel of the components, the kernel of f(p) with its Jacobian, and
-    the partial derivatives are built on first use and held, so repeated
-    evaluation does not hash the trees again.
+    The kernel of the components, the kernel of f(p) with its Jacobian and
+    J 1, and the partial derivatives are built on first use and held, so
+    repeated evaluation does not hash the trees again.
     """
 
     algebra: Algebra
@@ -702,11 +701,11 @@ class ExprFn:
     def eval_jacobian(self, point) -> np.ndarray:
         """The exact Jacobian, J[k, i] = d f_k / d x_{i+1}, at one point
         ``(n,)`` -> ``(n, n)`` or at a batch ``(m, n)`` -> ``(m, n, n)``: the
-        held Jacobian kernel's values after f's n components, which are J row
-        by row.  Raises DomainError where f or an entry is not finite."""
+        held Jacobian kernel's n^2 values after f's n components, which are J
+        row by row.  Raises DomainError where f, an entry or J 1 is not finite."""
         n = self.algebra.dim
         x = self._coords(point)
-        return eval_compiled(self._jacobian, x)[..., n:].reshape(x.shape[:-1] + (n, n))
+        return eval_compiled(self._jacobian, x)[..., n:n + n * n].reshape(x.shape[:-1] + (n, n))
 
     @cached_property
     def _compiled(self):
@@ -714,11 +713,13 @@ class ExprFn:
 
     @cached_property
     def _jacobian(self):
-        # f's components, then J row by row, so its values after the n-th are
-        # vec(J): f(p) is checked too, so 0*(1/x1) is refused at x1 = 0, where
-        # J is finite
+        # f's components, then J row by row, then J 1, so one call gives f(p),
+        # vec(J) and the derivative.  f(p) is checked too, so 0*(1/x1) is
+        # refused at x1 = 0, where J is finite.  When the unity is v_1, the
+        # trees of J 1 are J's first column and add no line
         n = self.algebra.dim
-        return compile_expr(self.components + tuple(diff(c, i) for c in self.components for i in range(n)))
+        vec = tuple(diff(c, i) for c in self.components for i in range(n))
+        return compile_expr(self.components + vec + _combine(self.algebra._unity_rows, vec))
 
     @cached_property
     def _partials(self) -> tuple["ExprFn", ...]:
@@ -846,8 +847,7 @@ def exprfn_from_dict(doc: dict, algebra: Algebra) -> ExprFn:
 def load_function(path: str, algebra: Algebra | None = None) -> ExprFn:
     """Load a function file: algebra name plus components or poly coefficients.
     A given ``algebra`` must have the structure of the declared one."""
-    from .fixtures import declared_algebra
+    from .fixtures import declared_algebra, read_file_doc
 
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_file_doc(path)
     return exprfn_from_dict(doc, declared_algebra(doc, algebra))

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import Algebra, make_algebra
-from .errors import AlgebraMismatch, DimensionMismatch
+from .errors import AlgebraMismatch, DimensionMismatch, MissingField
 
 __all__ = [
     "bundled_algebras",
@@ -32,6 +32,7 @@ __all__ = [
     "mat2",
     "n_hyperbolic",
     "quaternions",
+    "read_file_doc",
     "real_algebra",
     "save_algebra",
     "triangular6",
@@ -236,6 +237,25 @@ def declared_algebra(doc, algebra: Algebra | None = None) -> Algebra:
 # file format
 # ---------------------------------------------------------------------------
 
+class _FileDoc(dict):
+    """An object of a JSON file, whose missing fields name the file."""
+
+    def __init__(self, path: str, doc: dict):
+        super().__init__(doc)
+        self.path = path
+
+    def __missing__(self, key):
+        raise MissingField(self.path, key)
+
+
+def read_file_doc(path: str):
+    """The JSON document of a function, curve, map or algebra file.  Reading a
+    missing field of any of its objects raises :class:`MissingField`, which
+    names the file and the field."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, object_hook=lambda doc: _FileDoc(path, doc))
+
+
 def load_algebra(path: str) -> Algebra:
     """Load one algebra from a JSON document.
 
@@ -243,9 +263,7 @@ def load_algebra(path: str) -> Algebra:
     ``table`` (table[i][j] = coordinates of v_i * v_j) or a cyclic
     ``relations`` shorthand {"generator_power": n, "value": [...]}.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return algebra_from_dict(doc)
+    return algebra_from_dict(read_file_doc(path))
 
 
 def algebra_from_dict(doc: dict) -> Algebra:

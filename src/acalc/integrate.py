@@ -16,7 +16,6 @@ batch, so one level of quadrature is one evaluation of f.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -407,10 +406,9 @@ def load_curve(path: str, algebra: Algebra | None = None) -> Curve:
     Polyline: {"algebra": name, "kind": "polyline", "vertices": [[...], ...]}.
     A given ``algebra`` must have the structure of the declared one.
     """
-    from .fixtures import declared_algebra
+    from .fixtures import declared_algebra, read_file_doc
 
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_file_doc(path)
     algebra = declared_algebra(doc, algebra)
     if doc.get("kind", "parametric") == "polyline":
         curve: Curve = Polyline(vertices=tuple(algebra.element(v) for v in doc["vertices"]))

@@ -16,7 +16,7 @@ import numpy as np
 from .algebra import AElement, Algebra, _freeze
 from .errors import AlgebraMismatch, DimensionMismatch, NotAnIsomorphism
 from .expr import ExprFn, _combine, parse, substitute, var
-from .fixtures import direct_product, get_algebra, real_algebra, wave_algebra
+from .fixtures import direct_product, get_algebra, read_file_doc, real_algebra, wave_algebra
 
 __all__ = [
     "IsoReport",
@@ -163,8 +163,7 @@ def dalembert_solution(c: float, f1_src: str = "sin(s)", f2_src: str = "s^2"):
 
 def load_linmap(path: str) -> LinMap:
     """Load a map file: source/target algebra names plus the matrix entries."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_file_doc(path)
     return LinMap(
         source=get_algebra(doc["source"]),
         target=get_algebra(doc["target"]),

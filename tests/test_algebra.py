@@ -284,17 +284,17 @@ def test_held_projection_matches_lstsq(fixtures):
 
 
 def test_held_kernels_match_the_products_on_points_and_columns(fixtures):
-    # oracle: numpy's products with P and with I kron unity^T
+    # oracle: numpy's product with P; the J 1 rows are checked on the
+    # Jacobian kernel, in test_calculus
     rng = np.random.default_rng(12)
     for a in fixtures.values():
         vecs = rng.uniform(-2.0, 2.0, (5, a.dim ** 2))
-        unity_rows = np.kron(np.eye(a.dim), a.unity[None, :])
-        for kernel, rows in ((a.cr_kernel, a.cr_projector), (a.unity_kernel, unity_rows)):
-            points = np.array([kernel(v) for v in vecs.tolist()])
-            assert np.allclose(points, vecs @ rows.T, rtol=0.0, atol=1e-13), a.name
-            # a column of entries runs the same lines; a constant row stays a float
-            columns = np.array([np.broadcast_to(c, len(vecs)) for c in kernel(vecs.T)]).T
-            assert np.array_equal(columns, points), a.name
+        kernel = a.cr_kernel
+        points = np.array([kernel(v) for v in vecs.tolist()])
+        assert np.allclose(points, vecs @ a.cr_projector.T, rtol=0.0, atol=1e-13), a.name
+        # a column of entries runs the same lines; a constant row stays a float
+        columns = np.array([np.broadcast_to(c, len(vecs)) for c in kernel(vecs.T)]).T
+        assert np.array_equal(columns, points), a.name
 
 
 def test_fixture_names_give_one_algebra_that_holds_its_facts():
@@ -304,7 +304,7 @@ def test_fixture_names_give_one_algebra_that_holds_its_facts():
     assert get_algebra("complex") is held["C"] and get_algebra("wave1") is held["wave"]
 
     def facts(a):
-        return a.rep_basis, a.cr_projector, a.cr_kernel, a.unity_kernel
+        return a.rep_basis, a.cr_projector, a.cr_kernel
 
     first = facts(get_algebra("C"))
     assert all(x is y for x, y in zip(facts(get_algebra("C")), first))
@@ -640,6 +640,24 @@ def test_save_load_round_trip(tmp_path):
     loaded = load_algebra(str(path))
     assert loaded.same_structure(q)
     assert loaded.basis_labels == q.basis_labels
+
+
+@pytest.mark.parametrize("doc, field", [
+    ('{"name": "C", "unity": [1, 0]}', "dim"),
+    ('{"name": "C", "dim": 2, "relations": {"value": [-1, 0]}}', "generator_power"),
+])
+def test_missing_field_of_an_algebra_file_is_a_key_error_that_names_it(tmp_path, doc, field):
+    # a nested object's field is named too; both printed the bare key
+    from acalc.errors import MissingField
+    from acalc.fixtures import load_algebra
+
+    path = tmp_path / "alg.json"
+    path.write_text(doc)
+    with pytest.raises(KeyError) as info:
+        load_algebra(str(path))
+    assert isinstance(info.value, MissingField)
+    assert (info.value.path, info.value.field) == (str(path), field)
+    assert str(info.value) == f"{path}: missing field {field!r}"
 
 
 def test_fixture_input_validation():

@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from acalc.algebra import mul, norm, regrep
+from acalc.algebra import make_algebra, mul, norm, regrep
 from acalc.calculus import (
     _EPS_CUBE_ROOT,
     _central_stencil,
@@ -21,7 +22,7 @@ from acalc.calculus import (
     wirtinger_apply,
 )
 from acalc.diffquot import d2_probe
-from acalc.errors import AlgebraMismatch, DomainError, NonInvertibleBasis, NotADifferentiable
+from acalc.errors import AcalcError, AlgebraMismatch, DomainError, NonInvertibleBasis, NotADifferentiable
 from acalc.expr import (
     ExprFn,
     conjugate_fn,
@@ -375,9 +376,21 @@ def test_conjugate_frame_rejects_nilpotent_basis():
     with pytest.raises(NonInvertibleBasis):
         conjugate_frame(get_algebra("dual"))
     with pytest.raises(NonInvertibleBasis):
-        conjugate_frame(get_algebra("RxR"))  # e1 is a zero divisor
+        conjugate_frame(get_algebra("RxR"))  # unity (1, 1) not the first basis vector
     with pytest.raises(NonInvertibleBasis):
         conjugate_frame(get_algebra("mat2"))  # unity not the first basis vector
+
+
+def test_conjugate_frame_rejects_zero_divisor_basis():
+    # R x R over the basis 1, e = (1, 0): the unity is v_1, and the idempotent
+    # e, with e (1 - e) = 0, is a zero divisor
+    C = np.zeros((2, 2, 2))
+    C[0, 0, 0] = C[0, 1, 1] = C[1, 0, 1] = C[1, 1, 1] = 1.0
+    A = make_algebra(2, C, [1, 0], labels=["1", "e"], name="RxR over 1, e")
+    assert A.unity_first
+    with pytest.raises(NonInvertibleBasis) as info:
+        conjugate_frame(A)
+    assert str(info.value) == "basis vector 'e' is not a unit"
 
 
 def test_conjugate_frame_inverses(fixtures):
@@ -784,6 +797,96 @@ def test_constant_function_has_zero_residual(fixtures):
         report = adiff_test(f, a.one())
         assert (report.residual, report.is_adiff) == (0.0, True), a.name
         assert not report.jacobian.any() and not report.derivative.coords.any()
+
+
+ADIFF_VERDICTS_GOLDEN = Path(__file__).resolve().parent / "data" / "adiff_verdicts.txt"
+_S3 = math.sqrt(3.0) / 2.0
+# exp on the 3-hyperbolic numbers, j^3 = 1: the real character and the complex pair
+_EXP_3H = tuple(f"(exp(x1+x2+x3)+2*exp(x1-(x2+x3)/2)*cos({_S3!r}*(x2-x3)-{2 * math.pi * k / 3!r}))/3"
+                for k in range(3))
+
+
+def _verdict(label, make_f, p) -> str:
+    """One line: the residual, verdict, derivative and Jacobian of
+    ``adiff_test`` in hex, or the error with its message."""
+    try:
+        r = adiff_test(make_f(), p)
+    except AcalcError as exc:
+        return f"{label}: {type(exc).__name__}: {exc}\n"
+    d = "-" if r.derivative is None else " ".join(v.hex() for v in r.derivative.coords.tolist())
+    J = " ".join(v.hex() for v in r.jacobian.ravel().tolist())
+    return f"{label}: residual={r.residual.hex()} adiff={r.is_adiff} derivative={d} jacobian={J}\n"
+
+
+def _adiff_verdicts() -> str:
+    """z^2, z^3 and the second conjugate at a fixed point, 1e299 z^2 there
+    (J near 1e300) and z^2 at that point times 1e-310 (J subnormal), on
+    every fixture; exp near the top of the float range on C and the
+    3-hyperbolic numbers; and three domain errors."""
+    lines = []
+    for name, a in bundled_algebras().items():
+        n = a.dim
+        p = [0.3 + 0.4 * i * (-1) ** i for i in range(n)]
+        cases = [("z^2", lambda: zeta_power(a, 2), p), ("z^3", lambda: zeta_power(a, 3), p),
+                 ("zbar2", lambda: conjugate_fn(a, 2), p),
+                 ("1e299*z^2", lambda: poly_fn(a, [0.0, 0.0, 1e299]), p),
+                 ("z^2 subnormal", lambda: zeta_power(a, 2), [1e-310 * v for v in p])]
+        lines += [_verdict(f"{name} {label} at {q}", make_f, q) for label, make_f, q in cases]
+    C, A3 = get_algebra("C"), get_algebra("3-hyperbolic")
+    exp_c = lambda: ExprFn(C, tuple(parse(s, 2) for s in _EXP))
+    exp_3h = lambda: ExprFn(A3, tuple(parse(s, 3) for s in _EXP_3H))
+    log_c = lambda: ExprFn(C, (parse("log(x1)", 2), parse("x2", 2)))
+    cases = [("C exp", exp_c, [690.7, 0.5]),
+             ("3-hyperbolic exp", exp_3h, [230.5, 230.7, 230.6]),
+             ("C exp overflow", exp_c, [710.0, 0.5]),
+             ("C z^2 overflow", lambda: zeta_power(C, 2), [1e300, 1e300]),
+             ("C log", log_c, [-1.0, 0.5])]
+    lines += [_verdict(f"{label} at {q}", make_f, q) for label, make_f, q in cases]
+    return "".join(lines)
+
+
+def test_adiff_verdicts_are_pinned():
+    assert _adiff_verdicts().encode("utf-8") == ADIFF_VERDICTS_GOLDEN.read_bytes()
+
+
+def test_report_is_read_only_and_builds_the_kernels_jacobian():
+    a = get_algebra("triangular6")
+    f = zeta_power(a, 3)
+    p = a.element([0.3 + 0.1 * i for i in range(a.dim)])
+    report = adiff_test(f, p)
+    for name in ("point", "jacobian_vec", "residual", "is_adiff", "derivative", "tol", "jacobian"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
+    assert report.jacobian.shape == (a.dim, a.dim)
+    assert report.jacobian.tobytes() == f.eval_jacobian(p).tobytes()
+
+
+def test_jacobian_kernel_ends_with_the_derivative_rows(fixtures):
+    # oracle: numpy's J @ unity, on a point and on a batch; triangular6 and
+    # RxR are among the fixtures whose unity is not v_1
+    from acalc.expr import _combine, _kernel_source, eval_compiled
+
+    rng = np.random.default_rng(26)
+    assert not fixtures["triangular6"].unity_first and not fixtures["RxR"].unity_first
+    for a in fixtures.values():
+        n = a.dim
+        g = ExprFn(a, tuple(parse(f"exp(x{n})", n) for _ in range(n)))
+        for f in (zeta_power(a, 3), exprfn_mul(zeta_power(a, 2), g)):
+            p = random_element(a, rng)
+            values = np.array(f._jacobian(p.coords.tolist()))
+            J = values[n:n + n * n].reshape(n, n)
+            want = J @ a.unity
+            assert np.abs(values[n + n * n:] - want).max() <= 1e-15 * np.abs(want).max(), a.name
+            X = np.array([random_element(a, rng).coords for _ in range(3)])
+            rows = eval_compiled(f._jacobian, X)
+            assert np.allclose(rows[:, n + n * n:], f.eval_jacobian(X) @ a.unity, rtol=1e-15, atol=0.0)
+        if a.unity_first:
+            # J 1 is J's first column: the kernel has no line for it
+            vec = tuple(diff(c, i) for c in f.components for i in range(n))
+            tail = _combine(a._unity_rows, vec)
+            assert tail == vec[::n], a.name
+            assert _kernel_source(f.components + vec + tail).count("\n") == \
+                _kernel_source(f.components + vec).count("\n"), a.name
 
 
 _ALL = sorted(bundled_algebras())

@@ -517,6 +517,25 @@ def test_file_declaring_another_algebra_is_input_error(capsys, tmp_path, argv):
     assert (code, out, err) == (2, "", f"error: the file declares algebra 'H', not {target!r}\n")
 
 
+@pytest.mark.parametrize("doc, argv, field", [
+    ({"algebra": "C"}, ("check-adiff", "--algebra", "C", "--fn", "{path}", "--point", "1,1"), "components"),
+    ({"components": ["x1", "x2"]}, ("check-adiff", "--algebra", "C", "--fn", "{path}", "--point", "1,1"),
+     "algebra"),
+    ({"algebra": "C", "kind": "parametric", "components": ["cos(t)", "sin(t)"], "t0": 0},
+     ("integrate", "--algebra", "C", "--fn", "zeta2", "--curve", "{path}"), "t1"),
+    ({"algebra": "C", "kind": "polyline"}, ("integrate", "--algebra", "C", "--fn", "zeta2", "--curve", "{path}"),
+     "vertices"),
+    ({"source": "RxR", "target": "H"}, ("transfer", "--iso", "{path}", "--fn", "zeta2", "--point", "1,1"),
+     "matrix"),
+], ids=["function", "function-algebra", "parametric-curve", "polyline", "map"])
+def test_missing_field_names_the_file_and_the_field(capsys, tmp_path, doc, argv, field):
+    # it printed the bare key, such as "error: 'components'"
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {path}: missing field {field!r}\n")
+
+
 def test_file_declaring_an_algebra_of_the_same_structure_is_accepted(capsys, tmp_path):
     path = tmp_path / "fn.json"
     path.write_text(json.dumps({"algebra": "complex", "poly": [0, 0, 1]}))
