@@ -84,17 +84,12 @@ class Algebra:
         return _freeze(self.structure.transpose(0, 2, 1).reshape(n, n * n).T)
 
     @cached_property
-    def _unity_rows(self) -> np.ndarray:
-        """Shape (n, n^2): I kron unity^T, which takes vec(J) to J 1; the
-        Jacobian kernel of an :class:`acalc.expr.ExprFn` ends with these rows."""
-        return _freeze(np.kron(np.eye(self.dim), self.unity[None, :]))
-
-    @cached_property
     def cr_projector(self) -> np.ndarray:
         """Shape (n^2, n^2): P = I - rep_basis (I kron unity^T).  For a Jacobian
         J, ``P @ J.ravel()`` is vec(J - M(J 1)), the residual of the generalized
         Cauchy-Riemann equations; :func:`acalc.eqgen.gen_cr` writes out its rows."""
-        P = np.eye(self.dim ** 2) - self.rep_basis @ self._unity_rows
+        n = self.dim
+        P = np.eye(n * n) - self.rep_basis @ np.kron(np.eye(n), self.unity[None, :])
         # entries at most 1e-12 of their row's largest are rounding noise of
         # an inexact table: exact 0, so gen_cr and cr_kernel read clean rows
         P[np.abs(P) <= 1e-12 * np.abs(P).max(axis=1, keepdims=True)] = 0.0
@@ -382,76 +377,44 @@ def invert(x: AElement) -> AElement:
 
 
 def minimal_polynomial_witness(x: AElement) -> AElement | None:
-    """Exact zero-divisor witness from the minimal polynomial of M(x).
+    """Exact zero-divisor witness from the minimal polynomial of x.
 
-    Works in rational arithmetic (floats are taken at their exact binary
-    values), so on integer structure tensors this is an independent
-    cross-check of the SVD-based witness in :func:`classify`.  Returns a
-    unit-norm b with x*b = 0 = b*x, or None when M(x) is invertible.
+    M is faithful (M(x) 1 = x) and multiplicative, so p(M(x)) = M(p(x)) is
+    zero exactly when p(x) is: M(x) and x have one minimal polynomial,
+    t^k - sum_{m<k} a_m t^m, read from the first power x^k = M(x)^k 1 that
+    depends on the powers below it.  If a_0 != 0, x is a unit: None.  Else
+    p(t) = t q(t), and b = q(x) is nonzero, as the powers below x^k are
+    independent, with x*b = b*x = p(x) = 0; b is scaled exactly to a largest
+    entry of 1, then to unit norm.  The arithmetic is rational (floats are
+    taken at their exact binary values), so on integer structure tensors
+    this is an independent cross-check of the SVD witness of :func:`classify`.
     """
     from fractions import Fraction  # only this routine needs it; not loaded with algebra
 
     n = x.algebra.dim
-    A = [[Fraction(v) for v in row] for row in regrep(x)]
-
-    def matmul(P, Q):
-        return [
-            [sum(P[i][k] * Q[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    powers = [eye]
-    while True:
-        powers.append(matmul(powers[-1], A))
-        k = len(powers) - 1
-        # solve sum_m a_m vec(A^m) = vec(A^k) exactly, m < k
-        rows = n * n
-        aug = [
-            [powers[m][i][j] for m in range(k)] + [powers[k][i][j]]
-            for i in range(n)
-            for j in range(n)
-        ]
-        piv_rows: list[int] = []
-        col_of_row: list[int] = []
-        r = 0
-        for col in range(k):
-            sel = next((i for i in range(r, rows) if aug[i][col] != 0), None)
-            if sel is None:
-                continue
-            aug[r], aug[sel] = aug[sel], aug[r]
-            inv_p = 1 / aug[r][col]
-            aug[r] = [v * inv_p for v in aug[r]]
-            for i in range(rows):
-                if i != r and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-            piv_rows.append(r)
-            col_of_row.append(col)
-            r += 1
-        consistent = all(aug[i][k] == 0 for i in range(r, rows))
-        if not consistent:
-            continue  # powers still independent; take another power
-        coeffs = [Fraction(0)] * k
-        for row_i, col in zip(piv_rows, col_of_row):
-            coeffs[col] = aug[row_i][k]
-        # minimal polynomial t^k - sum a_m t^m; constant term nonzero <=> unit
-        if coeffs[0] != 0:
-            return None
-        # cofactor polynomial: B = A^{k-1} - a_{k-1} A^{k-2} - ... - a_1 I
-        B = [[Fraction(0)] * n for _ in range(n)]
-        for m in range(1, k + 1):
-            c = Fraction(1) if m == k else -coeffs[m]
-            if c != 0:
-                P = powers[m - 1]
-                for i in range(n):
-                    for j in range(n):
-                        B[i][j] += c * P[i][j]
-        b = np.array([[float(v) for v in row] for row in B]) @ x.algebra.unity
-        nb = np.linalg.norm(b)
-        if nb == 0:
-            return None
-        return AElement(x.algebra, _freeze(b / nb))
+    M = [[Fraction(v) for v in row] for row in regrep(x).tolist()]
+    powers = [[Fraction(v) for v in x.algebra.unity.tolist()]]
+    for _ in range(n):
+        powers.append([sum(a * v for a, v in zip(row, powers[-1])) for row in M])
+    # Gauss-Jordan over the columns x^0, ..., x^n up to the first without a
+    # pivot, x^k; the powers below it are independent, so column m takes its
+    # pivot in row m, and x^k = sum_m aug[m][k] x^m
+    aug = [list(row) for row in zip(*powers)]
+    k = 0
+    while (pivot := next((i for i in range(k, n) if aug[i][k] != 0), None)) is not None:
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        aug[k] = [v / aug[k][k] for v in aug[k]]
+        for i in range(n):
+            if i != k and aug[i][k] != 0:
+                aug[i] = [v - aug[i][k] * w for v, w in zip(aug[i], aug[k])]
+        k += 1
+    if aug[0][k] != 0:
+        return None
+    # q(x) = x^(k-1) - sum_{0<m<k} a_m x^(m-1), a_m = aug[m][k]
+    b = [powers[k - 1][i] - sum(aug[m][k] * powers[m - 1][i] for m in range(1, k)) for i in range(n)]
+    largest = max(map(abs, b))
+    b = np.array([float(v / largest) for v in b])
+    return AElement(x.algebra, _freeze(b / np.linalg.norm(b)))
 
 
 def find_invertible_basis(algebra: Algebra) -> list[AElement]:

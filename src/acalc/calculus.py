@@ -109,7 +109,10 @@ def adiff_test(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "symb
     n = algebra.dim
     m = n + n * n
     values = f._jacobian(point.coords.tolist())  # f(p), vec(J), J 1
-    if not all(map(math.isfinite, values[:m])):
+    # J 1, the value of f' at p, may overflow where f and J are finite: it
+    # is read only for a true verdict
+    finite = all(map(math.isfinite, values))
+    if not finite and not all(map(math.isfinite, values[:m])):
         raise DomainError(_NOT_FINITE)
     vec = values[n:m]
     # scaled exactly by a power of two to a largest entry in [1/2, 1), vec(J)
@@ -122,6 +125,8 @@ def adiff_test(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "symb
     num, den = math.hypot(*algebra.cr_kernel(scaled)), math.hypot(*scaled)
     residual = num / den if e > 0 else math.ldexp(num, e) / max(1.0, math.ldexp(den, e))
     ok = residual <= tol
+    if ok and not finite:
+        raise DomainError(_NOT_FINITE)
     deriv = AElement(algebra, _freeze(values[m:])) if ok else None
     return DiffReport(point, vec, residual, ok, deriv, tol)
 
@@ -139,17 +144,23 @@ def derivative(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL) -> AElement:
     return _require_adiff(f, p, tol).derivative
 
 
-def higher_derivative(f: ExprFn, p, k: int) -> AElement:
-    """k-th derivative: the k-fold exact derivative along the unity (d^k/dx1^k
-    when the unity is v_1), for k >= 0.  Raises :class:`NotADifferentiable` if
-    f fails the first-order test at p."""
+def _derivative_chain(f: ExprFn, p, k: int, order: str) -> tuple[AElement, list[ExprFn]]:
+    """The point p, once f passes the first-order test there, and f, f', ...,
+    f^(k), each the derivative along the unity of the one before."""
     if k < 0:
-        raise ValueError(f"derivative order must be >= 0, got {k}")
+        raise ValueError(f"{order} must be >= 0, got {k}")
     point = _require_adiff(f, p).point
-    g = f
+    chain = [f]
     for _ in range(k):
-        g = g.unity_derivative
-    return g(point)
+        chain.append(chain[-1].unity_derivative)
+    return point, chain
+
+
+def higher_derivative(f: ExprFn, p, k: int) -> AElement:
+    """k-th derivative f^(k)(p), for k >= 0.  Raises
+    :class:`NotADifferentiable` if f fails the first-order test at p."""
+    point, chain = _derivative_chain(f, p, k, "derivative order")
+    return chain[k](point)
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +236,9 @@ def wirtinger_apply(f: ExprFn, which: str, p) -> AElement:
 
 def taylor_eval(f: ExprFn, p, h: AElement, k: int) -> AElement:
     """Degree-k Taylor value: sum_m f^(m)(p) * h^m / m! for m = 0..k, k >= 0."""
-    if k < 0:
-        raise ValueError(f"Taylor degree must be >= 0, got {k}")
-    point = _require_adiff(f, p).point
-    total = f(point)
-    g = f
-    h_power = f.algebra.one()
+    point, chain = _derivative_chain(f, p, k, "Taylor degree")
+    total, h_power = f(point), f.algebra.one()
     for m in range(1, k + 1):
-        g = g.unity_derivative
         h_power = mul(h_power, h)
-        total = total + (1.0 / math.factorial(m)) * mul(g(point), h_power)
+        total = total + (1.0 / math.factorial(m)) * mul(chain[m](point), h_power)
     return total

@@ -57,6 +57,12 @@ class MissingField(AcalcError, KeyError):
     __str__ = Exception.__str__  # KeyError's would print the message quoted
 
 
+class UnknownAlgebra(AcalcError, KeyError):
+    """An algebra name that is neither a bundled fixture nor one of its aliases."""
+
+    __str__ = Exception.__str__  # KeyError's would print the message quoted
+
+
 class SearchFailed(AcalcError):
     """A bounded search (e.g. for an invertible basis) exhausted its attempts."""
 

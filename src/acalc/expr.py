@@ -631,7 +631,6 @@ def diff(e: Expr, i: int) -> Expr:
     return partial_of(e)
 
 
-@lru_cache(maxsize=16384)
 def derive(e: Expr, orders: tuple[int, ...]) -> Expr:
     """Iterated partial derivative by a multi-index of per-coordinate orders."""
     out = e
@@ -664,8 +663,8 @@ class ExprFn:
     """A function A -> A given by one component expression per coordinate.
 
     The kernel of the components, the kernel of f(p) with its Jacobian and
-    J 1, and the partial derivatives are built on first use and held, so
-    repeated evaluation does not hash the trees again.
+    J 1, and f' are built on first use and held, so repeated evaluation does
+    not hash the trees again.  Every derivative is :meth:`directional`.
     """
 
     algebra: Algebra
@@ -702,10 +701,12 @@ class ExprFn:
         """The exact Jacobian, J[k, i] = d f_k / d x_{i+1}, at one point
         ``(n,)`` -> ``(n, n)`` or at a batch ``(m, n)`` -> ``(m, n, n)``: the
         held Jacobian kernel's n^2 values after f's n components, which are J
-        row by row.  Raises DomainError where f, an entry or J 1 is not finite."""
+        row by row.  Raises DomainError where f or an entry is not finite;
+        J 1, which may overflow where J is finite, is not read."""
         n = self.algebra.dim
         x = self._coords(point)
-        return eval_compiled(self._jacobian, x)[..., n:n + n * n].reshape(x.shape[:-1] + (n, n))
+        values = eval_compiled(lambda rows: self._jacobian(rows)[:n + n * n], x)
+        return values[..., n:].reshape(x.shape[:-1] + (n, n))
 
     @cached_property
     def _compiled(self):
@@ -713,44 +714,49 @@ class ExprFn:
 
     @cached_property
     def _jacobian(self):
-        # f's components, then J row by row, then J 1, so one call gives f(p),
-        # vec(J) and the derivative.  f(p) is checked too, so 0*(1/x1) is
-        # refused at x1 = 0, where J is finite.  When the unity is v_1, the
-        # trees of J 1 are J's first column and add no line
+        # f's components, then J row by row, then J 1, the components of f',
+        # so one call gives f(p), vec(J) and the derivative.  When the unity
+        # is v_1, the trees of f' are J's first column and add no line
         n = self.algebra.dim
         vec = tuple(diff(c, i) for c in self.components for i in range(n))
-        return compile_expr(self.components + vec + _combine(self.algebra._unity_rows, vec))
-
-    @cached_property
-    def _partials(self) -> tuple["ExprFn", ...]:
-        return tuple(
-            ExprFn(self.algebra, tuple(diff(c, i) for c in self.components))
-            for i in range(self.algebra.dim)
-        )
+        return compile_expr(self.components + vec + self.unity_derivative.components)
 
     def partial(self, i: int) -> "ExprFn":
-        """Componentwise exact partial derivative with respect to x_{i+1}."""
-        return self._partials[i]
+        """Componentwise exact partial derivative with respect to x_{i+1}, the
+        directional derivative along e_{i+1}; a new ExprFn on each call."""
+        n = self.algebra.dim
+        if not 0 <= i < n:
+            raise DimensionMismatch(f"coordinate index must be in 0..{n - 1}, got {i}")
+        return self.directional(np.eye(n)[i])
 
     @cached_property
     def unity_derivative(self) -> "ExprFn":
-        """The directional derivative along the unity, held; for a
-        differentiable f this is the derivative function f'."""
+        """The directional derivative along the unity, held: its value at p is
+        J 1, and for a differentiable f it is the derivative function f'."""
         return self.directional(self.algebra.unity)
 
     def directional(self, coords) -> "ExprFn":
-        """Directional derivative sum_i c_i d/dx_i (still an ExprFn).
+        """Directional derivative sum_i c_i d/dx_i (still an ExprFn), the one
+        rule by which a derivative of f is formed.
 
         Along the unity coordinates this is the derivative function of a
         differentiable f; it reduces to d/dx1 when the unity is the first
-        basis vector.  Only the partials along nonzero c_i are taken.
+        basis vector.  Only the partials along nonzero c_i are taken.  A fold
+        of two constants that overflows is left to evaluation, so the
+        derivative overflows where it is evaluated, not where it is built.
         """
-        c = np.asarray(coords, dtype=float).tolist()
-        nonzero = [i for i, v in enumerate(c) if v != 0.0]
-        row = [[c[i] for i in nonzero]]
-        return ExprFn(self.algebra, tuple(
-            _combine(row, [diff(comp, i) for i in nonzero])[0] for comp in self.components
-        ))
+        n = self.algebra.dim
+        c = np.asarray(coords, dtype=float)
+        if c.shape != (n,):
+            raise DimensionMismatch(f"expected a direction of shape ({n},), got {c.shape}")
+        terms = [(lit(v), i) for i, v in enumerate(c.tolist()) if v != 0.0]
+        out = []
+        for comp in self.components:
+            s: Expr = _ZERO
+            for v, i in terms:
+                s = _unfolded(add, "+", s, _unfolded(mul, "*", v, diff(comp, i)))
+            out.append(s)
+        return ExprFn(self.algebra, tuple(out))
 
 
 def constant_fn(algebra: Algebra, value: AElement) -> ExprFn:
@@ -781,6 +787,15 @@ def _combine(rows, exprs) -> tuple[Expr, ...]:
                 s = add(s, mul(lit(c), e))
         out.append(s)
     return tuple(out)
+
+
+def _unfolded(make, op: str, a: Expr, b: Expr) -> Expr:
+    """``make(a, b)``, or the node ``a op b`` left unfolded where two constants
+    fold to a value that is not finite."""
+    try:
+        return make(a, b)
+    except DomainError:
+        return Op(op, (a, b))
 
 
 def _sym_product(algebra: Algebra, u: tuple[Expr, ...], v: tuple[Expr, ...]) -> tuple[Expr, ...]:

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import Algebra, make_algebra
-from .errors import AlgebraMismatch, DimensionMismatch, MissingField
+from .errors import AlgebraMismatch, DimensionMismatch, MissingField, UnknownAlgebra
 
 __all__ = [
     "bundled_algebras",
@@ -219,7 +219,7 @@ def get_algebra(name: str) -> Algebra:
         return wave_algebra(float(name.split(":", 1)[1]))
     key = _ALIASES.get(name, name)
     if key not in _FIXTURES:
-        raise KeyError(f"unknown algebra {name!r}; known: {', '.join(sorted(_FIXTURES))}")
+        raise UnknownAlgebra(f"unknown algebra {name!r}; known: {', '.join(sorted(_FIXTURES))}")
     return _fixture(key)
 
 

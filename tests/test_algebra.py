@@ -442,7 +442,7 @@ def test_minimal_polynomial_witness_matches_svd_route(fixtures):
             found += 1
             b = minimal_polynomial_witness(x)
             assert b is not None
-            assert norm(mul(x, b)) < 1e-9
+            assert norm(mul(x, b)) < 1e-9 and norm(mul(b, x)) < 1e-9  # two-sided on mat2, triangular6
             svd_witness = classify(x).witness
             assert norm(mul(x, svd_witness)) < 1e-9
             if found >= 5:
@@ -451,9 +451,23 @@ def test_minimal_polynomial_witness_matches_svd_route(fixtures):
     assert total >= 30  # division algebras contribute none, the rest must
 
 
-def test_minimal_polynomial_witness_none_for_units():
+def test_minimal_polynomial_witness_none_for_units(fixtures):
     H = get_algebra("H")
     assert minimal_polynomial_witness(H.element([2.0, 1.0])) is None
+    # and only for units, on integer elements of every fixture
+    rng = np.random.default_rng(23)
+    for a in fixtures.values():
+        for _ in range(60):
+            x = a.element(rng.integers(-3, 4, a.dim).astype(float))
+            assert (minimal_polynomial_witness(x) is None) == (classify(x).kind is Kind.UNIT), a.name
+
+
+@pytest.mark.parametrize("scale", [1e-120, 1e150])
+def test_minimal_polynomial_witness_scales_exactly(scale):
+    # x = s eps has x^3 = 0, so the witness is x^2 = s^2 eps2, whose float
+    # underflows at s = 1e-120 and overflows at s = 1e150
+    x = get_algebra("dual3").element([0.0, scale, 0.0])
+    assert minimal_polynomial_witness(x).coords.tolist() == [0.0, 0.0, 1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -864,7 +865,7 @@ def test_report_is_read_only_and_builds_the_kernels_jacobian():
 def test_jacobian_kernel_ends_with_the_derivative_rows(fixtures):
     # oracle: numpy's J @ unity, on a point and on a batch; triangular6 and
     # RxR are among the fixtures whose unity is not v_1
-    from acalc.expr import _combine, _kernel_source, eval_compiled
+    from acalc.expr import _kernel_source, eval_compiled
 
     rng = np.random.default_rng(26)
     assert not fixtures["triangular6"].unity_first and not fixtures["RxR"].unity_first
@@ -883,10 +884,66 @@ def test_jacobian_kernel_ends_with_the_derivative_rows(fixtures):
         if a.unity_first:
             # J 1 is J's first column: the kernel has no line for it
             vec = tuple(diff(c, i) for c in f.components for i in range(n))
-            tail = _combine(a._unity_rows, vec)
+            tail = f.unity_derivative.components
             assert tail == vec[::n], a.name
             assert _kernel_source(f.components + vec + tail).count("\n") == \
                 _kernel_source(f.components + vec).count("\n"), a.name
+
+
+def _three_functions(a):
+    """z^2, z^3 and the second conjugate (the identity on R)."""
+    return zeta_power(a, 2), zeta_power(a, 3), conjugate_fn(a, 2) if a.dim > 1 else identity_fn(a)
+
+
+def test_every_derivative_is_a_directional_derivative(fixtures):
+    # oracle: J 1 as the rows I kron unity^T over vec(J), and each partial as
+    # the componentwise diff; equal trees are one object, so == is identity
+    from acalc.expr import _combine, compile_expr
+
+    for a in fixtures.values():
+        n = a.dim
+        rows = np.kron(np.eye(n), a.unity[None, :])
+        for f in _three_functions(a):
+            vec = tuple(diff(c, i) for c in f.components for i in range(n))
+            tail = f.unity_derivative.components
+            assert f._jacobian is compile_expr(f.components + vec + tail), a.name
+            assert tail == _combine(rows, vec), a.name
+            for i in range(n):
+                assert f.partial(i).components == tuple(diff(c, i) for c in f.components), a.name
+                assert f.partial(i) is not f.partial(i)
+
+
+def test_true_verdict_derivative_is_the_unity_derivative_bit_for_bit(fixtures):
+    rng = np.random.default_rng(28)
+    true_verdicts = 0
+    for a in fixtures.values():
+        for f in _three_functions(a):
+            for p in (random_element(a, rng), a.element(0.7 * a.unity)):
+                report = adiff_test(f, p)
+                if report.is_adiff:
+                    true_verdicts += 1
+                    assert report.derivative.coords.tobytes() == f.unity_derivative(p).coords.tobytes()
+    assert true_verdicts >= 40
+
+
+@pytest.mark.filterwarnings("error")
+def test_derivative_that_overflows_is_read_only_for_a_true_verdict():
+    # J = [[1e308, 1e308], [0, 1]] is finite at 0, but J 1 = (2e308, 1) is not
+    a = get_algebra("RxR")
+    f = ExprFn(a, (parse("1e308*sin(x1)+1e308*sin(x2)", 2), parse("x2", 2)))
+    J = np.array([[1e308, 1e308], [0.0, 1.0]])
+    assert np.array_equal(f.eval_jacobian([0.0, 0.0]), J)
+    assert np.array_equal(f.eval_jacobian(np.zeros((3, 2))), np.stack([J] * 3))
+    report = adiff_test(f, [0.0, 0.0])
+    assert (report.residual, report.is_adiff, report.derivative) == (1.0, False, None)
+    # J_12 = 1e301 gives the residual 7.9e-8: a true verdict at the default
+    # tol, whose J 1 overflows, and a false one at tol 1e-9, which does not read it
+    top = repr(sys.float_info.max)
+    g = ExprFn(a, (parse(f"{top}*x1+1e301*x2", 2), parse("x2", 2)))
+    with pytest.raises(DomainError, match="non-finite"):
+        adiff_test(g, [0.1, 0.1])
+    report = adiff_test(g, [0.1, 0.1], tol=1e-9)
+    assert 7e-8 < report.residual < 8e-8 and not report.is_adiff
 
 
 _ALL = sorted(bundled_algebras())

@@ -395,9 +395,12 @@ def test_help_available(capsys):
 
 
 def test_unknown_algebra_is_input_error(capsys):
-    code, _, err = run(capsys, "classify", "--algebra", "nope", "--point", "1")
-    assert code == 2
-    assert "unknown algebra" in err
+    code, out, err = run(capsys, "classify", "--algebra", "nope", "--point", "1")
+    assert (code, out) == (2, "")
+    # printed unquoted, though the library's error is still a KeyError
+    assert err.startswith("error: unknown algebra 'nope'; known: 3-hyperbolic, 4-hyperbolic, C, ")
+    with pytest.raises(KeyError):
+        get_algebra("nope")
 
 
 def test_parse_error_reports_position(capsys):
@@ -579,6 +582,14 @@ def test_exp_verdict_does_not_depend_on_scale(capsys, point, derivative):
     code, out, err = run(capsys, "check-adiff", "--algebra", "C", "--fn", _EXP, "--point", point)
     assert (code, err) == (0, "")
     assert out.endswith(f"  residual=0  adiff=True  derivative={derivative}\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_derivative_that_overflows_is_not_read_by_a_false_verdict(capsys):
+    # J = [[1e308, 1e308], [0, 1]] is finite; J 1 = (2e308, 1) is not
+    got = run(capsys, "check-adiff", "--algebra", "RxR", "--fn", "1e308*x1+1e308*x2;x2",
+              "--point", "0.1,0.1")
+    assert got == (1, "point=(0.1, 0.1)  residual=1  adiff=False\n", "")
 
 
 @pytest.mark.filterwarnings("error")

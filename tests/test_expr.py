@@ -570,6 +570,16 @@ def test_identity_fn_partial():
     assert np.allclose(d0((1.0, 2.0)).coords, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("method, arg", [
+    ("directional", [1.0]), ("directional", [1.0, 0.0, 5.0]), ("directional", [[1.0, 0.0]]),
+    ("directional", 1.0), ("partial", -1), ("partial", 2), ("partial", 5),
+])
+def test_derivative_along_another_width_is_refused(method, arg):
+    f = poly_fn(get_algebra("C"), [0.0, 0.0, 1.0])
+    with pytest.raises(DimensionMismatch):
+        getattr(f, method)(arg)
+
+
 def test_unexpected_character_position():
     with pytest.raises(ExprSyntaxError) as excinfo:
         parse("x1 $ 2", 1)
