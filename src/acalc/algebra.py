@@ -91,18 +91,9 @@ class Algebra:
         n = self.dim
         P = np.eye(n * n) - self.rep_basis @ np.kron(np.eye(n), self.unity[None, :])
         # entries at most 1e-12 of their row's largest are rounding noise of
-        # an inexact table: exact 0, so gen_cr and cr_kernel read clean rows
+        # an inexact table: exact 0, so gen_cr and the verdict kernel read clean rows
         P[np.abs(P) <= 1e-12 * np.abs(P).max(axis=1, keepdims=True)] = 0.0
         return _freeze(P)
-
-    @cached_property
-    def cr_kernel(self):
-        """``cr_projector`` compiled to straight-line code: a function of
-        vec(J), as n^2 floats or arrays, that returns the entries of
-        P vec(J).  Each line is a nonzero entry of P."""
-        from .expr import _combine, compile_expr, var  # expr imports this module
-
-        return compile_expr(_combine(self.cr_projector, [var(j) for j in range(self.dim ** 2)]))
 
     @cached_property
     def basis_inverses(self) -> tuple[AElement | None, ...]:

@@ -11,9 +11,9 @@ generalized Wirtinger operators for algebras with an invertible basis.
 from __future__ import annotations
 
 import math
-import sys
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -97,10 +97,8 @@ def adiff_test(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "symb
     Checks the identity J = M(J 1) on the exact Jacobian through the
     algebra's held projector, vec(J - M(J 1)) = P vec(J); the residual is
     ||J - M(J 1)||_F / max(1, ||J||_F).  On success the derivative is J 1.
-    One call of f's Jacobian kernel gives f(p), vec(J) and J 1; from there
-    to the residual the test runs on floats through the algebra's compiled
-    ``cr_kernel``.  ``method`` may be ``"fd"`` or ``"symbolic"``; both name
-    the one route.
+    One call of f's Jacobian kernel gives f(p), vec(J), P vec(J) and J 1.
+    ``method`` may be ``"fd"`` or ``"symbolic"``; both name the one route.
     """
     if method not in ("fd", "symbolic"):
         raise ValueError(f"method must be 'fd' or 'symbolic', got {method!r}")
@@ -108,27 +106,38 @@ def adiff_test(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "symb
     point = algebra.element(p)
     n = algebra.dim
     m = n + n * n
-    values = f._jacobian(point.coords.tolist())  # f(p), vec(J), J 1
-    # J 1, the value of f' at p, may overflow where f and J are finite: it
-    # is read only for a true verdict
-    finite = all(map(math.isfinite, values))
-    if not finite and not all(map(math.isfinite, values[:m])):
+    values = f._jacobian(point.coords.tolist())  # f(p), vec(J), P vec(J), J 1
+    if not all(map(math.isfinite, values[:n])):
         raise DomainError(_NOT_FINITE)
     vec = values[n:m]
-    # scaled exactly by a power of two to a largest entry in [1/2, 1), vec(J)
-    # overflows neither P vec(J) nor hypot; the ratio undoes it.  The exponent
-    # stops at that of the least normal float, so the factor stays finite
-    # when the largest entry is subnormal
-    e = max(math.frexp(max(map(abs, vec)))[1], sys.float_info.min_exp)
-    s = math.ldexp(1.0, -e)
-    scaled = [v * s for v in vec]
-    num, den = math.hypot(*algebra.cr_kernel(scaled)), math.hypot(*scaled)
-    residual = num / den if e > 0 else math.ldexp(num, e) / max(1.0, math.ldexp(den, e))
+    # hypot is not finite exactly when an entry is not or the norm overflows
+    num, den = math.hypot(*values[m:-n]), math.hypot(*vec)
+    if math.isfinite(num) and math.isfinite(den):
+        residual = num / max(1.0, den)
+    else:
+        residual = _scaled_residual(algebra.cr_projector, vec)
     ok = residual <= tol
-    if ok and not finite:
+    # J 1, the value of f' at p, may overflow where f and J are finite: it
+    # is read only for a true verdict
+    tail = values[-n:]
+    if ok and not all(map(math.isfinite, tail)):
         raise DomainError(_NOT_FINITE)
-    deriv = AElement(algebra, _freeze(values[m:])) if ok else None
+    deriv = AElement(algebra, _freeze(tail)) if ok else None
     return DiffReport(point, vec, residual, ok, deriv, tol)
+
+
+def _scaled_residual(P: np.ndarray, vec: tuple[float, ...]) -> float:
+    """The residual where P vec(J) or ||vec(J)|| overflows: vec(J), if finite,
+    is scaled exactly by a power of two to a largest entry in [1/2, 1), P's
+    nonzero entries are applied to it in the kernel's order, and the ratio
+    undoes the scale."""
+    if not all(map(math.isfinite, vec)):
+        raise DomainError(_NOT_FINITE)
+    s = math.ldexp(1.0, -math.frexp(max(map(abs, vec)))[1])
+    scaled = [v * s for v in vec]
+    rows = (reduce(operator.add, (c * v for c, v in zip(row, scaled) if c), 0.0) for row in P.tolist())
+    # num / max(1, den), with num and den both scaled by s
+    return math.hypot(*rows) / max(s, math.hypot(*scaled))
 
 
 def _require_adiff(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL) -> DiffReport:

@@ -106,8 +106,12 @@ class Op(Expr):
         return node
 
     def __reduce__(self):
-        # copy, deepcopy and unpickling then return the live node
-        return Op, (self.op, self.args, self.k)
+        # the tree as a flat list, so that a deep one pickles without
+        # recursion; copy, deepcopy and unpickling return the live node
+        order = _postorder((self,))
+        index = {e: j for j, e in enumerate(order)}
+        return _rebuild, ([e if isinstance(e, Var) else
+                           (e.op, tuple(index.get(a, a) for a in e.args), e.k) for e in order],)
 
     def __repr__(self) -> str:
         # the walk of to_str, not the dataclass repr's recursion through args
@@ -115,6 +119,20 @@ class Op(Expr):
 
 
 _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _rebuild(entries) -> Expr:
+    """The tree that ``Op.__reduce__`` flattened: each entry is a coordinate or
+    (op, operands, k), an operand being a constant or the index of an earlier
+    entry; the last entry is the root."""
+    built: list[Expr] = []
+    for entry in entries:
+        if not isinstance(entry, Var):
+            op, args, k = entry
+            entry = Op(op, tuple(built[a] if isinstance(a, int) else a for a in args), k)
+        built.append(entry)
+    return built[-1]
+
 
 _ZERO = Lit(0.0)
 _ONE = Lit(1.0)
@@ -662,9 +680,9 @@ def substitute(exprs: tuple[Expr, ...], mapping: dict[int, Expr]) -> tuple[Expr,
 class ExprFn:
     """A function A -> A given by one component expression per coordinate.
 
-    The kernel of the components, the kernel of f(p) with its Jacobian and
-    J 1, and f' are built on first use and held, so repeated evaluation does
-    not hash the trees again.  Every derivative is :meth:`directional`.
+    The kernel of the components, the verdict kernel of f(p), J, P vec(J)
+    and J 1, and f' are built on first use and held, so repeated evaluation
+    does not hash the trees again.  Every derivative is :meth:`directional`.
     """
 
     algebra: Algebra
@@ -714,20 +732,26 @@ class ExprFn:
 
     @cached_property
     def _jacobian(self):
-        # f's components, then J row by row, then J 1, the components of f',
-        # so one call gives f(p), vec(J) and the derivative.  When the unity
-        # is v_1, the trees of f' are J's first column and add no line
+        # the one verdict kernel: f's components, J row by row, the nonzero
+        # rows of P vec(J) (the generalized Cauchy-Riemann residuals of the
+        # algebra's held projector P), then J 1, the components of f'.  When
+        # the unity is v_1, the trees of f' are J's first column and add no line
         n = self.algebra.dim
         vec = tuple(diff(c, i) for c in self.components for i in range(n))
-        return compile_expr(self.components + vec + self.unity_derivative.components)
+        cr = tuple(r for r in _combine(self.algebra.cr_projector, vec, unfolded=True) if r != _ZERO)
+        return compile_expr(self.components + vec + cr + self.unity_derivative.components)
 
     def partial(self, i: int) -> "ExprFn":
         """Componentwise exact partial derivative with respect to x_{i+1}, the
         directional derivative along e_{i+1}; a new ExprFn on each call."""
         n = self.algebra.dim
-        if not 0 <= i < n:
-            raise DimensionMismatch(f"coordinate index must be in 0..{n - 1}, got {i}")
-        return self.directional(np.eye(n)[i])
+        try:
+            k = operator.index(i)  # an integer type: 1.5 and "1" are refused
+        except TypeError:
+            k = -1
+        if isinstance(i, bool) or not 0 <= k < n:
+            raise DimensionMismatch(f"coordinate index must be an integer in 0..{n - 1}, got {i!r}")
+        return self.directional(np.eye(n)[k])
 
     @cached_property
     def unity_derivative(self) -> "ExprFn":
@@ -777,14 +801,17 @@ def conjugate_fn(algebra: Algebra, j: int) -> ExprFn:
     return ExprFn(algebra, tuple(comps))
 
 
-def _combine(rows, exprs) -> tuple[Expr, ...]:
-    """One expression per row, sum_j row[j] * exprs[j]; zero terms are not built."""
+def _combine(rows, exprs, unfolded: bool = False) -> tuple[Expr, ...]:
+    """One expression per row, sum_j row[j] * exprs[j]; zero terms are not
+    built.  With ``unfolded``, a fold of two constants that is not finite is
+    left to evaluation, as in :meth:`ExprFn.directional`."""
+    build = _unfolded if unfolded else lambda make, op, a, b: make(a, b)
     out = []
     for row in np.asarray(rows, dtype=float).tolist():
         s: Expr = _ZERO
         for c, e in zip(row, exprs):
             if c != 0.0:
-                s = add(s, mul(lit(c), e))
+                s = build(add, "+", s, build(mul, "*", lit(c), e))
         out.append(s)
     return tuple(out)
 

@@ -284,17 +284,30 @@ def test_held_projection_matches_lstsq(fixtures):
 
 
 def test_held_kernels_match_the_products_on_points_and_columns(fixtures):
-    # oracle: numpy's product with P; the J 1 rows are checked on the
-    # Jacobian kernel, in test_calculus
+    # oracle: numpy's product with P, on the P vec(J) rows of the Jacobian
+    # kernel, one per nonzero row of P: each f_k is a product of two linear
+    # forms with nonzero coefficients, so no partial is the zero tree and no
+    # other row drops.  The J 1 rows are checked in test_calculus
+    from acalc.expr import ExprFn, eval_compiled, parse
+
     rng = np.random.default_rng(12)
     for a in fixtures.values():
-        vecs = rng.uniform(-2.0, 2.0, (5, a.dim ** 2))
-        kernel = a.cr_kernel
-        points = np.array([kernel(v) for v in vecs.tolist()])
-        assert np.allclose(points, vecs @ a.cr_projector.T, rtol=0.0, atol=1e-13), a.name
-        # a column of entries runs the same lines; a constant row stays a float
-        columns = np.array([np.broadcast_to(c, len(vecs)) for c in kernel(vecs.T)]).T
-        assert np.array_equal(columns, points), a.name
+        n = a.dim
+
+        def form():
+            return "+".join(f"{c!r}*x{j + 1}" for j, c in enumerate(rng.uniform(0.5, 2.0, n).round(2).tolist()))
+
+        f = ExprFn(a, tuple(parse(f"({form()})*({form()})", n) for _ in range(n)))
+        P = a.cr_projector
+        X = rng.uniform(-2.0, 2.0, (5, n))
+        points = np.array([f._jacobian(x) for x in X.tolist()])
+        m = n + n * n
+        rows = points[:, m:points.shape[1] - n]
+        assert rows.shape == (5, np.count_nonzero(P.any(axis=1))), a.name
+        want = points[:, n:m] @ P[P.any(axis=1)].T
+        assert np.allclose(rows, want, rtol=0.0, atol=1e-13 * np.abs(points[:, n:m]).max()), a.name
+        # a batch runs the same lines
+        assert np.array_equal(eval_compiled(f._jacobian, X), points), a.name
 
 
 def test_fixture_names_give_one_algebra_that_holds_its_facts():
@@ -304,7 +317,7 @@ def test_fixture_names_give_one_algebra_that_holds_its_facts():
     assert get_algebra("complex") is held["C"] and get_algebra("wave1") is held["wave"]
 
     def facts(a):
-        return a.rep_basis, a.cr_projector, a.cr_kernel
+        return a.rep_basis, a.cr_projector, a.basis_inverses
 
     first = facts(get_algebra("C"))
     assert all(x is y for x, y in zip(facts(get_algebra("C")), first))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from acalc.algebra import make_algebra, mul, norm, regrep
 from acalc.calculus import (
+    DEFAULT_ADIFF_TOL,
     _EPS_CUBE_ROOT,
     _central_stencil,
     adiff_test,
@@ -877,17 +878,25 @@ def test_jacobian_kernel_ends_with_the_derivative_rows(fixtures):
             values = np.array(f._jacobian(p.coords.tolist()))
             J = values[n:n + n * n].reshape(n, n)
             want = J @ a.unity
-            assert np.abs(values[n + n * n:] - want).max() <= 1e-15 * np.abs(want).max(), a.name
+            assert np.abs(values[-n:] - want).max() <= 1e-15 * np.abs(want).max(), a.name
             X = np.array([random_element(a, rng).coords for _ in range(3)])
             rows = eval_compiled(f._jacobian, X)
-            assert np.allclose(rows[:, n + n * n:], f.eval_jacobian(X) @ a.unity, rtol=1e-15, atol=0.0)
+            assert np.allclose(rows[:, -n:], f.eval_jacobian(X) @ a.unity, rtol=1e-15, atol=0.0)
         if a.unity_first:
             # J 1 is J's first column: the kernel has no line for it
             vec = tuple(diff(c, i) for c in f.components for i in range(n))
+            cr = _cr_rows(a, vec)
             tail = f.unity_derivative.components
             assert tail == vec[::n], a.name
-            assert _kernel_source(f.components + vec + tail).count("\n") == \
-                _kernel_source(f.components + vec).count("\n"), a.name
+            assert _kernel_source(f.components + vec + cr + tail).count("\n") == \
+                _kernel_source(f.components + vec + cr).count("\n"), a.name
+
+
+def _cr_rows(a, vec):
+    """The nonzero trees of P vec(J), as the Jacobian kernel lists them."""
+    from acalc.expr import _ZERO, _combine
+
+    return tuple(r for r in _combine(a.cr_projector, vec, unfolded=True) if r != _ZERO)
 
 
 def _three_functions(a):
@@ -906,7 +915,7 @@ def test_every_derivative_is_a_directional_derivative(fixtures):
         for f in _three_functions(a):
             vec = tuple(diff(c, i) for c in f.components for i in range(n))
             tail = f.unity_derivative.components
-            assert f._jacobian is compile_expr(f.components + vec + tail), a.name
+            assert f._jacobian is compile_expr(f.components + vec + _cr_rows(a, vec) + tail), a.name
             assert tail == _combine(rows, vec), a.name
             for i in range(n):
                 assert f.partial(i).components == tuple(diff(c, i) for c in f.components), a.name
@@ -944,6 +953,104 @@ def test_derivative_that_overflows_is_read_only_for_a_true_verdict():
         adiff_test(g, [0.1, 0.1])
     report = adiff_test(g, [0.1, 0.1], tol=1e-9)
     assert 7e-8 < report.residual < 8e-8 and not report.is_adiff
+
+
+def _scaled_route(f, tol=DEFAULT_ADIFF_TOL):
+    """The verdict as two kernels gave it, as a function of the point: f,
+    vec(J) and J 1 from one kernel, vec(J) scaled by a power of two, P vec(J)
+    from a second kernel over the scaled entries, and the ratio of the two
+    hypots.  It returns the residual's hex, the verdict and the derivative's
+    hex, or the exception type."""
+    from acalc.expr import _combine, compile_expr, var
+
+    n = f.algebra.dim
+    m = n + n * n
+    vec_trees = tuple(diff(c, i) for c in f.components for i in range(n))
+    kernel = compile_expr(f.components + vec_trees + f.unity_derivative.components)
+    cr = compile_expr(_combine(f.algebra.cr_projector, [var(j) for j in range(n * n)]))
+
+    def route(p):
+        try:
+            values = kernel(list(p))
+            finite = all(map(math.isfinite, values))
+            if not finite and not all(map(math.isfinite, values[:m])):
+                raise DomainError("not finite")
+            vec = values[n:m]
+            e = max(math.frexp(max(map(abs, vec)))[1], sys.float_info.min_exp)
+            s = math.ldexp(1.0, -e)
+            scaled = [v * s for v in vec]
+            num, den = math.hypot(*cr(scaled)), math.hypot(*scaled)
+            residual = num / den if e > 0 else math.ldexp(num, e) / max(1.0, math.ldexp(den, e))
+            ok = residual <= tol
+            if ok and not finite:
+                raise DomainError("not finite")
+            return residual.hex(), ok, tuple(v.hex() for v in values[m:]) if ok else None
+        except Exception as exc:  # noqa: BLE001 - the type is the outcome
+            return type(exc)
+
+    return route
+
+
+def _one_kernel_route(f, p):
+    try:
+        r = adiff_test(f, p)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+    return r.residual.hex(), r.is_adiff, tuple(v.hex() for v in r.derivative.coords) if r.is_adiff else None
+
+
+def test_one_kernel_verdict_matches_the_scaled_route_bit_for_bit(fixtures):
+    # 16 fixtures x {z^2, z^3, zbar2, 1e250 z^3} at 2^k p for k = -1070..1030
+    # in steps of 7: the power-of-two scale is exact where nothing under- or
+    # overflows, so the residual, verdict and derivative keep their bits,
+    # and the error type where f or J is not finite
+    cases = refusals = 0
+    for a in fixtures.values():
+        n = a.dim
+        base = [math.ldexp(0.3 + 0.1 * i, -8) for i in range(n)]  # 2^1030 base is finite
+        functions = (*_three_functions(a), poly_fn(a, [0.0, 0.0, 0.0, 1e250]))
+        for label, f in zip(("z^2", "z^3", "zbar2", "1e250 z^3"), functions):
+            reference = _scaled_route(f)
+            for k in range(-1070, 1031, 7):
+                p = [math.ldexp(v, k) for v in base]
+                want = reference(p)
+                assert _one_kernel_route(f, p) == want, (a.name, label, k)
+                cases += 1
+                refusals += want is DomainError
+    assert cases == 16 * 4 * 301
+    assert 0 < refusals < cases  # both the verdicts and the refusals are compared
+
+
+@pytest.mark.filterwarnings("error")
+def test_cauchy_riemann_rows_that_overflow_take_the_scaled_rerun(fixtures, monkeypatch):
+    # J = [[1, 1e308], [1e308, 1]] is finite, and J_12 + J_21 = 2e308 is not:
+    # the residual is that of 2^-1024 J, sqrt(2) * 2^1024 / (sqrt(2) * 2^1024)
+    C = get_algebra("C")
+    f = ExprFn(C, (parse("x1+1e308*x2", 2), parse("1e308*x1+x2", 2)))
+    report = adiff_test(f, [0.5, 0.5])
+    assert (report.residual.hex(), report.is_adiff) == ("0x1.6a09e667f3bccp+0", False)
+    assert _one_kernel_route(f, [0.5, 0.5]) == _scaled_route(f)([0.5, 0.5])
+    # f = -2.4e292 is finite at (pi, 0.5), and J_11 = 2e308 is not: refused
+    g = ExprFn(C, (parse("1e308*sin(2*x1)", 2), parse("x2", 2)))
+    with pytest.raises(DomainError, match="non-finite"):
+        adiff_test(g, [math.pi, 0.5])
+    assert _scaled_route(g)([math.pi, 0.5]) is DomainError
+    # on every fixture, J entries of 1.2e308 to 1.7e308, whose norm
+    # overflows: the rerun's sums keep the kernel's order, bit for bit
+    from acalc import calculus
+
+    reruns = []
+    rerun = calculus._scaled_residual
+    monkeypatch.setattr(calculus, "_scaled_residual", lambda *args: reruns.append(args) or rerun(*args))
+    rng = np.random.default_rng(29)
+    for a in fixtures.values():
+        n = a.dim
+        rows = [rng.integers(12, 18, n).tolist() for _ in range(n)]
+        f = ExprFn(a, tuple(parse("+".join(f"{c}e307*sin(x{j + 1})" for j, c in enumerate(row)), n)
+                            for row in rows))
+        p = [1e-3 * (i + 1) for i in range(n)]
+        assert _one_kernel_route(f, p) == _scaled_route(f)(p), a.name
+    assert len(reruns) == 15  # all but R, whose P is 0 and whose one entry is finite
 
 
 _ALL = sorted(bundled_algebras())

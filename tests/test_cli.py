@@ -598,6 +598,15 @@ def test_cauchy_riemann_sum_past_the_float_range_does_not_overflow(capsys):
     got = run(capsys, "check-adiff", "--algebra", "C", "--fn", "1e308*x2;1e308*x1",
               "--point", "0.5,0.5")
     assert got == (1, "point=(0.5, 0.5)  residual=1.41421356237  adiff=False\n", "")
+
+
+@pytest.mark.filterwarnings("error")
+def test_cauchy_riemann_row_that_overflows_at_a_point_is_rerun_scaled(capsys):
+    # J = [[1, 1e308], [1e308, 1]] is finite; its Cauchy-Riemann row
+    # J_12 + J_21 = 2e308 is not, so the verdict reruns on 2^-1024 J
+    got = run(capsys, "check-adiff", "--algebra", "C", "--fn", "x1+1e308*x2;1e308*x1+x2",
+              "--point", "0.5,0.5")
+    assert got == (1, "point=(0.5, 0.5)  residual=1.41421356237  adiff=False\n", "")
     # the largest float: vec(J) is scaled by 2^-1024, and a Jacobian in M(C) still passes
     top = repr(sys.float_info.max)
     got = run(capsys, "check-adiff", "--algebra", "C", "--fn", f"{top}*x2;{top}*x1",

@@ -397,6 +397,18 @@ def test_copies_and_pickles_return_the_live_node():
     assert pickle.loads(pickle.dumps(e)) is e
 
 
+def test_deep_tree_pickles_and_copies_without_recursion():
+    # a 10,000-level sum: __reduce__ gives one flat list, not a nest per level
+    e = parse("+".join(f"x{1 + k % 2}*{k}" for k in range(10_000)), 2)
+    data = pickle.dumps(e)
+    assert pickle.loads(data) is e
+    assert copy.deepcopy(e) is e and copy.copy(e) is e
+    text = to_str(e)
+    del e
+    gc.collect()
+    assert to_str(pickle.loads(data)) == text  # built anew, once the tree is gone
+
+
 def test_node_without_referrers_leaves_the_table():
     inner_key = ("*", (Lit(0.123456789), Var(0, "x1")), None)
     e = Op("sin", (Op(*inner_key),))
@@ -573,11 +585,19 @@ def test_identity_fn_partial():
 @pytest.mark.parametrize("method, arg", [
     ("directional", [1.0]), ("directional", [1.0, 0.0, 5.0]), ("directional", [[1.0, 0.0]]),
     ("directional", 1.0), ("partial", -1), ("partial", 2), ("partial", 5),
+    ("partial", 1.5), ("partial", 1.0), ("partial", True), ("partial", False),
+    ("partial", "1"), ("partial", None), ("partial", np.float64(1.0)),
 ])
 def test_derivative_along_another_width_is_refused(method, arg):
     f = poly_fn(get_algebra("C"), [0.0, 0.0, 1.0])
     with pytest.raises(DimensionMismatch):
         getattr(f, method)(arg)
+
+
+def test_partial_takes_any_integer_type():
+    f = poly_fn(get_algebra("C"), [0.0, 0.0, 1.0])
+    for i in range(2):
+        assert f.partial(np.int64(i)).components == f.partial(i).components
 
 
 def test_unexpected_character_position():
