@@ -11,9 +11,10 @@ element is exactly one of: zero, a unit, or a zero-divisor.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .errors import (
     AlgebraMismatch,
     AssociativityViolation,
     DimensionMismatch,
+    DomainError,
     NotAUnit,
     SearchFailed,
     UnityViolation,
@@ -47,8 +49,6 @@ __all__ = [
 
 # Relative singular-value cutoff below which regrep(x) counts as singular.
 SINGULAR_RTOL = 1e-10
-# Absolute coordinate-norm below which an element counts as zero.
-ZERO_TOL = 1e-14
 # Shifts +/-c, c = 1, 1/2, 1/4, ..., of w + c*1 tried by find_invertible_basis
 # after c = 0.
 MAX_UNIT_SHIFTS = 64
@@ -201,6 +201,24 @@ class AElement:
         return " + ".join(terms)
 
 
+@lru_cache(maxsize=None)
+def _packer(n: int):
+    """Packs n floats to the bytes of a float64 array of shape (n,); held
+    here, not on the algebra, which must stay picklable."""
+    return struct.Struct(f"{n}d").pack
+
+
+def _element_of(algebra: Algebra, values) -> AElement:
+    """``algebra.element(values)`` for n floats, built without its coercion
+    and the dataclass ``__init__``: the coordinates are a read-only float64
+    array over the packed bytes, written past the frozen ``__setattr__``."""
+    x = object.__new__(AElement)
+    fields = x.__dict__
+    fields["algebra"] = algebra
+    fields["coords"] = np.frombuffer(_packer(algebra.dim)(*values))
+    return x
+
+
 class Kind(Enum):
     ZERO = "zero"
     UNIT = "unit"
@@ -340,17 +358,23 @@ def submult_bound(algebra: Algebra) -> float:
 def classify(x: AElement) -> Classification:
     """Decide zero / unit / zero-divisor, with inverse or annihilator witness.
 
-    Zero means ||x|| <= ZERO_TOL.  A unit has sigma_min(M(x)) >
+    Zero means every coordinate is 0.0.  A unit has sigma_min(M(x)) >
     SINGULAR_RTOL * sigma_max, a rule that does not change under scaling of
-    x.  For a zero-divisor the witness is the right-singular vector of the
-    smallest singular value, so ||x * b|| = sigma_min with ||b|| = 1.
+    x.  The SVD reads x scaled exactly by a power of two to a largest
+    coordinate in [1/2, 1), so a subnormal x stays in range, and the inverse
+    undoes the scale; an inverse out of the float range raises
+    :class:`DomainError`.  For a zero-divisor the witness is the right-singular
+    vector of the smallest singular value, so ||x * b|| = sigma_min with ||b|| = 1.
     """
-    if x.norm <= ZERO_TOL:
+    if not x.coords.any():
         return Classification(kind=Kind.ZERO)
-    M = regrep(x)
-    U, s, Vt = np.linalg.svd(M)
+    e = math.frexp(float(np.abs(x.coords).max()))[1]
+    U, s, Vt = np.linalg.svd(regrep(AElement(x.algebra, np.ldexp(x.coords, -e))))
     if s[-1] > SINGULAR_RTOL * s[0]:
-        inv_coords = (Vt.T * (1.0 / s)) @ (U.T @ x.algebra.unity)
+        with np.errstate(over="ignore"):  # an inverse that overflows is refused below
+            inv_coords = np.ldexp((Vt.T * (1.0 / s)) @ (U.T @ x.algebra.unity), -e)
+        if not np.isfinite(inv_coords).all():
+            raise DomainError("the inverse of this unit leaves the float range")
         return Classification(kind=Kind.UNIT, inverse=AElement(x.algebra, _freeze(inv_coords)))
     w = Vt[-1]
     pivot = int(np.argmax(np.abs(w)))

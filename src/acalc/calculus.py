@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AElement, Algebra, _freeze, mul
+from .algebra import AElement, Algebra, _element_of, _freeze, mul
 from .errors import DomainError, NonInvertibleBasis, NotADifferentiable
 from .expr import _NOT_FINITE, ExprFn
 
@@ -97,33 +97,32 @@ def adiff_test(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "symb
     Checks the identity J = M(J 1) on the exact Jacobian through the
     algebra's held projector, vec(J - M(J 1)) = P vec(J); the residual is
     ||J - M(J 1)||_F / max(1, ||J||_F).  On success the derivative is J 1.
-    One call of f's Jacobian kernel gives f(p), vec(J), P vec(J) and J 1.
-    ``method`` may be ``"fd"`` or ``"symbolic"``; both name the one route.
+    One call of f's verdict kernel gives ||f(p)||, f(p), vec(J),
+    ||P vec(J)||, ||vec(J)|| and J 1; the entries of f(p) are read only when
+    its norm is not finite, and the rare scaled rerun only when a norm of J is
+    not.  ``method`` may be ``"fd"`` or ``"symbolic"``; both name the one route.
     """
     if method not in ("fd", "symbolic"):
         raise ValueError(f"method must be 'fd' or 'symbolic', got {method!r}")
     algebra = f.algebra
     point = algebra.element(p)
-    n = algebra.dim
-    m = n + n * n
-    values = f._jacobian(point.coords.tolist())  # f(p), vec(J), P vec(J), J 1
-    if not all(map(math.isfinite, values[:n])):
+    f_norm, f_p, vec, num, den, tail = f._verdict(point.coords.tolist())
+    # hypot is not finite exactly when an entry is not or the norm
+    # overflows, so f's entries are read only then
+    if not math.isfinite(f_norm) and not all(map(math.isfinite, f_p)):
         raise DomainError(_NOT_FINITE)
-    vec = values[n:m]
-    # hypot is not finite exactly when an entry is not or the norm overflows
-    num, den = math.hypot(*values[m:-n]), math.hypot(*vec)
     if math.isfinite(num) and math.isfinite(den):
         residual = num / max(1.0, den)
     else:
         residual = _scaled_residual(algebra.cr_projector, vec)
-    ok = residual <= tol
-    # J 1, the value of f' at p, may overflow where f and J are finite: it
-    # is read only for a true verdict
-    tail = values[-n:]
-    if ok and not all(map(math.isfinite, tail)):
-        raise DomainError(_NOT_FINITE)
-    deriv = AElement(algebra, _freeze(tail)) if ok else None
-    return DiffReport(point, vec, residual, ok, deriv, tol)
+    # tuple.__new__ packs the report as DiffReport(...) does, without its call
+    if residual <= tol:
+        # J 1, the value of f' at p, may overflow where f and J are finite:
+        # it is read only for a true verdict
+        if not all(map(math.isfinite, tail)):
+            raise DomainError(_NOT_FINITE)
+        return tuple.__new__(DiffReport, (point, vec, residual, True, _element_of(algebra, tail), tol))
+    return tuple.__new__(DiffReport, (point, vec, residual, False, None, tol))
 
 
 def _scaled_residual(P: np.ndarray, vec: tuple[float, ...]) -> float:

@@ -530,11 +530,11 @@ def evaluate(e: Expr, point) -> float:
     return value(e)
 
 
-def _kernel_source(exprs: tuple[Expr, ...]) -> str:
+def _kernel_source(exprs: tuple[Expr, ...], verdict: int | None = None) -> str:
     """One ``def`` with a line ``tN = ...`` per distinct operator node of
     ``exprs``, in the order the trees evaluate, and a line ``xI = x[I]`` per
     coordinate read; constants are inlined.  It returns the value of every
-    tree."""
+    tree, or with ``verdict`` the verdict's values (see :func:`compile_expr`)."""
     names: dict[Expr, str] = {}
     lines = ["def kernel(x):"]
 
@@ -548,25 +548,39 @@ def _kernel_source(exprs: tuple[Expr, ...]) -> str:
         else:
             source, names[e] = _OPS[e.op].source.format(*map(name, e.args), k=e.k), f"t{len(names)}"
         lines.append(f"    {names[e]} = {source}")
-    lines.append(f"    return ({''.join(name(e) + ',' for e in exprs)})")
+    values = [f"{name(e)}," for e in exprs]
+    if verdict is None:
+        returned = f"({''.join(values)})"
+    else:
+        n, m = verdict, verdict + verdict * verdict
+        f, vec, cr, tail = map("".join, (values[:n], values[n:m], values[m:-n], values[-n:]))
+        returned = f"(_hypot({f}), ({f}), ({vec}), _hypot({cr}), _hypot({vec}), ({tail}))"
+    lines.append(f"    return {returned}")
     return "\n".join(lines)
 
 
-# the names the compiled templates call, such as _div
+# the names the compiled templates call, such as _div, and the verdict's norm
 _COMPILE_NS = {o.source.partition("(")[0]: o.fn for o in _OPS.values() if o.source.startswith("_")}
+_COMPILE_NS["_hypot"] = math.hypot
 
 
 @lru_cache(maxsize=4096)
-def compile_expr(exprs: tuple[Expr, ...]):
+def compile_expr(exprs: tuple[Expr, ...], verdict: int | None = None):
     """Compile a tuple of trees to one kernel: a Python function of the
     coordinates ``x`` that returns the tuple of their values.
 
     A subterm that several trees share is computed once.  ``x[i]`` may be a
     float or an array of one coordinate over a batch of points; each value is
     then a float or an array (a constant stays a float).
+
+    With ``verdict`` n, the trees are a function's n components f, its n^2
+    partials vec(J), the rows of P vec(J) and the n components of J 1, and
+    the kernel returns, at one point of floats, ``(||f||, f, vec(J),
+    ||P vec(J)||, ||vec(J)||, J 1)``: each norm is ``math.hypot`` of the
+    values, which is finite exactly when they all are and it does not overflow.
     """
     namespace = dict(_COMPILE_NS)
-    exec(_kernel_source(exprs), namespace)
+    exec(_kernel_source(exprs, verdict), namespace)
     return namespace["kernel"]
 
 
@@ -680,9 +694,9 @@ def substitute(exprs: tuple[Expr, ...], mapping: dict[int, Expr]) -> tuple[Expr,
 class ExprFn:
     """A function A -> A given by one component expression per coordinate.
 
-    The kernel of the components, the verdict kernel of f(p), J, P vec(J)
-    and J 1, and f' are built on first use and held, so repeated evaluation
-    does not hash the trees again.  Every derivative is :meth:`directional`.
+    The kernel of the components, the kernel of f and J, the verdict kernel
+    and f' are built on first use and held, so repeated evaluation does not
+    hash the trees again.  Every derivative is :meth:`directional`.
     """
 
     algebra: Algebra
@@ -719,27 +733,35 @@ class ExprFn:
         """The exact Jacobian, J[k, i] = d f_k / d x_{i+1}, at one point
         ``(n,)`` -> ``(n, n)`` or at a batch ``(m, n)`` -> ``(m, n, n)``: the
         held Jacobian kernel's n^2 values after f's n components, which are J
-        row by row.  Raises DomainError where f or an entry is not finite;
-        J 1, which may overflow where J is finite, is not read."""
+        row by row.  Raises DomainError where f or an entry is not finite."""
         n = self.algebra.dim
         x = self._coords(point)
-        values = eval_compiled(lambda rows: self._jacobian(rows)[:n + n * n], x)
-        return values[..., n:].reshape(x.shape[:-1] + (n, n))
+        return eval_compiled(self._jacobian, x)[..., n:].reshape(x.shape[:-1] + (n, n))
 
     @cached_property
     def _compiled(self):
         return compile_expr(self.components)
 
     @cached_property
-    def _jacobian(self):
-        # the one verdict kernel: f's components, J row by row, the nonzero
-        # rows of P vec(J) (the generalized Cauchy-Riemann residuals of the
-        # algebra's held projector P), then J 1, the components of f'.  When
-        # the unity is v_1, the trees of f' are J's first column and add no line
+    def _vec(self) -> tuple[Expr, ...]:
+        """The trees of vec(J), J row by row."""
         n = self.algebra.dim
-        vec = tuple(diff(c, i) for c in self.components for i in range(n))
+        return tuple(diff(c, i) for c in self.components for i in range(n))
+
+    @cached_property
+    def _jacobian(self):
+        # f's components, then J row by row
+        return compile_expr(self.components + self._vec)
+
+    @cached_property
+    def _verdict(self):
+        # the one verdict kernel (see compile_expr); the nonzero rows of
+        # P vec(J) are the generalized Cauchy-Riemann residuals of the
+        # algebra's held projector P.  When the unity is v_1, the trees of
+        # J 1, the components of f', are J's first column and add no line
+        vec = self._vec
         cr = tuple(r for r in _combine(self.algebra.cr_projector, vec, unfolded=True) if r != _ZERO)
-        return compile_expr(self.components + vec + cr + self.unity_derivative.components)
+        return compile_expr(self.components + vec + cr + self.unity_derivative.components, self.algebra.dim)
 
     def partial(self, i: int) -> "ExprFn":
         """Componentwise exact partial derivative with respect to x_{i+1}, the

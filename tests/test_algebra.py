@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acalc.algebra import (
-    ZERO_TOL,
     Kind,
     classify,
     find_invertible_basis,
@@ -25,6 +24,7 @@ from acalc.errors import (
     AlgebraMismatch,
     AssociativityViolation,
     DimensionMismatch,
+    DomainError,
     NotAUnit,
     UnityViolation,
 )
@@ -284,11 +284,13 @@ def test_held_projection_matches_lstsq(fixtures):
 
 
 def test_held_kernels_match_the_products_on_points_and_columns(fixtures):
-    # oracle: numpy's product with P, on the P vec(J) rows of the Jacobian
+    # oracle: numpy's product with P, on the P vec(J) rows of the verdict
     # kernel, one per nonzero row of P: each f_k is a product of two linear
     # forms with nonzero coefficients, so no partial is the zero tree and no
-    # other row drops.  The J 1 rows are checked in test_calculus
-    from acalc.expr import ExprFn, eval_compiled, parse
+    # other row drops.  The verdict kernel returns the rows' norm, so the
+    # rows are read from the same trees compiled to return every value.  The
+    # J 1 rows are checked in test_calculus
+    from acalc.expr import _ZERO, ExprFn, _combine, compile_expr, eval_compiled, parse
 
     rng = np.random.default_rng(12)
     for a in fixtures.values():
@@ -300,14 +302,22 @@ def test_held_kernels_match_the_products_on_points_and_columns(fixtures):
         f = ExprFn(a, tuple(parse(f"({form()})*({form()})", n) for _ in range(n)))
         P = a.cr_projector
         X = rng.uniform(-2.0, 2.0, (5, n))
-        points = np.array([f._jacobian(x) for x in X.tolist()])
+        cr = tuple(r for r in _combine(P, f._vec, unfolded=True) if r != _ZERO)
+        flat = compile_expr(f.components + f._vec + cr + f.unity_derivative.components)
+        points = np.array([flat(x) for x in X.tolist()])
         m = n + n * n
         rows = points[:, m:points.shape[1] - n]
         assert rows.shape == (5, np.count_nonzero(P.any(axis=1))), a.name
         want = points[:, n:m] @ P[P.any(axis=1)].T
         assert np.allclose(rows, want, rtol=0.0, atol=1e-13 * np.abs(points[:, n:m]).max()), a.name
-        # a batch runs the same lines
-        assert np.array_equal(eval_compiled(f._jacobian, X), points), a.name
+        # the verdict kernel runs the same lines and returns their norms
+        for x, values in zip(X.tolist(), points.tolist()):
+            got = f._verdict(x)
+            assert got == (math.hypot(*values[:n]), tuple(values[:n]), tuple(values[n:m]),
+                           math.hypot(*values[m:-n]), math.hypot(*values[n:m]), tuple(values[-n:])), a.name
+        # a batch runs the same lines, and the Jacobian kernel their first ones
+        assert np.array_equal(eval_compiled(flat, X), points), a.name
+        assert np.array_equal(eval_compiled(f._jacobian, X), points[:, :m]), a.name
 
 
 def test_fixture_names_give_one_algebra_that_holds_its_facts():
@@ -414,6 +424,40 @@ def test_classify_zero(fixtures):
     for a in fixtures.values():
         assert classify(a.zero()).kind is Kind.ZERO
 
+
+@pytest.mark.filterwarnings("error")
+def test_zero_means_every_coordinate_is_zero(fixtures):
+    C = get_algebra("C")
+    assert classify(C.element([-0.0, 0.0])).kind is Kind.ZERO
+    c = classify(C.element([1e-15, 0.0]))
+    assert c.kind is Kind.UNIT
+    assert math.isclose(c.inverse.coords[0], 1e15, rel_tol=1e-15) and c.inverse.coords[1] == 0.0
+    for a in fixtures.values():
+        # a subnormal unit classifies without a warning; its inverse overflows
+        tiny = a.element(1e-310 * a.unity)
+        with pytest.raises(DomainError, match="float range"):
+            classify(tiny)
+        assert classify(a.element(1e-300 * a.unity)).kind is Kind.UNIT
+    # the least subnormal is not zero: eps of the dual numbers times 5e-324
+    assert classify(get_algebra("dual").element([0.0, 5e-324])).kind is Kind.ZERO_DIVISOR
+
+
+def test_classify_reads_a_power_of_two_multiple_bit_for_bit(fixtures):
+    # the SVD reads x scaled to a largest coordinate in [1/2, 1), so 2^k x
+    # gives the same witness and 2^-k times the inverse, bit for bit
+    rng = np.random.default_rng(32)
+    for a in fixtures.values():
+        for _ in range(20):
+            x = a.element(rng.integers(-3, 4, a.dim).astype(float))
+            c = classify(x)
+            for k in (-1000, -40, 3, 900):
+                ck = classify(a.element(np.ldexp(x.coords, k)))
+                assert ck.kind is c.kind, a.name
+                if c.kind is Kind.UNIT:
+                    assert ck.inverse.coords.tobytes() == np.ldexp(c.inverse.coords, -k).tobytes(), a.name
+                elif c.kind is Kind.ZERO_DIVISOR:
+                    assert ck.witness.coords.tobytes() == c.witness.coords.tobytes(), a.name
+
 def test_classify_trichotomy(fixtures):
     rng = np.random.default_rng(13)
     for a in fixtures.values():
@@ -437,7 +481,6 @@ def test_classify_is_scale_invariant(name, data, t):
     kind = classify(x).kind
     if kind is Kind.ZERO:
         return
-    assert t * x.norm > ZERO_TOL
     assert classify(t * x).kind is kind
 
 

@@ -863,10 +863,60 @@ def test_report_is_read_only_and_builds_the_kernels_jacobian():
     assert report.jacobian.tobytes() == f.eval_jacobian(p).tobytes()
 
 
+def test_batch_jacobian_is_each_reports_jacobian_vec_bit_for_bit(fixtures):
+    # the Jacobian kernel at a batch runs the verdict kernel's lines of f and J
+    rng = np.random.default_rng(30)
+    assert len(fixtures) == 16
+    for a in fixtures.values():
+        X = np.array([random_element(a, rng).coords for _ in range(5)])
+        for f in _three_functions(a):
+            J = f.eval_jacobian(X)
+            for x, Jx in zip(X, J):
+                assert Jx.tobytes() == np.array(adiff_test(f, x).jacobian_vec).tobytes(), a.name
+
+
+def test_true_verdict_derivative_is_a_read_only_float64_vector(fixtures):
+    import pickle
+    from dataclasses import FrozenInstanceError
+
+    from acalc.algebra import AElement
+
+    rng = np.random.default_rng(31)
+    for a in fixtures.values():
+        n = a.dim
+        p = random_element(a, rng) if a.commutative else a.element(0.7 * a.unity)
+        for f in (zeta_power(a, 2), zeta_power(a, 3)):
+            d = adiff_test(f, p).derivative
+            assert type(d) is AElement and d.algebra is a, a.name
+            assert d.coords.dtype == np.float64 and d.coords.shape == (n,), a.name
+            assert not d.coords.flags.writeable, a.name
+            with pytest.raises(ValueError):
+                d.coords[0] = 1.0
+            with pytest.raises(FrozenInstanceError):
+                d.coords = np.zeros(n)
+            assert d.coords.tobytes() == f.unity_derivative(p).coords.tobytes(), a.name
+            assert (d + d).coords.tobytes() == (2.0 * d).coords.tobytes(), a.name
+            assert pickle.loads(pickle.dumps(d)).coords.tobytes() == d.coords.tobytes(), a.name
+
+
+def test_norm_of_f_that_overflows_still_gives_a_verdict():
+    # f = (1.5e308, 1.5e308) is finite at (0.5, 0.5) and its norm is not;
+    # J = 1e308 I = M(1e308) is finite, with a finite norm
+    C = get_algebra("C")
+    f = ExprFn(C, (parse("1e308*x1+1e308", 2), parse("1e308*x2+1e308", 2)))
+    report = adiff_test(f, [0.5, 0.5])
+    assert (report.residual, report.is_adiff) == (0.0, True)
+    assert report.derivative.coords.tolist() == [1e308, 0.0]
+    assert _one_kernel_route(f, [0.5, 0.5]) == _scaled_route(f)([0.5, 0.5])
+    # an entry of f that is not finite is still refused
+    with pytest.raises(DomainError, match="non-finite"):
+        adiff_test(f, [1.0, 0.5])
+
+
 def test_jacobian_kernel_ends_with_the_derivative_rows(fixtures):
     # oracle: numpy's J @ unity, on a point and on a batch; triangular6 and
     # RxR are among the fixtures whose unity is not v_1
-    from acalc.expr import _kernel_source, eval_compiled
+    from acalc.expr import _kernel_source, compile_expr, eval_compiled
 
     rng = np.random.default_rng(26)
     assert not fixtures["triangular6"].unity_first and not fixtures["RxR"].unity_first
@@ -875,20 +925,21 @@ def test_jacobian_kernel_ends_with_the_derivative_rows(fixtures):
         g = ExprFn(a, tuple(parse(f"exp(x{n})", n) for _ in range(n)))
         for f in (zeta_power(a, 3), exprfn_mul(zeta_power(a, 2), g)):
             p = random_element(a, rng)
-            values = np.array(f._jacobian(p.coords.tolist()))
-            J = values[n:n + n * n].reshape(n, n)
+            *_, vec, _, _, tail = f._verdict(p.coords.tolist())
+            J = np.array(vec).reshape(n, n)
             want = J @ a.unity
-            assert np.abs(values[-n:] - want).max() <= 1e-15 * np.abs(want).max(), a.name
+            assert np.abs(np.array(tail) - want).max() <= 1e-15 * np.abs(want).max(), a.name
+            # a batch runs the trees of J 1, which the verdict kernel ends with
             X = np.array([random_element(a, rng).coords for _ in range(3)])
-            rows = eval_compiled(f._jacobian, X)
-            assert np.allclose(rows[:, -n:], f.eval_jacobian(X) @ a.unity, rtol=1e-15, atol=0.0)
+            rows = eval_compiled(compile_expr(f.unity_derivative.components), X)
+            assert np.allclose(rows, f.eval_jacobian(X) @ a.unity, rtol=1e-15, atol=0.0)
         if a.unity_first:
             # J 1 is J's first column: the kernel has no line for it
             vec = tuple(diff(c, i) for c in f.components for i in range(n))
             cr = _cr_rows(a, vec)
             tail = f.unity_derivative.components
             assert tail == vec[::n], a.name
-            assert _kernel_source(f.components + vec + cr + tail).count("\n") == \
+            assert _kernel_source(f.components + vec + cr + tail, n).count("\n") == \
                 _kernel_source(f.components + vec + cr).count("\n"), a.name
 
 
@@ -915,7 +966,8 @@ def test_every_derivative_is_a_directional_derivative(fixtures):
         for f in _three_functions(a):
             vec = tuple(diff(c, i) for c in f.components for i in range(n))
             tail = f.unity_derivative.components
-            assert f._jacobian is compile_expr(f.components + vec + _cr_rows(a, vec) + tail), a.name
+            assert f._verdict is compile_expr(f.components + vec + _cr_rows(a, vec) + tail, n), a.name
+            assert f._jacobian is compile_expr(f.components + vec), a.name
             assert tail == _combine(rows, vec), a.name
             for i in range(n):
                 assert f.partial(i).components == tuple(diff(c, i) for c in f.components), a.name

@@ -89,6 +89,16 @@ def test_classify_unit(capsys):
     assert "inverse:" in out
 
 
+@pytest.mark.filterwarnings("error")
+def test_classify_zero_is_exact(capsys):
+    code, out, _ = run(capsys, "classify", "--algebra", "C", "--point", "1e-15,0")
+    assert code == 0
+    assert "kind:     unit" in out and "inverse:  1e+15, 0" in out
+    code, out, err = run(capsys, "classify", "--algebra", "C", "--point", "1e-310,0")
+    assert (code, out) == (2, "")
+    assert err == "error: the inverse of this unit leaves the float range\n"
+
+
 def test_classify_zero_divisor(capsys):
     code, out, _ = run(capsys, "classify", "--algebra", "hyperbolic", "--point", "1,1")
     assert code == 0
