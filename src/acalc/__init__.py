@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "algebra": ("AElement", "Algebra", "Classification", "Kind", "classify",
-                "find_invertible_basis", "invert", "make_algebra", "minimal_polynomial_witness",
-                "mul", "norm", "number_map", "regrep", "submult_bound"),
+                "find_invertible_basis", "invert", "make_algebra", "mul", "norm", "number_map",
+                "regrep", "submult_bound"),
     "calculus": ("ConjugateFrame", "DiffReport", "adiff_test", "conjugate_coords",
                  "conjugate_frame", "derivative", "higher_derivative", "jacobian_fd",
                  "jacobian_sym", "taylor_eval", "wirtinger_apply"),

@@ -37,7 +37,6 @@ __all__ = [
     "find_invertible_basis",
     "invert",
     "make_algebra",
-    "minimal_polynomial_witness",
     "mul",
     "mul_batch",
     "norm",
@@ -288,8 +287,7 @@ def make_algebra(dim, structure, unity, labels=None, name="algebra") -> Algebra:
         if np.max(np.abs(left[j] - eye[j])) > utol or np.max(np.abs(right[j] - eye[j])) > utol:
             raise UnityViolation(j)
 
-    commutative = bool(np.allclose(C, C.transpose(1, 0, 2), atol=tol, rtol=0.0)) if not exact \
-        else bool(np.array_equal(C, C.transpose(1, 0, 2)))
+    commutative = bool(np.max(np.abs(C - C.transpose(1, 0, 2))) <= tol)
     return Algebra(
         name=name,
         dim=dim,
@@ -362,13 +360,17 @@ def classify(x: AElement) -> Classification:
     SINGULAR_RTOL * sigma_max, a rule that does not change under scaling of
     x.  The SVD reads x scaled exactly by a power of two to a largest
     coordinate in [1/2, 1), so a subnormal x stays in range, and the inverse
-    undoes the scale; an inverse out of the float range raises
-    :class:`DomainError`.  For a zero-divisor the witness is the right-singular
-    vector of the smallest singular value, so ||x * b|| = sigma_min with ||b|| = 1.
+    undoes the scale; an inverse out of the float range, or a coordinate
+    that is not finite, raises :class:`DomainError`.  For a zero-divisor the
+    witness is the right-singular vector of the smallest singular value, so
+    ||x * b|| = sigma_min with ||b|| = 1.
     """
     if not x.coords.any():
         return Classification(kind=Kind.ZERO)
-    e = math.frexp(float(np.abs(x.coords).max()))[1]
+    largest = float(np.abs(x.coords).max())  # nan if any coordinate is
+    if not math.isfinite(largest):
+        raise DomainError("coordinates must be finite")
+    e = math.frexp(largest)[1]
     U, s, Vt = np.linalg.svd(regrep(AElement(x.algebra, np.ldexp(x.coords, -e))))
     if s[-1] > SINGULAR_RTOL * s[0]:
         with np.errstate(over="ignore"):  # an inverse that overflows is refused below
@@ -389,47 +391,6 @@ def invert(x: AElement) -> AElement:
     if c.kind is not Kind.UNIT:
         raise NotAUnit(f"element is {c.kind.value}, not invertible", classification=c)
     return c.inverse
-
-
-def minimal_polynomial_witness(x: AElement) -> AElement | None:
-    """Exact zero-divisor witness from the minimal polynomial of x.
-
-    M is faithful (M(x) 1 = x) and multiplicative, so p(M(x)) = M(p(x)) is
-    zero exactly when p(x) is: M(x) and x have one minimal polynomial,
-    t^k - sum_{m<k} a_m t^m, read from the first power x^k = M(x)^k 1 that
-    depends on the powers below it.  If a_0 != 0, x is a unit: None.  Else
-    p(t) = t q(t), and b = q(x) is nonzero, as the powers below x^k are
-    independent, with x*b = b*x = p(x) = 0; b is scaled exactly to a largest
-    entry of 1, then to unit norm.  The arithmetic is rational (floats are
-    taken at their exact binary values), so on integer structure tensors
-    this is an independent cross-check of the SVD witness of :func:`classify`.
-    """
-    from fractions import Fraction  # only this routine needs it; not loaded with algebra
-
-    n = x.algebra.dim
-    M = [[Fraction(v) for v in row] for row in regrep(x).tolist()]
-    powers = [[Fraction(v) for v in x.algebra.unity.tolist()]]
-    for _ in range(n):
-        powers.append([sum(a * v for a, v in zip(row, powers[-1])) for row in M])
-    # Gauss-Jordan over the columns x^0, ..., x^n up to the first without a
-    # pivot, x^k; the powers below it are independent, so column m takes its
-    # pivot in row m, and x^k = sum_m aug[m][k] x^m
-    aug = [list(row) for row in zip(*powers)]
-    k = 0
-    while (pivot := next((i for i in range(k, n) if aug[i][k] != 0), None)) is not None:
-        aug[k], aug[pivot] = aug[pivot], aug[k]
-        aug[k] = [v / aug[k][k] for v in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k] != 0:
-                aug[i] = [v - aug[i][k] * w for v, w in zip(aug[i], aug[k])]
-        k += 1
-    if aug[0][k] != 0:
-        return None
-    # q(x) = x^(k-1) - sum_{0<m<k} a_m x^(m-1), a_m = aug[m][k]
-    b = [powers[k - 1][i] - sum(aug[m][k] * powers[m - 1][i] for m in range(1, k)) for i in range(n)]
-    largest = max(map(abs, b))
-    b = np.array([float(v / largest) for v in b])
-    return AElement(x.algebra, _freeze(b / np.linalg.norm(b)))
 
 
 def find_invertible_basis(algebra: Algebra) -> list[AElement]:

@@ -220,7 +220,7 @@ def _names(given, n: int, kind: str, default) -> tuple[str, ...]:
     return given
 
 
-def _fmt_coeff(c: float, latex: bool) -> str:
+def _fmt_coeff(c: float) -> str:
     if c == int(c):
         return str(int(c))
     return f"{c:.6g}"
@@ -237,7 +237,7 @@ def _term_str(t: Term, names, comp_name: str, latex: bool) -> str:
         return base
     if c == -1.0:
         return f"-{base}"
-    return f"{_fmt_coeff(c, latex)}*{base}" if not latex else f"{_fmt_coeff(c, latex)} {base}"
+    return f"{_fmt_coeff(c)}*{base}" if not latex else f"{_fmt_coeff(c)} {base}"
 
 
 def render_system(system: EquationSystem, coords=None, components=None,

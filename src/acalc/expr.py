@@ -10,7 +10,8 @@ A tree holds constants (``Lit``), coordinates (``Var``) and operators
 (``Op``).  The table ``_OPS`` is the one place that defines an operator: its
 primitive for points, batches and constant folds, its compiled and printed
 forms, its precedence, its derivative rule and its smart constructor.
-Evaluation, compiling, printing, differentiation and substitution only read it.
+Compiling, printing, differentiation and substitution only read it.  The
+package evaluates a tree only through a compiled kernel.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "constant_fn",
     "derive",
     "diff",
-    "evaluate",
     "exprfn_from_dict",
     "exprfn_mul",
     "identity_fn",
@@ -63,9 +63,6 @@ class Expr:
     """Base class for immutable expression nodes."""
 
     __slots__ = ("__weakref__",)  # for the node table of Op
-
-    def __call__(self, point) -> float:
-        return evaluate(self, point)
 
 
 @dataclass(frozen=True)
@@ -509,25 +506,6 @@ def parse(src: str, dim: int, names: dict[str, int] | None = None) -> Expr:
 # ---------------------------------------------------------------------------
 
 _NOT_FINITE = "evaluation overflowed or gave a non-finite value"
-
-
-def evaluate(e: Expr, point) -> float:
-    """Interpret the tree at a coordinate point (sequence of reals).
-
-    As in compiled evaluation, only the result must be finite: ``1/exp(x1)``
-    at x1 = 1000 is 0, and ``exp(x1)`` there raises DomainError.
-    """
-    values: dict[Expr, float] = {}
-
-    def value(a: Expr) -> float:
-        return a.value if isinstance(a, Lit) else values[a]
-
-    for node in _postorder((e,)):
-        values[node] = (float(point[node.index]) if isinstance(node, Var)
-                        else _apply(_OPS[node.op].fn, node, [value(a) for a in node.args]))
-    if not math.isfinite(value(e)):
-        raise DomainError(_NOT_FINITE)
-    return value(e)
 
 
 def _kernel_source(exprs: tuple[Expr, ...], verdict: int | None = None) -> str:

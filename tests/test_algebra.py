@@ -11,7 +11,6 @@ from acalc.algebra import (
     find_invertible_basis,
     invert,
     make_algebra,
-    minimal_polynomial_witness,
     mul,
     mul_batch,
     norm,
@@ -31,6 +30,7 @@ from acalc.errors import (
 from acalc.fixtures import bundled_algebras, get_algebra, n_hyperbolic, triangular6
 
 from conftest import random_element, random_elements
+from oracles import minimal_polynomial_witness
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +47,9 @@ def test_make_complex_numbers():
     a = make_algebra(2, C, [1, 0], labels=["1", "i"], name="C")
     assert a.commutative
     assert a.dim == 2
+    # a float table, checked to a tolerance: the basis 1, i/3 has (i/3)^2 = -1/9
+    s = np.array([1.0, 1.0 / 3.0])
+    assert make_algebra(2, np.einsum("ijk,i,j,k->ijk", C, s, s, 1.0 / s), [1, 0]).commutative
 
 
 def test_make_one_dimensional():
@@ -60,6 +63,11 @@ def test_noncommutative_six_dim_accepted():
     a = triangular6()
     assert not a.commutative
     assert a.dim == 6
+    # a float table: e4, e5, e6 scaled by 1/3 give e4 e5 = e6/3
+    s = np.array([1.0, 1.0, 1.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
+    C = np.einsum("ijk,i,j,k->ijk", a.structure, s, s, 1.0 / s)
+    assert not np.array_equal(C, np.round(C))
+    assert not make_algebra(6, C, a.unity).commutative
 
 
 def test_group_algebra_s3():
@@ -440,6 +448,18 @@ def test_zero_means_every_coordinate_is_zero(fixtures):
         assert classify(a.element(1e-300 * a.unity)).kind is Kind.UNIT
     # the least subnormal is not zero: eps of the dual numbers times 5e-324
     assert classify(get_algebra("dual").element([0.0, 5e-324])).kind is Kind.ZERO_DIVISOR
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_are_refused_before_the_svd(fixtures, bad):
+    from acalc.diffquot import deleted_quotient
+    from acalc.expr import identity_fn
+
+    for a in fixtures.values():
+        x = a.element(np.where(np.arange(a.dim) == a.dim - 1, bad, 1.0))
+        for call in (classify, invert, lambda h: deleted_quotient(identity_fn(a), a.one(), h)):
+            with pytest.raises(DomainError, match="finite"):
+                call(x)
 
 
 def test_classify_reads_a_power_of_two_multiple_bit_for_bit(fixtures):

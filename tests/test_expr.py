@@ -29,7 +29,6 @@ from acalc.expr import (
     compile_expr,
     conjugate_fn,
     diff,
-    evaluate,
     exprfn_mul,
     identity_fn,
     parse,
@@ -42,6 +41,7 @@ from acalc.calculus import taylor_eval
 from acalc.fixtures import bundled_algebras, get_algebra
 
 from conftest import distinct_ops, random_element
+from oracles import evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +613,13 @@ def test_negative_exponent_round_trip():
     assert evaluate(reparsed, (2.0,)) == 0.25
 
 
-def test_expr_nodes_are_callable():
+def test_expr_nodes_are_not_callable():
+    # the package evaluates a tree only through a compiled kernel; the
+    # interpreter is the tests' oracle
     e = parse("x1 + 1", 1)
-    assert e((2.0,)) == 3.0
+    with pytest.raises(TypeError):
+        e((2.0,))
+    assert evaluate(e, (2.0,)) == compile_expr((e,))([2.0])[0] == 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +688,7 @@ def test_one_point_and_batch_raise_alike(src, bad):
     with pytest.raises(DomainError):
         evaluate(f.components[0], (bad, 1.0))
     with pytest.raises(DomainError):
-        f.components[0]((bad, 1.0))
+        f(C.element([bad, 1.0]))
 
 
 def test_only_the_result_must_be_finite():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -20,6 +22,7 @@ from acalc.integrate import (
 )
 
 from conftest import random_element
+from oracles import interpret
 
 
 def unit_circle(algebra):
@@ -62,13 +65,26 @@ def test_fundamental_theorem_quadratic_curves():
             assert norm(result.value - expected) <= 1e-8
 
 
-def test_fundamental_theorem_polyline():
+def test_fundamental_theorem_polyline(commutative_fixtures):
     C = get_algebra("C")
     f = poly_fn(C, [0.0, 0.0, 3.0])
     verts = tuple(C.element(v) for v in ([0.0, 0.0], [1.0, 0.5], [0.5, 2.0], [-1.0, 1.0]))
     result = integrate_curve(f, Polyline(verts))
     expected = verts[-1] ** 3 - verts[0] ** 3
     assert norm(result.value - expected) <= 1e-9
+    # against F(end) - F(start) in rationals, F' = f a cubic: the quadrature
+    # is exact for it, so only its error estimate and rounding remain
+    rng = np.random.default_rng(2)
+    for a in commutative_fixtures.values():
+        f = poly_fn(a, [0.5, -1.0, 0.75, 0.25])
+        F = poly_fn(a, [0.0, 0.5, -0.5, 0.25, 0.0625])
+        verts = tuple(a.element(rng.integers(-12, 13, a.dim) / 8) for _ in range(3))
+        result = integrate_curve(f, Polyline(verts))
+        end, start = (interpret(F.components, v.coords, Fraction) for v in (verts[-1], verts[0]))
+        exact = [e - s for e, s in zip(end, start)]
+        tol = result.error_bound + 4 * np.spacing(max(1.0, float(max(map(abs, exact)))))
+        for v, e in zip(result.value.coords.tolist(), exact):
+            assert abs(Fraction(v) - e) <= tol, a.name
 
 
 def test_hyperbolic_component_decomposition():
