@@ -243,10 +243,17 @@ def wirtinger_apply(f: ExprFn, which: str, p) -> AElement:
 # ---------------------------------------------------------------------------
 
 def taylor_eval(f: ExprFn, p, h: AElement, k: int) -> AElement:
-    """Degree-k Taylor value: sum_m f^(m)(p) * h^m / m! for m = 0..k, k >= 0."""
+    """Degree-k Taylor value: sum_m f^(m)(p) * h^m / m! for m = 0..k, k >= 0.
+
+    An offset h with a coordinate that is not finite, or a power h^m that
+    overflows, raises DomainError."""
     point, chain = _derivative_chain(f, p, k, "Taylor degree")
+    if not np.isfinite(h.coords).all():
+        raise DomainError("Taylor offset coordinates must be finite")
     total, h_power = f(point), f.algebra.one()
     for m in range(1, k + 1):
         h_power = mul(h_power, h)
+        if not np.isfinite(h_power.coords).all():
+            raise DomainError(f"Taylor offset power h^{m} is not finite")
         total = total + (1.0 / math.factorial(m)) * mul(chain[m](point), h_power)
     return total

@@ -6,16 +6,21 @@ returned with every result.  A literal broken-line Riemann-sum mode is kept
 for convergence demonstrations.
 
 Every curve is a sequence of pieces.  ``spans`` gives the parameter ranges
-(t0, t1) of all pieces as two arrays, and ``trace(piece, t)`` gives the
-points and velocities at parameters ``t`` of the tagged pieces, row by row.
-A parametric curve is one piece; a polyline has one piece per segment,
-parametrized over [0, 1].  Every piece of a curve is refined in the same
-batch, so one level of quadrature is one evaluation of f.
+(t0, t1) of all pieces as two arrays; ``points(piece, t)`` and
+``velocities(piece, t)`` give z and z' at parameters ``t`` of the tagged
+pieces, row by row; and ``integrand(f)`` gives the rows f(z(t)) * z'(t).
+A parametric curve is one piece, and its integrand is one compiled kernel of
+z, z', f(z) and the product, held per function; a polyline has one piece per
+segment, parametrized over [0, 1], and its integrand evaluates f at the
+segments' points and multiplies by their steps.  Every piece of a curve is
+refined in the same batch, so one level of quadrature is one evaluation of
+the integrand.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +28,8 @@ import numpy as np
 
 from .algebra import AElement, Algebra, _check_same, _freeze, mul_batch, norm, submult_bound
 from .errors import DimensionMismatch, QuadratureNonConvergence
-from .expr import Expr, ExprFn, compile_expr, diff, eval_compiled, lit, parse, substitute, sub, var
+from .expr import (Expr, ExprFn, Op, Var, _postorder, _sym_product, compile_expr, diff, eval_compiled,
+                   lit, parse, substitute, sub, var)
 
 __all__ = [
     "Curve",
@@ -75,8 +81,18 @@ class ParametricCurve:
         return compile_expr(self.components)
 
     @cached_property
+    def _velocity(self) -> tuple[Expr, ...]:
+        """The trees of z'(t)."""
+        return tuple(diff(c, 0) for c in self.components)
+
+    @cached_property
     def _velocity_kernel(self):
-        return compile_expr(tuple(diff(c, 0) for c in self.components))
+        return compile_expr(self._velocity)
+
+    @cached_property
+    def _integrands(self) -> weakref.WeakKeyDictionary:
+        # the integrand of each function, held as long as the function lives
+        return weakref.WeakKeyDictionary()
 
     def point(self, t) -> np.ndarray:
         """z(t) for one parameter ``t`` -> ``(n,)``, or an array ``(k,)`` -> ``(k, n)``."""
@@ -90,9 +106,34 @@ class ParametricCurve:
     def spans(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array([self.t0]), np.array([self.t1])
 
-    def trace(self, piece: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Points and velocities at the parameters ``t`` (the one piece)."""
-        return self.point(t), self.velocity(t)
+    def points(self, piece: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Points at the parameters ``t`` (the one piece)."""
+        return self.point(t)
+
+    def velocities(self, piece: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Velocities at the parameters ``t`` (the one piece)."""
+        return self.velocity(t)
+
+    def integrand(self, f: ExprFn):
+        """``g(piece, t)``: the rows f(z(t)) * z'(t) at the parameters ``t``.
+
+        One kernel in t returns z, z', f(z) and the product, so a row costs
+        one call and one finiteness check covers every group: a non-finite
+        point, velocity, value of f or product raises DomainError.  The
+        kernel is built from the trees on first use and held per function.
+        """
+        g = self._integrands.get(f)
+        if g is None:
+            z, dz = self.components, self._velocity
+            fz = _composed(f.components, z)
+            kernel = compile_expr(z + dz + fz + _sym_product(f.algebra, fz, dz))
+            product = 3 * len(z)  # the product's columns come after z, z' and f(z)
+
+            def g(piece: np.ndarray, t: np.ndarray) -> np.ndarray:
+                return eval_compiled(kernel, t[:, None])[:, product:]
+
+            self._integrands[f] = g
+        return g
 
     @property
     def start(self) -> AElement:
@@ -107,8 +148,50 @@ class ParametricCurve:
         return bool(np.max(np.abs(self.point(self.t0) - self.point(self.t1))) <= CLOSED_TOL)
 
 
+def _composed(trees: tuple[Expr, ...], z: tuple[Expr, ...]) -> tuple[Expr, ...]:
+    """The trees with coordinate i replaced by ``z[i]``, every operator node
+    rebuilt as it is: unlike :func:`substitute` no fold or identity is applied,
+    so a factor 0 that the parser kept still evaluates its other operand, and
+    a division by zero there raises as it does when f is evaluated at z."""
+    memo: dict[Expr, Expr] = {}
+    for node in _postorder(trees):
+        memo[node] = z[node.index] if isinstance(node, Var) else Op(
+            node.op, tuple(memo.get(a, a) for a in node.args), node.k)
+    return tuple(memo.get(e, e) for e in trees)
+
+
+class _Segments:
+    """Pieces that are straight segments: segment k runs from ``starts[k]``
+    as starts[k] + s * steps[k] for s in [0, 1], and a row's piece tag
+    indexes both arrays."""
+
+    starts: np.ndarray
+    steps: np.ndarray
+
+    def __init__(self, starts: np.ndarray, steps: np.ndarray):
+        self.starts, self.steps = starts, steps
+
+    @property
+    def spans(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros(len(self.steps)), np.ones(len(self.steps))
+
+    def points(self, piece: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return self.starts[piece] + s[:, None] * self.steps[piece]
+
+    def velocities(self, piece: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return self.steps[piece]
+
+    def integrand(self, f: ExprFn):
+        """``g(piece, s)``: the rows f(z) * z' at the points of the tagged segments."""
+        def g(piece: np.ndarray, s: np.ndarray) -> np.ndarray:
+            d = self.steps[piece]
+            return mul_batch(f.algebra, f.eval_coords(self.starts[piece] + s[:, None] * d), d)
+
+        return g
+
+
 @dataclass(frozen=True)
-class Polyline:
+class Polyline(_Segments):
     """Broken line through the given vertices (at least two)."""
 
     vertices: tuple[AElement, ...]
@@ -136,31 +219,13 @@ class Polyline:
         d = self.vertices[0].coords - self.vertices[-1].coords
         return bool(np.max(np.abs(d)) <= CLOSED_TOL)
 
-    @property
-    def spans(self) -> tuple[np.ndarray, np.ndarray]:
-        segments = len(self.vertices) - 1
-        return np.zeros(segments), np.ones(segments)
+    @cached_property
+    def starts(self) -> np.ndarray:
+        return np.array([v.coords for v in self.vertices[:-1]])
 
     @cached_property
-    def trace(self):
-        """``trace(piece, s)``: points and velocities of the tagged segments."""
-        return _segment_trace(np.array([v.coords for v in self.vertices]))
-
-
-def _segment_trace(*routes: np.ndarray):
-    """Trace of the segments of the vertex arrays ``routes``, numbered in order.
-
-    Segment k runs from its start p_k to the next vertex as p_k + s * d_k for
-    s in [0, 1]; the tag of a row indexes the start and difference arrays.
-    """
-    starts = np.concatenate([r[:-1] for r in routes])
-    steps = np.concatenate([np.diff(r, axis=0) for r in routes])
-
-    def trace(piece: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = steps[piece]
-        return starts[piece] + s[:, None] * d, d
-
-    return trace
+    def steps(self) -> np.ndarray:
+        return np.diff([v.coords for v in self.vertices], axis=0)
 
 
 Curve = ParametricCurve | Polyline
@@ -241,59 +306,62 @@ def _gauss_kronrod(g, t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, float
     interval.  On each level the 15 nodes of every open interval go to ``g``
     in one call; an interval is accepted when the largest component of its
     |K15 - G7| is at most its length's share of QUAD_TOL, and the rejected
-    intervals are halved.  ``values`` has one row per piece, and ``error``
-    sums the accepted |K15 - G7|, so it is at most QUAD_TOL.
+    intervals are halved.  ``values`` has one row per piece: the K15 sums of
+    its accepted intervals, added level by level in one ``np.add.at`` at the
+    end.  ``error`` sums the accepted |K15 - G7|, so it is at most QUAD_TOL.
     """
     piece = np.arange(len(t0))
     a, b = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
     total = float(np.abs(b - a).sum())
     err_total = 0.0
+    tags, sums = [], []  # the pieces and K15 sums of the accepted intervals, level by level
     for depth in itertools.count():
-        centre, half = (a + b) / 2, (b - a) / 2
+        width = b - a
+        centre, half = (a + b) / 2, width / 2
         t = centre[:, None] + half[:, None] * GK_NODES
         rows = g(np.repeat(piece, len(GK_NODES)), t.ravel())
-        sums = half[:, None, None] * (GK_WEIGHTS @ rows.reshape(t.shape + (-1,)))
-        kronrod, err = sums[:, 0], np.max(np.abs(sums[:, 1]), axis=1)
-        done = err * total <= QUAD_TOL * np.abs(b - a)
-        if depth == 0:
-            values = np.zeros((len(t0), rows.shape[1]))
-        np.add.at(values, piece[done], kronrod[done])
+        level = half[:, None, None] * (GK_WEIGHTS @ rows.reshape(t.shape + (-1,)))
+        kronrod, err = level[:, 0], np.abs(level[:, 1]).max(axis=1)
+        done = err * total <= QUAD_TOL * np.abs(width)
+        tags.append(piece[done])
+        sums.append(kronrod[done])
         err_total += float(err[done].sum())
-        if done.all():
-            return values, err_total
         keep = ~done
-        if depth >= MAX_DEPTH or 2 * len(GK_NODES) * np.count_nonzero(keep) > MAX_LEVEL_ROWS:
-            np.add.at(values, piece[keep], kronrod[keep])
+        count = np.count_nonzero(keep)
+        if not count:
+            return _accumulate(len(t0), tags, sums), err_total
+        if depth >= MAX_DEPTH or 2 * len(GK_NODES) * count > MAX_LEVEL_ROWS:
+            tags.append(piece[keep])
+            sums.append(kronrod[keep])
             err_total += float(err[keep].sum())
-            raise QuadratureNonConvergence(estimate=values, error_bound=err_total)
+            raise QuadratureNonConvergence(estimate=_accumulate(len(t0), tags, sums), error_bound=err_total)
         # each open interval [a, b] becomes [a, centre] and [centre, b]
-        a = np.stack([a[keep], centre[keep]], axis=1).ravel()
-        b = np.stack([centre[keep], b[keep]], axis=1).ravel()
+        edges = np.empty((count, 3))
+        edges[:, 0], edges[:, 1], edges[:, 2] = a[keep], centre[keep], b[keep]
+        a, b = edges[:, :2].ravel(), edges[:, 1:].ravel()
         piece = np.repeat(piece[keep], 2)
 
 
-def _curve_integrals(f: ExprFn, trace, t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, float]:
-    """int f(z) * dz over every piece of ``trace``: (one row per piece, error)."""
-    algebra = f.algebra
-
-    def g(piece: np.ndarray, t: np.ndarray) -> np.ndarray:
-        z, dz = trace(piece, t)
-        return mul_batch(algebra, f.eval_coords(z), dz)
-
-    return _gauss_kronrod(g, t0, t1)
+def _accumulate(pieces: int, tags: list, sums: list) -> np.ndarray:
+    """One row per piece: its interval sums added in the order they were accepted."""
+    values = np.zeros((pieces, sums[0].shape[1]))
+    np.add.at(values, np.concatenate(tags), np.concatenate(sums))
+    return values
 
 
 def integrate_curve(f: ExprFn, curve: Curve) -> IntegralResult:
     """int_C f(z) * dz with a quadrature error estimate.
 
-    Each piece integrates f(z(t)) * z'(t) over its parameter range; a
-    polyline's segments have exact linear parametrizations.  Division by an
-    exact zero inside f raises DomainError; persistent refinement failure
-    (e.g. near a zero-divisor singularity) raises QuadratureNonConvergence,
-    and a curve in an algebra other than f's raises AlgebraMismatch.
+    Each piece integrates f(z(t)) * z'(t), the curve's integrand, over its
+    parameter range; a polyline's segments have exact linear
+    parametrizations.  Division by an exact zero inside f, and on a
+    parametric curve a point, velocity or product that is not finite, raise
+    DomainError; persistent refinement failure (e.g. near a zero-divisor
+    singularity) raises QuadratureNonConvergence, and a curve in an algebra
+    other than f's raises AlgebraMismatch.
     """
     _check_same(f.algebra, curve.algebra)
-    values, err = _curve_integrals(f, curve.trace, *curve.spans)
+    values, err = _gauss_kronrod(curve.integrand(f), *curve.spans)
     return IntegralResult(value=f.algebra.element(values.sum(axis=0)), error_bound=err)
 
 
@@ -308,7 +376,7 @@ def riemann_sum(f: ExprFn, curve: Curve, m: int) -> AElement:
     algebra = f.algebra
     _check_same(algebra, curve.algebra)
     piece, t = _samples(curve, m + 1)
-    pts = curve.trace(piece.ravel(), t.ravel())[0].reshape(t.shape + (-1,))
+    pts = curve.points(piece.ravel(), t.ravel()).reshape(t.shape + (-1,))
     # each piece starts where the one before it ends
     pts = np.concatenate([pts[0, :1], pts[:, 1:].reshape(-1, algebra.dim)])
     products = mul_batch(algebra, f.eval_coords(pts[1:]), np.diff(pts, axis=0))
@@ -321,7 +389,7 @@ def riemann_sum(f: ExprFn, curve: Curve, m: int) -> AElement:
 
 def _arclength(curve: Curve) -> float:
     def speed(piece: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(curve.trace(piece, t)[1], axis=1, keepdims=True)
+        return np.linalg.norm(curve.velocities(piece, t), axis=1, keepdims=True)
 
     return float(_gauss_kronrod(speed, *curve.spans)[0].sum())
 
@@ -335,7 +403,7 @@ def ml_bound_check(f: ExprFn, curve: Curve) -> MLReport:
     arclength.  The report holds the integral it bounds.
     """
     def sizes(piece: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(f.eval_coords(curve.trace(piece, t)[0]), axis=1)
+        return np.linalg.norm(f.eval_coords(curve.points(piece, t)), axis=1)
 
     _check_same(f.algebra, curve.algebra)
     result = integrate_curve(f, curve)
@@ -374,22 +442,25 @@ def antiderivative_probe(f: ExprFn, region_samples, seed: int = 0) -> ProbeRepor
     if len(pts) < 2:
         raise DimensionMismatch("need at least two region samples")
     rng = np.random.default_rng(seed)
-    pairs, routes = [], []
-    for _ in range(PROBE_PAIRS):
+    # per pair: its endpoints p, q and the two detours, drawn pair by pair
+    corners = np.empty((PROBE_PAIRS, 4, algebra.dim))
+    pairs = []
+    for row in corners:
         i, j = rng.choice(len(pts), size=2, replace=False)
         p, q = pts[i], pts[j]
         pairs.append((p, q))
         mid = 0.5 * (p.coords + q.coords)
         scale = 0.5 * float(np.linalg.norm(q.coords - p.coords)) or 1.0
-        detour1 = mid + scale * rng.uniform(-1, 1, algebra.dim)
-        detour2 = mid + scale * rng.uniform(-1, 1, algebra.dim)
-        routes += [np.array(r) for r in ((p.coords, q.coords),
-                                         (p.coords, detour1, q.coords),
-                                         (p.coords, detour2, q.coords))]
-    segments = np.array([len(r) - 1 for r in routes])
-    count = int(segments.sum())
-    values, _ = _curve_integrals(f, _segment_trace(*routes), np.zeros(count), np.ones(count))
-    per_route = np.add.reduceat(values, np.cumsum(segments) - segments).reshape(PROBE_PAIRS, 3, -1)
+        row[0], row[1] = p.coords, q.coords
+        row[2] = mid + scale * rng.uniform(-1, 1, algebra.dim)
+        row[3] = mid + scale * rng.uniform(-1, 1, algebra.dim)
+    # the routes p -> q, p -> detour1 -> q and p -> detour2 -> q: five segments a pair
+    starts, ends = corners[:, [0, 0, 2, 0, 3]], corners[:, [1, 2, 1, 3, 1]]
+    routes = _Segments(starts.reshape(-1, algebra.dim), (ends - starts).reshape(-1, algebra.dim))
+    values, _ = _gauss_kronrod(routes.integrand(f), *routes.spans)
+    segments = values.reshape(PROBE_PAIRS, 5, -1)
+    per_route = segments[:, [0, 1, 3]]
+    per_route[:, 1:] += segments[:, [2, 4]]
     spread = np.linalg.norm(per_route[:, :, None] - per_route[:, None], axis=-1)
     return ProbeReport(max_discrepancy=float(spread.max()), pairs=tuple(pairs))
 

@@ -34,35 +34,41 @@ def random_elements(algebra, rng, count, scale=2.0):
     return [random_element(algebra, rng, scale) for _ in range(count)]
 
 
-@pytest.fixture
-def eval_calls(monkeypatch):
-    """Count calls of ``ExprFn.eval_coords``; one batch call counts once."""
+def _count_evaluations(monkeypatch, record):
+    """Call ``record(x)`` with the input of every evaluation of a function or
+    of an integrand: each call of ``ExprFn.eval_coords``, and each compiled
+    kernel call of ``acalc.integrate``, where a parametric curve evaluates its
+    integrand f(z(t)) * z'(t), its points and its velocities."""
+    from acalc import integrate
     from acalc.expr import ExprFn
 
+    eval_coords, eval_compiled = ExprFn.eval_coords, integrate.eval_compiled
+
+    def counted_coords(self, point):
+        record(point)
+        return eval_coords(self, point)
+
+    def counted_compiled(kernel, x):
+        record(x)
+        return eval_compiled(kernel, x)
+
+    monkeypatch.setattr(ExprFn, "eval_coords", counted_coords)
+    monkeypatch.setattr(integrate, "eval_compiled", counted_compiled)
+
+
+@pytest.fixture
+def eval_calls(monkeypatch):
+    """Inputs of the evaluations ``_count_evaluations`` counts; one batch call counts once."""
     calls = []
-    original = ExprFn.eval_coords
-
-    def counted(self, point):
-        calls.append(point)
-        return original(self, point)
-
-    monkeypatch.setattr(ExprFn, "eval_coords", counted)
+    _count_evaluations(monkeypatch, calls.append)
     return calls
 
 
 @pytest.fixture
 def eval_rows(monkeypatch):
-    """Rows of each ``ExprFn.eval_coords`` call: 1 for a point, m for an (m, n) batch."""
+    """Rows of each evaluation ``_count_evaluations`` counts: 1 for a point, m for an (m, n) batch."""
     import numpy as np
 
-    from acalc.expr import ExprFn
-
     rows = []
-    original = ExprFn.eval_coords
-
-    def counted(self, point):
-        rows.append(len(np.atleast_2d(point)))
-        return original(self, point)
-
-    monkeypatch.setattr(ExprFn, "eval_coords", counted)
+    _count_evaluations(monkeypatch, lambda x: rows.append(len(np.atleast_2d(x))))
     return rows

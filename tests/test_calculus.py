@@ -642,6 +642,21 @@ def test_taylor_rejects_non_differentiable():
         taylor_eval(f, C.element([0.2, 0.3]), C.element([0.1, 0.1]), 2)
 
 
+def test_taylor_refuses_a_non_finite_offset_or_power():
+    # a NaN or infinite offset, and one whose square overflows, raise where
+    # the sum would give nan + nan*i
+    C = get_algebra("C")
+    f = poly_fn(C, [0.0, 0.0, 1.0])
+    for h in ([math.nan, 0.0], [math.inf, 0.0], [-math.inf, 0.5]):
+        for k in (0, 1, 2):
+            with pytest.raises(DomainError, match="offset coordinates must be finite"):
+                taylor_eval(f, C.one(), C.element(h), k)
+    with pytest.raises(DomainError, match=r"h\^2 is not finite"):
+        taylor_eval(f, C.one(), C.element([1e200, 0.0]), 2)
+    # degree 1 reads only h, which is finite: 1 + 2 h
+    assert taylor_eval(f, C.one(), C.element([1e200, 0.0]), 1).coords.tolist() == [2e200, 0.0]
+
+
 def test_wirtinger_rejects_bad_operator_name():
     C = get_algebra("C")
     f = zeta_power(C, 2)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from acalc.errors import DomainError, QuadratureNonConvergence
 from acalc.expr import ExprFn, conjugate_fn, parse, poly_fn
 from acalc.fixtures import get_algebra
 from acalc.integrate import (
+    GK_NODES,
     ParametricCurve,
     Polyline,
     antiderivative_probe,
@@ -455,6 +457,15 @@ def test_quadrature_makes_one_call_per_level(eval_calls):
     result = integrate_curve(poly_fn(C, [0.0, 0.0, 1.0]), unit_circle(C))
     assert norm(result.value) <= 1e-8
     assert len(eval_calls) <= MAX_DEPTH + 2
+    # 1/z on a circle that passes 1e-3 from its pole refines on 15 levels, so
+    # two calls a level would break the bound
+    eval_calls.clear()
+    t = {"t": 0}
+    near_pole = ParametricCurve(C, (parse("1.001 + cos(t)", 1, names=t), parse("sin(t)", 1, names=t)),
+                                0.0, 2.0 * np.pi)
+    inv = ExprFn(C, (parse("x1/(x1^2+x2^2)", 2), parse("-x2/(x1^2+x2^2)", 2)))
+    assert norm(integrate_curve(inv, near_pole).value) <= 1e-8
+    assert 15 <= len(eval_calls) <= MAX_DEPTH + 2
 
 
 def test_riemann_sum_is_one_call(eval_calls):
@@ -492,3 +503,118 @@ def test_exp_loops_vanish_up_to_radius_nine():
         result = loop_integral(f, circle)
         assert result.vanishes
         assert result.error_bound <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# pinned bits
+# ---------------------------------------------------------------------------
+
+INTEGRALS_GOLDEN = Path(__file__).resolve().parent / "data" / "integrals.txt"
+
+
+def _ellipse(a):
+    """z_k(t) = c_k + a_k cos t + b_k sin t over [0, 2 pi], a closed curve in every dimension."""
+    comps = tuple(parse(f"{0.125 * (k + 1) * (-1) ** k!r} + {1.25 - 0.25 * k!r}*cos(t)"
+                        f" + {0.5 + 0.125 * k!r}*sin(t)", 1, names={"t": 0}) for k in range(a.dim))
+    return ParametricCurve(a, comps, 0.0, 2.0 * np.pi)
+
+
+def _vertices(a, count=4):
+    return tuple(a.element([((3 * j + 5 * k) % 7 - 3) / 4 for k in range(a.dim)]) for j in range(count))
+
+
+def _pinned_functions(a):
+    cubic = [a.element([(m - k) / (m + k + 2) for k in range(a.dim)]) for m in range(4)]
+    return [("z^2", lambda: poly_fn(a, [0.0, 0.0, 1.0])),
+            ("cubic", lambda: poly_fn(a, cubic)),
+            ("zbar2", lambda: conjugate_fn(a, 2))]
+
+
+def _hex(*values) -> str:
+    return " ".join(float(v).hex() for v in values)
+
+
+def _integrals() -> str:
+    """On every fixture, for z^2, a cubic with element coefficients and the
+    second conjugate: the ML report (the integral's value and error bound, and
+    lhs, M and L) along an ellipse and a polyline, and the probe's largest
+    discrepancy, all in hex, or the error with its message."""
+    from acalc.errors import AcalcError
+    from acalc.fixtures import bundled_algebras
+
+    lines = []
+    for name, a in bundled_algebras().items():
+        for label, make_f in _pinned_functions(a):
+            for kind, make_curve in (("ellipse", lambda: _ellipse(a)), ("polyline", lambda: Polyline(_vertices(a)))):
+                try:
+                    rep = ml_bound_check(make_f(), make_curve())
+                    text = (f"value={_hex(*rep.integral.value.coords)} error_bound={_hex(rep.integral.error_bound)}"
+                            f" lhs={_hex(rep.lhs)} M={_hex(rep.M)} L={_hex(rep.L)}")
+                except AcalcError as exc:
+                    text = f"{type(exc).__name__}: {exc}"
+                lines.append(f"{name} {label} {kind}: {text}\n")
+            try:
+                text = f"max_discrepancy={_hex(antiderivative_probe(make_f(), _vertices(a, 6), seed=3).max_discrepancy)}"
+            except AcalcError as exc:
+                text = f"{type(exc).__name__}: {exc}"
+            lines.append(f"{name} {label} probe: {text}\n")
+    return "".join(lines)
+
+
+def test_integrals_are_pinned():
+    assert _integrals().encode("utf-8") == INTEGRALS_GOLDEN.read_bytes()
+
+
+def test_fused_integrand_rows_equal_the_three_call_route_bit_for_bit(fixtures):
+    # a parametric curve's one kernel gives the rows that evaluating z, z'
+    # and f separately and multiplying gives, on every fixture: no fixture
+    # differs in any bit
+    from acalc.algebra import mul_batch
+
+    t = np.concatenate([np.pi * (1.0 + GK_NODES), 0.375 * (1.0 + GK_NODES) + 0.125])
+    for a in fixtures.values():
+        curve = _ellipse(a)
+        for label, make_f in _pinned_functions(a)[: 3 if a.dim > 1 else 2]:
+            f = make_f()
+            want = mul_batch(a, f.eval_coords(curve.point(t)), curve.velocity(t))
+            got = curve.integrand(f)(np.zeros(len(t), dtype=int), t)
+            assert got.tobytes() == want.tobytes(), (a.name, label)
+
+
+def test_fused_integrand_is_built_once_per_function():
+    C = get_algebra("C")
+    curve, f, g = unit_circle(C), poly_fn(C, [0.0, 0.0, 1.0]), conjugate_fn(C, 2)
+    assert curve.integrand(f) is curve.integrand(f)
+    assert curve.integrand(f) is not curve.integrand(g)
+    assert len(curve._integrands) == 2
+    del f
+    assert len(curve._integrands) == 1  # held only as long as the function lives
+
+
+def test_fused_route_raises_domain_error():
+    C = get_algebra("C")
+    t = {"t": 0}
+    z2, zero = poly_fn(C, [0.0, 0.0, 1.0]), poly_fn(C, [0.0])
+    # a curve point that overflows, whether or not f or the product reads it
+    far = ParametricCurve(C, (parse("1e308*(2 + cos(t))", 1, names=t), parse("sin(t)", 1, names=t)),
+                          0.0, 2.0 * np.pi)
+    for f in (z2, zero):
+        with pytest.raises(DomainError, match="non-finite"):
+            integrate_curve(f, far)
+    # the pole of 1/z at the centre node t = 0 of the line z(t) = (t, t)
+    inv = ExprFn(C, (parse("x1/(x1^2+x2^2)", 2), parse("-x2/(x1^2+x2^2)", 2)))
+    diagonal = ParametricCurve(C, (parse("t", 1, names=t), parse("t", 1, names=t)), -1.0, 1.0)
+    with pytest.raises(DomainError, match="division by zero"):
+        integrate_curve(inv, diagonal)
+    # a factor 0 that the parser kept still evaluates the pole it multiplies
+    zero_times_pole = ExprFn(C, (parse("0*(1/x1)", 2), parse("x2", 2)))
+    with pytest.raises(DomainError, match="division by zero"):
+        integrate_curve(zero_times_pole, diagonal)
+    # f = 1e200 and z' ~ 1e200 are finite, f * z' overflows: a DomainError,
+    # where the three-call route refined the inf rows to QuadratureNonConvergence
+    big = poly_fn(C, [C.element([1e200, 0.0])])
+    wide = ParametricCurve(C, (parse("1e200*cos(t)", 1, names=t), parse("1e200*sin(t)", 1, names=t)),
+                           0.0, 2.0 * np.pi)
+    assert np.isfinite(wide.velocity(np.linspace(0.0, 2.0 * np.pi, 9))).all()
+    with pytest.raises(DomainError, match="non-finite"):
+        integrate_curve(big, wide)
