@@ -47,6 +47,15 @@ def _coords(parts) -> list[float]:
     return values
 
 
+def tolerance(s: str) -> float:
+    """The type of every --tol: a finite number >= 0, so that argparse refuses
+    anything else with exit 2, before a verdict could read it."""
+    value = float(s)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {s!r}")
+    return value
+
+
 def _parse_point(spec: str, algebra) -> alg.AElement:
     return algebra.element(_coords(spec.split(",")))
 
@@ -334,7 +343,7 @@ def _add_common(p, fn=True, point=True, tol=None):
     if point:
         p.add_argument("--point", required=True, help="comma-separated coordinates")
     if tol is not None:
-        p.add_argument("--tol", type=float, default=tol,
+        p.add_argument("--tol", type=tolerance, default=tol,
                        help="verdict tolerance (default %(default)s)")
 
 
@@ -424,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f1", default="sin(s)", help="first profile, expression in s")
     p.add_argument("--f2", default="s^2", help="second profile, expression in s")
     p.add_argument("--grid", default="-1:1:20,-1:1:20")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=tolerance, default=1e-6)
     p.set_defaults(func=cmd_demo_dalembert)
 
     return parser

@@ -9,8 +9,9 @@ these partials, and central differences remain only as a test oracle.
 A tree holds constants (``Lit``), coordinates (``Var``) and operators
 (``Op``).  The table ``_OPS`` is the one place that defines an operator: its
 primitive for points, batches and constant folds, its compiled and printed
-forms, its precedence, its derivative rule and its smart constructor.
-Compiling, printing, differentiation and substitution only read it.  The
+forms, its precedence and its derivative rule.  Compiling, printing and
+differentiation only read it; substitution rebuilds each node as it is, so a
+composed tree evaluates every operand that the original one did.  The
 package evaluates a tree only through a compiled kernel.
 """
 
@@ -22,7 +23,7 @@ import re
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -262,7 +263,6 @@ class _Operator(NamedTuple):
     text: str         # printed template over the printed operands
     prec: int         # printing precedence
     rule: Callable    # rule(e, d): the derivative of e, d that of each operand
-    make: Callable    # the smart constructor, which substitution rebuilds with
     noun: str = ""    # names a constant fold that is not finite
 
 
@@ -271,20 +271,20 @@ _ATOM = 5  # the precedence of constants, coordinates and calls
 
 def _function(name: str, fn, rule) -> _Operator:
     # its operand is one above every precedence, so it prints in parentheses
-    return _Operator(fn, f"_{name}({{0}})", f"{name}{{0}}", _ATOM, rule, partial(call, name))
+    return _Operator(fn, f"_{name}({{0}})", f"{name}{{0}}", _ATOM, rule)
 
 
 _OPS = {
-    "+": _Operator(operator.add, "({0}+{1})", "{0} + {1}", 1, lambda e, d: add(*d), add, "sum"),
-    "-": _Operator(operator.sub, "({0}-{1})", "{0} - {1}", 1, lambda e, d: sub(*d), sub, "difference"),
+    "+": _Operator(operator.add, "({0}+{1})", "{0} + {1}", 1, lambda e, d: add(*d), "sum"),
+    "-": _Operator(operator.sub, "({0}-{1})", "{0} - {1}", 1, lambda e, d: sub(*d), "difference"),
     "*": _Operator(operator.mul, "({0}*{1})", "{0}*{1}", 2,
-                   lambda e, d: add(mul(d[0], e.args[1]), mul(e.args[0], d[1])), mul, "product"),
+                   lambda e, d: add(mul(d[0], e.args[1]), mul(e.args[0], d[1])), "product"),
     # (u/v)' = (u' - (u/v) v') / v, which needs no v^2 that could overflow
     "/": _Operator(_div, "_div({0},{1})", "{0}/{1}", 2,
-                   lambda e, d: div(sub(d[0], mul(e, d[1])), e.args[1]), div, "quotient"),
-    "neg": _Operator(operator.neg, "(-{0})", "-{0}", 3, lambda e, d: neg(*d), neg),
+                   lambda e, d: div(sub(d[0], mul(e, d[1])), e.args[1]), "quotient"),
+    "neg": _Operator(operator.neg, "(-{0})", "-{0}", 3, lambda e, d: neg(*d)),
     "^": _Operator(_pow, "_pow({0},{k})", "{0}^{k}", 4,
-                   lambda e, d: mul(mul(lit(e.k), pow_(e.args[0], e.k - 1)), *d), pow_, "power"),
+                   lambda e, d: mul(mul(lit(e.k), pow_(e.args[0], e.k - 1)), *d), "power"),
     "sin": _function("sin", _primitive(math.sin, np.sin),
                      lambda e, d: mul(call("cos", *e.args), *d)),
     "cos": _function("cos", _primitive(math.cos, np.cos),
@@ -300,11 +300,6 @@ _OPS = {
 }
 
 FUNCTIONS = tuple(name for name, o in _OPS.items() if o.prec == _ATOM)
-
-
-def _apply(fn, e: Op, operands):
-    """``fn`` of ``operands`` and, for ``^``, the exponent."""
-    return fn(*operands) if e.k is None else fn(*operands, e.k)
 
 
 def _postorder(roots, skip=None) -> list[Expr]:
@@ -651,17 +646,16 @@ def derive(e: Expr, orders: tuple[int, ...]) -> Expr:
 
 
 def substitute(exprs: tuple[Expr, ...], mapping: dict[int, Expr]) -> tuple[Expr, ...]:
-    """Replace variables by expressions in every tree (for composition),
-    rebuilding each distinct node of all the trees once."""
+    """Replace variables by expressions in every tree: the one composition.
+    Each distinct node of all the trees is rebuilt once, as it is, with no
+    constant fold and no identity dropped, so a factor 0 that the parser kept
+    still evaluates its other operand, and a division by zero there raises
+    where the composed tree is evaluated."""
     memo: dict[Expr, Expr] = {}
-
-    def rebuilt(a: Expr) -> Expr:
-        return a if isinstance(a, Lit) else memo[a]
-
     for node in _postorder(exprs):
         memo[node] = (mapping.get(node.index, node) if isinstance(node, Var)
-                      else _apply(_OPS[node.op].make, node, [rebuilt(a) for a in node.args]))
-    return tuple(map(rebuilt, exprs))
+                      else Op(node.op, tuple(memo.get(a, a) for a in node.args), node.k))
+    return tuple(memo.get(e, e) for e in exprs)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +732,7 @@ class ExprFn:
         # algebra's held projector P.  When the unity is v_1, the trees of
         # J 1, the components of f', are J's first column and add no line
         vec = self._vec
-        cr = tuple(r for r in _combine(self.algebra.cr_projector, vec, unfolded=True) if r != _ZERO)
+        cr = tuple(r for r in _combine(self.algebra.cr_projector, vec) if r != _ZERO)
         return compile_expr(self.components + vec + cr + self.unity_derivative.components, self.algebra.dim)
 
     def partial(self, i: int) -> "ExprFn":
@@ -765,22 +759,18 @@ class ExprFn:
 
         Along the unity coordinates this is the derivative function of a
         differentiable f; it reduces to d/dx1 when the unity is the first
-        basis vector.  Only the partials along nonzero c_i are taken.  A fold
-        of two constants that overflows is left to evaluation, so the
-        derivative overflows where it is evaluated, not where it is built.
+        basis vector.  Each component is the combination of its partials with
+        c as the one row (see :func:`_combine`); only the partials along
+        nonzero c_i are taken.
         """
         n = self.algebra.dim
         c = np.asarray(coords, dtype=float)
         if c.shape != (n,):
             raise DimensionMismatch(f"expected a direction of shape ({n},), got {c.shape}")
-        terms = [(lit(v), i) for i, v in enumerate(c.tolist()) if v != 0.0]
-        out = []
-        for comp in self.components:
-            s: Expr = _ZERO
-            for v, i in terms:
-                s = _unfolded(add, "+", s, _unfolded(mul, "*", v, diff(comp, i)))
-            out.append(s)
-        return ExprFn(self.algebra, tuple(out))
+        row = c.tolist()
+        return ExprFn(self.algebra, tuple(
+            _combine([row], [diff(comp, i) if v != 0.0 else _ZERO for i, v in enumerate(row)])[0]
+            for comp in self.components))
 
 
 def constant_fn(algebra: Algebra, value: AElement) -> ExprFn:
@@ -801,17 +791,17 @@ def conjugate_fn(algebra: Algebra, j: int) -> ExprFn:
     return ExprFn(algebra, tuple(comps))
 
 
-def _combine(rows, exprs, unfolded: bool = False) -> tuple[Expr, ...]:
-    """One expression per row, sum_j row[j] * exprs[j]; zero terms are not
-    built.  With ``unfolded``, a fold of two constants that is not finite is
-    left to evaluation, as in :meth:`ExprFn.directional`."""
-    build = _unfolded if unfolded else lambda make, op, a, b: make(a, b)
+def _combine(rows, exprs) -> tuple[Expr, ...]:
+    """One expression per row, sum_j row[j] * exprs[j]: the one linear
+    combination of trees.  Zero terms are not built, and a fold of two
+    constants that is not finite is left to evaluation, so the combination
+    overflows where it is evaluated, not where it is built."""
     out = []
     for row in np.asarray(rows, dtype=float).tolist():
         s: Expr = _ZERO
         for c, e in zip(row, exprs):
             if c != 0.0:
-                s = build(add, "+", s, build(mul, "*", lit(c), e))
+                s = _unfolded(add, "+", s, _unfolded(mul, "*", lit(c), e))
         out.append(s)
     return tuple(out)
 

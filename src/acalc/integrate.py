@@ -10,11 +10,12 @@ Every curve is a sequence of pieces.  ``spans`` gives the parameter ranges
 ``velocities(piece, t)`` give z and z' at parameters ``t`` of the tagged
 pieces, row by row; and ``integrand(f)`` gives the rows f(z(t)) * z'(t).
 A parametric curve is one piece, and its integrand is one compiled kernel of
-z, z', f(z) and the product, held per function; a polyline has one piece per
-segment, parametrized over [0, 1], and its integrand evaluates f at the
-segments' points and multiplies by their steps.  Every piece of a curve is
-refined in the same batch, so one level of quadrature is one evaluation of
-the integrand.
+z, z', f(z) and the product, held per function; f(z) is composed by
+``expr.substitute``, which keeps every node of f as it is.  A polyline has
+one piece per segment, parametrized over [0, 1], and its integrand evaluates
+f at the segments' points and multiplies by their steps.  Every piece of a
+curve is refined in the same batch, so one level of quadrature is one
+evaluation of the integrand.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import numpy as np
 
 from .algebra import AElement, Algebra, _check_same, _freeze, mul_batch, norm, submult_bound
 from .errors import DimensionMismatch, QuadratureNonConvergence
-from .expr import (Expr, ExprFn, Op, Var, _postorder, _sym_product, compile_expr, diff, eval_compiled,
-                   lit, parse, substitute, sub, var)
+from .expr import (Expr, ExprFn, _sym_product, compile_expr, diff, eval_compiled, lit, parse,
+                   substitute, sub, var)
 
 __all__ = [
     "Curve",
@@ -125,7 +126,7 @@ class ParametricCurve:
         g = self._integrands.get(f)
         if g is None:
             z, dz = self.components, self._velocity
-            fz = _composed(f.components, z)
+            fz = substitute(f.components, dict(enumerate(z)))
             kernel = compile_expr(z + dz + fz + _sym_product(f.algebra, fz, dz))
             product = 3 * len(z)  # the product's columns come after z, z' and f(z)
 
@@ -146,18 +147,6 @@ class ParametricCurve:
     @property
     def closed(self) -> bool:
         return bool(np.max(np.abs(self.point(self.t0) - self.point(self.t1))) <= CLOSED_TOL)
-
-
-def _composed(trees: tuple[Expr, ...], z: tuple[Expr, ...]) -> tuple[Expr, ...]:
-    """The trees with coordinate i replaced by ``z[i]``, every operator node
-    rebuilt as it is: unlike :func:`substitute` no fold or identity is applied,
-    so a factor 0 that the parser kept still evaluates its other operand, and
-    a division by zero there raises as it does when f is evaluated at z."""
-    memo: dict[Expr, Expr] = {}
-    for node in _postorder(trees):
-        memo[node] = z[node.index] if isinstance(node, Var) else Op(
-            node.op, tuple(memo.get(a, a) for a in node.args), node.k)
-    return tuple(memo.get(e, e) for e in trees)
 
 
 class _Segments:

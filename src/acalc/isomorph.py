@@ -16,7 +16,7 @@ import numpy as np
 from .algebra import AElement, Algebra, _freeze
 from .errors import AlgebraMismatch, DimensionMismatch, NotAnIsomorphism
 from .expr import ExprFn, _combine, parse, substitute, var
-from .fixtures import direct_product, get_algebra, read_file_doc, real_algebra, wave_algebra
+from .fixtures import get_algebra, read_file_doc, wave_algebra
 
 __all__ = [
     "IsoReport",
@@ -119,27 +119,25 @@ def transfer_function(m: LinMap, f: ExprFn) -> ExprFn:
     return ExprFn(m.target, _combine(m.matrix, substitute(f.components, dict(enumerate(rows)))))
 
 
-def wave_isomorphism(c: float = 1.0) -> LinMap:
-    """Verified map from the speed-c wave algebra onto R x R sending
-    x + k t to (x + c t, x - c t)."""
-    source = wave_algebra(c)
-    r = real_algebra()
-    target = direct_product(r, r, name="RxR")
-    m = LinMap(source=source, target=target, matrix=np.array([[1.0, c], [1.0, -c]]))
+def _verified(source: Algebra, target: Algebra, matrix, what: str) -> LinMap:
+    """The map, or NotAnIsomorphism naming ``what`` if it fails verification."""
+    m = LinMap(source=source, target=target, matrix=np.array(matrix))
     if not m.verified_isomorphism:
-        raise NotAnIsomorphism("wave map failed verification")
+        raise NotAnIsomorphism(f"{what} failed verification")
     return m
+
+
+def wave_isomorphism(c: float = 1.0) -> LinMap:
+    """Verified map from the speed-c wave algebra onto R x R (the held
+    fixture) sending x + k t to (x + c t, x - c t)."""
+    return _verified(wave_algebra(c), get_algebra("RxR"), [[1.0, c], [1.0, -c]], "wave map")
 
 
 def pairs_to_hyperbolic() -> LinMap:
-    """Verified map R x R -> H sending (a, b) to a(1+j)/2 + b(1-j)/2."""
-    r = real_algebra()
-    source = direct_product(r, r, name="RxR")
-    target = get_algebra("H")
-    m = LinMap(source=source, target=target, matrix=np.array([[0.5, 0.5], [0.5, -0.5]]))
-    if not m.verified_isomorphism:
-        raise NotAnIsomorphism("hyperbolic splitting map failed verification")
-    return m
+    """Verified map R x R -> H (both held fixtures) sending (a, b) to
+    a(1+j)/2 + b(1-j)/2."""
+    return _verified(get_algebra("RxR"), get_algebra("H"), [[0.5, 0.5], [0.5, -0.5]],
+                     "hyperbolic splitting map")
 
 
 def dalembert_solution(c: float, f1_src: str = "sin(s)", f2_src: str = "s^2"):

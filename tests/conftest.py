@@ -26,6 +26,17 @@ def distinct_ops(trees) -> set:
     return seen
 
 
+def nodes_built(monkeypatch) -> list:
+    """Record the fields (op, args, k) of every operator node built from now
+    on, a new node or a live one that the constructor returns again."""
+    from acalc.expr import Op
+
+    built, new = [], Op.__new__
+    monkeypatch.setattr(Op, "__new__", staticmethod(
+        lambda cls, op, args, k=None: built.append((op, args, k)) or new(cls, op, args, k)))
+    return built
+
+
 def random_element(algebra, rng, scale=2.0):
     return algebra.element(rng.uniform(-scale, scale, algebra.dim))
 

@@ -19,7 +19,12 @@ import numpy as np
 
 from acalc.algebra import AElement, _freeze, regrep
 from acalc.errors import DomainError
-from acalc.expr import _NOT_FINITE, _OPS, Lit, Var, _apply, _postorder
+from acalc.expr import _NOT_FINITE, _OPS, Lit, Var, _postorder
+
+
+def _apply(fn, e, operands):
+    """``fn`` of ``operands`` and, for ``^``, the exponent."""
+    return fn(*operands) if e.k is None else fn(*operands, e.k)
 
 
 def interpret(trees, point, num=float) -> list:

@@ -310,7 +310,7 @@ def test_held_kernels_match_the_products_on_points_and_columns(fixtures):
         f = ExprFn(a, tuple(parse(f"({form()})*({form()})", n) for _ in range(n)))
         P = a.cr_projector
         X = rng.uniform(-2.0, 2.0, (5, n))
-        cr = tuple(r for r in _combine(P, f._vec, unfolded=True) if r != _ZERO)
+        cr = tuple(r for r in _combine(P, f._vec) if r != _ZERO)
         flat = compile_expr(f.components + f._vec + cr + f.unity_derivative.components)
         points = np.array([flat(x) for x in X.tolist()])
         m = n + n * n

@@ -997,7 +997,7 @@ def _cr_rows(a, vec):
     """The nonzero trees of P vec(J), as the Jacobian kernel lists them."""
     from acalc.expr import _ZERO, _combine
 
-    return tuple(r for r in _combine(a.cr_projector, vec, unfolded=True) if r != _ZERO)
+    return tuple(r for r in _combine(a.cr_projector, vec) if r != _ZERO)
 
 
 def _three_functions(a):

@@ -787,6 +787,25 @@ def test_removed_flags_are_unrecognized(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code_at_zero", [
+    (("check-adiff", *_FN_POINT), 0),
+    (("derivative", *_FN_POINT), 0),
+    (("d2-probe", *_FN_POINT), 1),  # the quotients' spread is not 0
+    (("demo-dalembert", "--grid=-1:1:3,-1:1:3"), 0),
+])
+def test_tolerance_is_finite_and_not_negative(capsys, argv, code_at_zero):
+    # a nan or negative tolerance made every verdict false (exit 1), and an
+    # infinite one every verdict true; all three are input errors, and 0 is a
+    # tolerance
+    for tol in ("nan", "inf", "-1"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, f"--tol={tol}"])
+        assert excinfo.value.code == 2
+        assert f"--tol: tolerance must be finite and >= 0, got '{tol}'" in capsys.readouterr().err
+    assert build_parser().parse_args([*argv, "--tol=0"]).tol == 0.0
+    assert run(capsys, *argv, "--tol=0")[0] == code_at_zero
+
+
 def test_first_input_error_follows_algebra_fn_point_order(capsys):
     code, _, err = run(capsys, "taylor", "--algebra", "nope", "--fn", "x1*(", "--point", "x",
                        "--offset", "y")

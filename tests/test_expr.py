@@ -40,7 +40,7 @@ from acalc.algebra import mul
 from acalc.calculus import taylor_eval
 from acalc.fixtures import bundled_algebras, get_algebra
 
-from conftest import distinct_ops, random_element
+from conftest import distinct_ops, nodes_built, random_element
 from oracles import evaluate
 
 
@@ -499,13 +499,22 @@ def test_substitute_composition():
 def test_substitute_rebuilds_each_distinct_node_once(monkeypatch):
     Q = get_algebra("quaternions")
     f = poly_fn(Q, [0.0] * 10 + [1.0])  # z^10
-    rebuilt = []
-    apply = E._apply
-    monkeypatch.setattr(E, "_apply", lambda fn, e, operands: rebuilt.append(e) or apply(fn, e, operands))
     identity = {i: E.var(i) for i in range(Q.dim)}
+    rebuilt = nodes_built(monkeypatch)
     # one memo for all four components, so a node they share is rebuilt once
     assert all(a is b for a, b in zip(substitute(f.components, identity), f.components, strict=True))
     assert len(rebuilt) == len(set(rebuilt)) == len(distinct_ops(f.components)) == 306
+
+
+def test_substitute_keeps_every_node_as_it_is():
+    # the parser keeps a factor 0 and a factor 1, and so does composition: the
+    # composed tree still divides by x2 - 1, and raises where f does
+    zero_times, times_one = parse("0*(1/x1)", 2), parse("x1*1", 2)
+    assert substitute((zero_times, times_one), {0: E.var(0)}) == (zero_times, times_one)
+    composed = substitute((zero_times, times_one), {0: parse("x2 - 1", 2)})
+    assert composed == (parse("0*(1/(x2 - 1))", 2), parse("(x2 - 1)*1", 2))
+    with pytest.raises(DomainError, match="division by zero"):
+        E.eval_compiled(compile_expr(composed), np.array([0.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,10 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from acalc import expr as E
 from acalc.algebra import Kind, classify, invert, mul, norm
 from acalc.calculus import adiff_test, derivative
-from acalc.errors import AlgebraMismatch, NotAnIsomorphism
-from acalc.expr import ExprFn, identity_fn, poly_fn
+from acalc.errors import AlgebraMismatch, DomainError, NotAnIsomorphism
+from acalc.expr import ExprFn, constant_fn, identity_fn, parse, poly_fn
 from acalc.fixtures import get_algebra
 from acalc.isomorph import (
     LinMap,
@@ -20,7 +19,7 @@ from acalc.isomorph import (
     wave_isomorphism,
 )
 
-from conftest import distinct_ops, random_element
+from conftest import distinct_ops, nodes_built, random_element
 
 
 def test_pairs_to_hyperbolic_verifies():
@@ -99,13 +98,30 @@ def test_transfer_through_the_identity_keeps_the_nodes(monkeypatch):
     Q = get_algebra("quaternions")
     m = LinMap(source=Q, target=Q, matrix=np.eye(4))
     f = poly_fn(Q, [0.0] * 10 + [1.0])  # z^10
-    rebuilt = []
-    apply = E._apply
-    monkeypatch.setattr(E, "_apply", lambda fn, e, operands: rebuilt.append(e) or apply(fn, e, operands))
+    rebuilt = nodes_built(monkeypatch)
     g = transfer_function(m, f)
     assert all(a is b for a, b in zip(g.components, f.components, strict=True))
     # each node of the four components is rebuilt once, not once per component
     assert len(rebuilt) == len(set(rebuilt)) == len(distinct_ops(f.components)) == 306
+
+
+def test_transfer_raises_where_the_function_raises():
+    # the parser keeps the factor 0, so f divides by x1 at 0, and its transfer
+    # divides by zero at the image of 0
+    m = wave_isomorphism(1.0)
+    f = ExprFn(m.source, (parse("0*(1/x1)", 2), parse("x2", 2)))
+    g = transfer_function(m, f)
+    for h, p in ((f, m.source.zero()), (g, m(m.source.zero()))):
+        with pytest.raises(DomainError, match="division by zero"):
+            h(p)
+
+
+def test_transfer_that_overflows_raises_where_it_is_evaluated():
+    # m adds the two constants 1e308 of f; the sum is left to evaluation
+    m = wave_isomorphism(1.0)
+    g = transfer_function(m, constant_fn(m.source, m.source.element([1e308, 1e308])))
+    with pytest.raises(DomainError, match="non-finite"):
+        g(m.target.zero())
 
 
 def test_transfer_round_trip():
@@ -190,6 +206,10 @@ def test_wave_isomorphism_values():
     assert np.allclose(m1(m1.source.one()).coords, m1.target.unity)
     m2 = wave_isomorphism(2.0)
     assert np.allclose(m2(m2.source.element([0.0, 1.0])).coords, [2.0, -2.0])
+
+
+def test_hand_written_maps_read_the_held_fixture():
+    assert wave_isomorphism(2.0).target is get_algebra("RxR") is pairs_to_hyperbolic().source
 
 
 def test_wave_transfer_gives_traveling_waves():
