@@ -90,7 +90,7 @@ class Algebra:
         n = self.dim
         P = np.eye(n * n) - self.rep_basis @ np.kron(np.eye(n), self.unity[None, :])
         # entries at most 1e-12 of their row's largest are rounding noise of
-        # an inexact table: exact 0, so gen_cr and the verdict kernel read clean rows
+        # an inexact table: exact 0, so gen_cr and the report function read clean rows
         P[np.abs(P) <= 1e-12 * np.abs(P).max(axis=1, keepdims=True)] = 0.0
         return _freeze(P)
 

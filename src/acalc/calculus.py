@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import AElement, Algebra, _element_of, _freeze, mul
 from .errors import DomainError, NonInvertibleBasis, NotADifferentiable
-from .expr import _NOT_FINITE, ExprFn
+from .expr import _NOT_FINITE, _POINT_NS, Expr, ExprFn, _kernel_lines
 
 __all__ = [
     "ConjugateFrame",
@@ -97,32 +97,56 @@ def adiff_test(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "symb
     Checks the identity J = M(J 1) on the exact Jacobian through the
     algebra's held projector, vec(J - M(J 1)) = P vec(J); the residual is
     ||J - M(J 1)||_F / max(1, ||J||_F).  On success the derivative is J 1.
-    One call of f's verdict kernel gives ||f(p)||, f(p), vec(J),
-    ||P vec(J)||, ||vec(J)|| and J 1; the entries of f(p) are read only when
-    its norm is not finite, and the rare scaled rerun only when a norm of J is
-    not.  ``method`` may be ``"fd"`` or ``"symbolic"``; both name the one route.
+    The whole verdict is one call of f's held report function (see
+    :func:`_compile_report`).  ``method`` may be ``"fd"`` or ``"symbolic"``;
+    both name the one route.
     """
     if method not in ("fd", "symbolic"):
         raise ValueError(f"method must be 'fd' or 'symbolic', got {method!r}")
-    algebra = f.algebra
-    point = algebra.element(p)
-    f_norm, f_p, vec, num, den, tail = f._verdict(point.coords.tolist())
-    # hypot is not finite exactly when an entry is not or the norm
-    # overflows, so f's entries are read only then
-    if not math.isfinite(f_norm) and not all(map(math.isfinite, f_p)):
+    point = f.algebra.element(p)
+    return f._report(point, tol)
+
+
+def _report_source(trees: tuple[Expr, ...], n: int) -> str:
+    """``report(point, tol)`` over the trees of f's n components, vec(J), the
+    rows of P vec(J) and J 1: the kernel's lines, then adiff_test's checks in
+    order.  An f(p) that is not finite is refused (hypot is not finite exactly
+    when an entry is not or the norm overflows, so the entries are read only
+    then); the residual is num / max(1, den), as a conditional that gives the
+    bits of ``max`` without its call, or the scaled rerun where a norm is not
+    finite; J 1 is read only for a true verdict, as it may overflow where f
+    and J are finite."""
+    lines, values = _kernel_lines(trees)
+    m = n + n * n
+    f, vec, cr, tail = (", ".join(v) for v in (values[:n], values[n:m], values[m:-n], values[-n:]))
+    finite = [f"_isfinite({v})" for v in values]
+    return "\n".join(["def report(point, tol):", "    x = point.coords.tolist()", *lines, f"""\
+    if not _isfinite(_hypot({f})) and not ({" and ".join(finite[:n])}):
         raise DomainError(_NOT_FINITE)
-    if math.isfinite(num) and math.isfinite(den):
-        residual = num / max(1.0, den)
+    vec = ({vec},)
+    num, den = _hypot({cr}), _hypot({vec})
+    if _isfinite(num) and _isfinite(den):
+        residual = num / (den if den > 1.0 else 1.0)
     else:
-        residual = _scaled_residual(algebra.cr_projector, vec)
-    # tuple.__new__ packs the report as DiffReport(...) does, without its call
+        residual = _scaled_residual(_algebra.cr_projector, vec)
     if residual <= tol:
-        # J 1, the value of f' at p, may overflow where f and J are finite:
-        # it is read only for a true verdict
-        if not all(map(math.isfinite, tail)):
+        if not ({" and ".join(finite[-n:])}):
             raise DomainError(_NOT_FINITE)
-        return tuple.__new__(DiffReport, (point, vec, residual, True, _element_of(algebra, tail), tol))
-    return tuple.__new__(DiffReport, (point, vec, residual, False, None, tol))
+        return _new(DiffReport, (point, vec, residual, True, _element_of(_algebra, ({tail},)), tol))
+    return _new(DiffReport, (point, vec, residual, False, None, tol))"""])
+
+
+@lru_cache(maxsize=4096)
+def _compile_report(algebra: Algebra, trees: tuple[Expr, ...]):
+    """The verdict at one point as one function, held by :class:`ExprFn` as
+    ``_report`` and shared by equal trees on one algebra.  It runs the float
+    routes of the primitives and packs the report as ``DiffReport(...)``
+    does, without its call."""
+    namespace = {**_POINT_NS, "_isfinite": math.isfinite, "_hypot": math.hypot, "_new": tuple.__new__,
+                 "DiffReport": DiffReport, "DomainError": DomainError, "_NOT_FINITE": _NOT_FINITE,
+                 "_scaled_residual": _scaled_residual, "_element_of": _element_of, "_algebra": algebra}
+    exec(_report_source(trees, algebra.dim), namespace)
+    return namespace["report"]
 
 
 def _scaled_residual(P: np.ndarray, vec: tuple[float, ...]) -> float:

@@ -219,16 +219,23 @@ def call(fn: str, arg: Expr) -> Expr:
 # single-point calls cheap, or an array (one entry per point of a batch), which
 # goes to numpy.  A value outside the real domain raises DomainError on both
 # routes; an overflow gives numpy's inf or nan on both, which evaluation then
-# refuses.
+# refuses.  The float route of each primitive is a function of its own, its
+# ``point``, which the dual primitive calls and a report function binds.
 
-def _div(a, b):
-    if not (b.all() if isinstance(b, np.ndarray) else b != 0.0):
+def _point_div(a: float, b: float) -> float:
+    if b == 0.0:
         raise DomainError("division by zero")
     return a / b
 
 
-def _pow(a, k: int):
-    if k < 0 and not (a.all() if isinstance(a, np.ndarray) else a != 0.0):
+def _div(a, b):
+    if isinstance(b, np.ndarray):
+        return a / b if b.all() else _point_div(a, 0.0)  # raises the one message
+    return _point_div(a, b)
+
+
+def _point_pow(a: float, k: int) -> float:
+    if k < 0 and a == 0.0:
         raise DomainError("zero raised to a negative power")
     try:
         return a ** k
@@ -236,17 +243,20 @@ def _pow(a, k: int):
         return math.copysign(math.inf, a) if k % 2 else math.inf
 
 
+def _pow(a, k: int):
+    if isinstance(a, np.ndarray):
+        return a ** k if k >= 0 or a.all() else _point_pow(0.0, k)  # raises the one message
+    return _point_pow(a, k)
+
+
 def _primitive(scalar, vector, fallback=math.nan, invalid=None, message=""):
-    """A primitive that sends a float to ``scalar`` and an array to ``vector``.
+    """A primitive's two routes: ``point`` sends a float to ``scalar``, and the
+    dual one sends an array to ``vector`` and anything else to ``point``.
 
     ``fallback`` is numpy's value where ``math`` raises (an overflowing exp,
     the sine of an infinity); ``invalid`` flags arguments outside the domain.
     """
-    def fn(a):
-        if isinstance(a, np.ndarray):
-            if invalid is not None and invalid(a).any():
-                raise DomainError(f"{message} {np.min(a):g}")
-            return vector(a)
+    def point(a: float) -> float:
         if invalid is not None and invalid(a):
             raise DomainError(f"{message} {a:g}")
         try:
@@ -254,7 +264,14 @@ def _primitive(scalar, vector, fallback=math.nan, invalid=None, message=""):
         except (OverflowError, ValueError):
             return fallback
 
-    return fn
+    def fn(a):
+        if not isinstance(a, np.ndarray):
+            return point(a)
+        if invalid is not None and invalid(a).any():
+            raise DomainError(f"{message} {np.min(a):g}")
+        return vector(a)
+
+    return fn, point
 
 
 class _Operator(NamedTuple):
@@ -264,14 +281,16 @@ class _Operator(NamedTuple):
     prec: int         # printing precedence
     rule: Callable    # rule(e, d): the derivative of e, d that of each operand
     noun: str = ""    # names a constant fold that is not finite
+    point: Callable | None = None  # fn's float route, where the template calls fn
 
 
 _ATOM = 5  # the precedence of constants, coordinates and calls
 
 
-def _function(name: str, fn, rule) -> _Operator:
+def _function(name: str, routes, rule) -> _Operator:
     # its operand is one above every precedence, so it prints in parentheses
-    return _Operator(fn, f"_{name}({{0}})", f"{name}{{0}}", _ATOM, rule)
+    fn, point = routes
+    return _Operator(fn, f"_{name}({{0}})", f"{name}{{0}}", _ATOM, rule, point=point)
 
 
 _OPS = {
@@ -281,10 +300,10 @@ _OPS = {
                    lambda e, d: add(mul(d[0], e.args[1]), mul(e.args[0], d[1])), "product"),
     # (u/v)' = (u' - (u/v) v') / v, which needs no v^2 that could overflow
     "/": _Operator(_div, "_div({0},{1})", "{0}/{1}", 2,
-                   lambda e, d: div(sub(d[0], mul(e, d[1])), e.args[1]), "quotient"),
+                   lambda e, d: div(sub(d[0], mul(e, d[1])), e.args[1]), "quotient", _point_div),
     "neg": _Operator(operator.neg, "(-{0})", "-{0}", 3, lambda e, d: neg(*d)),
     "^": _Operator(_pow, "_pow({0},{k})", "{0}^{k}", 4,
-                   lambda e, d: mul(mul(lit(e.k), pow_(e.args[0], e.k - 1)), *d), "power"),
+                   lambda e, d: mul(mul(lit(e.k), pow_(e.args[0], e.k - 1)), *d), "power", _point_pow),
     "sin": _function("sin", _primitive(math.sin, np.sin),
                      lambda e, d: mul(call("cos", *e.args), *d)),
     "cos": _function("cos", _primitive(math.cos, np.cos),
@@ -503,13 +522,12 @@ def parse(src: str, dim: int, names: dict[str, int] | None = None) -> Expr:
 _NOT_FINITE = "evaluation overflowed or gave a non-finite value"
 
 
-def _kernel_source(exprs: tuple[Expr, ...], verdict: int | None = None) -> str:
-    """One ``def`` with a line ``tN = ...`` per distinct operator node of
-    ``exprs``, in the order the trees evaluate, and a line ``xI = x[I]`` per
-    coordinate read; constants are inlined.  It returns the value of every
-    tree, or with ``verdict`` the verdict's values (see :func:`compile_expr`)."""
+def _kernel_lines(exprs: tuple[Expr, ...]) -> tuple[list[str], list[str]]:
+    """A line ``tN = ...`` per distinct operator node of ``exprs``, in the
+    order the trees evaluate, and a line ``xI = x[I]`` per coordinate read;
+    then the name, or the inlined constant, that holds each tree's value."""
     names: dict[Expr, str] = {}
-    lines = ["def kernel(x):"]
+    lines = []
 
     def name(a: Expr) -> str:
         return repr(a.value) if isinstance(a, Lit) else names[a]
@@ -521,39 +539,34 @@ def _kernel_source(exprs: tuple[Expr, ...], verdict: int | None = None) -> str:
         else:
             source, names[e] = _OPS[e.op].source.format(*map(name, e.args), k=e.k), f"t{len(names)}"
         lines.append(f"    {names[e]} = {source}")
-    values = [f"{name(e)}," for e in exprs]
-    if verdict is None:
-        returned = f"({''.join(values)})"
-    else:
-        n, m = verdict, verdict + verdict * verdict
-        f, vec, cr, tail = map("".join, (values[:n], values[n:m], values[m:-n], values[-n:]))
-        returned = f"(_hypot({f}), ({f}), ({vec}), _hypot({cr}), _hypot({vec}), ({tail}))"
-    lines.append(f"    return {returned}")
-    return "\n".join(lines)
+    return lines, [name(e) for e in exprs]
 
 
-# the names the compiled templates call, such as _div, and the verdict's norm
-_COMPILE_NS = {o.source.partition("(")[0]: o.fn for o in _OPS.values() if o.source.startswith("_")}
-_COMPILE_NS["_hypot"] = math.hypot
+def _kernel_source(exprs: tuple[Expr, ...]) -> str:
+    """One ``def`` of the lines of :func:`_kernel_lines` that returns the
+    value of every tree."""
+    lines, values = _kernel_lines(exprs)
+    return "\n".join(["def kernel(x):", *lines, f"    return ({''.join(v + ',' for v in values)})"])
+
+
+# the names the compiled templates call, such as _div: the dual primitives in a
+# kernel, and their float routes in a function that only ever sees one point
+_COMPILE_NS = {o.source.partition("(")[0]: o.fn for o in _OPS.values() if o.point}
+_POINT_NS = {o.source.partition("(")[0]: o.point for o in _OPS.values() if o.point}
 
 
 @lru_cache(maxsize=4096)
-def compile_expr(exprs: tuple[Expr, ...], verdict: int | None = None):
+def compile_expr(exprs: tuple[Expr, ...]):
     """Compile a tuple of trees to one kernel: a Python function of the
     coordinates ``x`` that returns the tuple of their values.
 
     A subterm that several trees share is computed once.  ``x[i]`` may be a
     float or an array of one coordinate over a batch of points; each value is
-    then a float or an array (a constant stays a float).
-
-    With ``verdict`` n, the trees are a function's n components f, its n^2
-    partials vec(J), the rows of P vec(J) and the n components of J 1, and
-    the kernel returns, at one point of floats, ``(||f||, f, vec(J),
-    ||P vec(J)||, ||vec(J)||, J 1)``: each norm is ``math.hypot`` of the
-    values, which is finite exactly when they all are and it does not overflow.
+    then a float or an array (a constant stays a float).  The one verdict at a
+    point is a function of its own (see :func:`acalc.calculus.adiff_test`).
     """
     namespace = dict(_COMPILE_NS)
-    exec(_kernel_source(exprs, verdict), namespace)
+    exec(_kernel_source(exprs), namespace)
     return namespace["kernel"]
 
 
@@ -666,9 +679,9 @@ def substitute(exprs: tuple[Expr, ...], mapping: dict[int, Expr]) -> tuple[Expr,
 class ExprFn:
     """A function A -> A given by one component expression per coordinate.
 
-    The kernel of the components, the kernel of f and J, the verdict kernel
-    and f' are built on first use and held, so repeated evaluation does not
-    hash the trees again.  Every derivative is :meth:`directional`.
+    The kernel of the components, the kernel of f and J, the verdict's
+    report function and f' are built on first use and held, so repeated
+    evaluation does not hash the trees again.  Every derivative is :meth:`directional`.
     """
 
     algebra: Algebra
@@ -726,14 +739,15 @@ class ExprFn:
         return compile_expr(self.components + self._vec)
 
     @cached_property
-    def _verdict(self):
-        # the one verdict kernel (see compile_expr); the nonzero rows of
-        # P vec(J) are the generalized Cauchy-Riemann residuals of the
-        # algebra's held projector P.  When the unity is v_1, the trees of
+    def _report(self):
+        # the verdict at a point (see calculus._compile_report) over the nonzero
+        # Cauchy-Riemann rows of P vec(J); when the unity is v_1, the trees of
         # J 1, the components of f', are J's first column and add no line
+        from .calculus import _compile_report
+
         vec = self._vec
         cr = tuple(r for r in _combine(self.algebra.cr_projector, vec) if r != _ZERO)
-        return compile_expr(self.components + vec + cr + self.unity_derivative.components, self.algebra.dim)
+        return _compile_report(self.algebra, self.components + vec + cr + self.unity_derivative.components)
 
     def partial(self, i: int) -> "ExprFn":
         """Componentwise exact partial derivative with respect to x_{i+1}, the
@@ -818,10 +832,11 @@ def _unfolded(make, op: str, a: Expr, b: Expr) -> Expr:
 def _sym_product(algebra: Algebra, u: tuple[Expr, ...], v: tuple[Expr, ...]) -> tuple[Expr, ...]:
     """Components of u*v: row k of the structure tensor, C[i, j, k] at i*n + j,
     applied to the pair products u_i v_j.  A pair with v_i v_j = 0 is not
-    multiplied, so two constants there cannot fold to an overflow."""
+    multiplied; a pair product of two constants that is not finite is left
+    to evaluation, as the sum over pairs is."""
     n = algebra.dim
     table = algebra.structure.reshape(n * n, n)
-    pairs = [mul(u[p // n], v[p % n]) if table[p].any() else _ZERO for p in range(n * n)]
+    pairs = [_unfolded(mul, "*", u[p // n], v[p % n]) if table[p].any() else _ZERO for p in range(n * n)]
     return _combine(table.T, pairs)
 
 

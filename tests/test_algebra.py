@@ -292,10 +292,10 @@ def test_held_projection_matches_lstsq(fixtures):
 
 
 def test_held_kernels_match_the_products_on_points_and_columns(fixtures):
-    # oracle: numpy's product with P, on the P vec(J) rows of the verdict
-    # kernel, one per nonzero row of P: each f_k is a product of two linear
+    # oracle: numpy's product with P, on the P vec(J) rows of the report
+    # function, one per nonzero row of P: each f_k is a product of two linear
     # forms with nonzero coefficients, so no partial is the zero tree and no
-    # other row drops.  The verdict kernel returns the rows' norm, so the
+    # other row drops.  The report reads only the rows' norm, so the
     # rows are read from the same trees compiled to return every value.  The
     # J 1 rows are checked in test_calculus
     from acalc.expr import _ZERO, ExprFn, _combine, compile_expr, eval_compiled, parse
@@ -318,11 +318,13 @@ def test_held_kernels_match_the_products_on_points_and_columns(fixtures):
         assert rows.shape == (5, np.count_nonzero(P.any(axis=1))), a.name
         want = points[:, n:m] @ P[P.any(axis=1)].T
         assert np.allclose(rows, want, rtol=0.0, atol=1e-13 * np.abs(points[:, n:m]).max()), a.name
-        # the verdict kernel runs the same lines and returns their norms
+        # the report function runs the same lines and divides their norms; at
+        # tol = inf it reads J 1 for every residual
         for x, values in zip(X.tolist(), points.tolist()):
-            got = f._verdict(x)
-            assert got == (math.hypot(*values[:n]), tuple(values[:n]), tuple(values[n:m]),
-                           math.hypot(*values[m:-n]), math.hypot(*values[n:m]), tuple(values[-n:])), a.name
+            got = f._report(a.element(x), math.inf)
+            residual = math.hypot(*values[m:-n]) / max(1.0, math.hypot(*values[n:m]))
+            assert (got.jacobian_vec, got.residual, got.is_adiff) == (tuple(values[n:m]), residual, True), a.name
+            assert got.derivative.coords.tolist() == values[-n:], a.name
         # a batch runs the same lines, and the Jacobian kernel their first ones
         assert np.array_equal(eval_compiled(flat, X), points), a.name
         assert np.array_equal(eval_compiled(f._jacobian, X), points[:, :m]), a.name

@@ -914,7 +914,7 @@ def test_report_is_read_only_and_builds_the_kernels_jacobian():
 
 
 def test_batch_jacobian_is_each_reports_jacobian_vec_bit_for_bit(fixtures):
-    # the Jacobian kernel at a batch runs the verdict kernel's lines of f and J
+    # the Jacobian kernel at a batch runs the report function's lines of f and J
     rng = np.random.default_rng(30)
     assert len(fixtures) == 16
     for a in fixtures.values():
@@ -966,7 +966,8 @@ def test_norm_of_f_that_overflows_still_gives_a_verdict():
 def test_jacobian_kernel_ends_with_the_derivative_rows(fixtures):
     # oracle: numpy's J @ unity, on a point and on a batch; triangular6 and
     # RxR are among the fixtures whose unity is not v_1
-    from acalc.expr import _kernel_source, compile_expr, eval_compiled
+    from acalc.calculus import _report_source
+    from acalc.expr import Op, _postorder, compile_expr, eval_compiled
 
     rng = np.random.default_rng(26)
     assert not fixtures["triangular6"].unity_first and not fixtures["RxR"].unity_first
@@ -975,22 +976,26 @@ def test_jacobian_kernel_ends_with_the_derivative_rows(fixtures):
         g = ExprFn(a, tuple(parse(f"exp(x{n})", n) for _ in range(n)))
         for f in (zeta_power(a, 3), exprfn_mul(zeta_power(a, 2), g)):
             p = random_element(a, rng)
-            *_, vec, _, _, tail = f._verdict(p.coords.tolist())
+            # at tol = inf the report reads J 1 for every residual
+            report = f._report(p, math.inf)
+            vec, tail = report.jacobian_vec, report.derivative.coords
             J = np.array(vec).reshape(n, n)
             want = J @ a.unity
             assert np.abs(np.array(tail) - want).max() <= 1e-15 * np.abs(want).max(), a.name
-            # a batch runs the trees of J 1, which the verdict kernel ends with
+            # a batch runs the trees of J 1, which the report function's lines end with
             X = np.array([random_element(a, rng).coords for _ in range(3)])
             rows = eval_compiled(compile_expr(f.unity_derivative.components), X)
             assert np.allclose(rows, f.eval_jacobian(X) @ a.unity, rtol=1e-15, atol=0.0)
         if a.unity_first:
-            # J 1 is J's first column: the kernel has no line for it
+            # J 1 is J's first column: the report has no line for it, only
+            # one per operator node of f, vec(J) and P vec(J)
             vec = tuple(diff(c, i) for c in f.components for i in range(n))
             cr = _cr_rows(a, vec)
             tail = f.unity_derivative.components
             assert tail == vec[::n], a.name
-            assert _kernel_source(f.components + vec + cr + tail, n).count("\n") == \
-                _kernel_source(f.components + vec + cr).count("\n"), a.name
+            lines = _report_source(f.components + vec + cr + tail, n).splitlines()
+            assert sum(line.startswith("    t") for line in lines) == \
+                sum(isinstance(e, Op) for e in _postorder(f.components + vec + cr)), a.name
 
 
 def _cr_rows(a, vec):
@@ -1008,6 +1013,7 @@ def _three_functions(a):
 def test_every_derivative_is_a_directional_derivative(fixtures):
     # oracle: J 1 as the rows I kron unity^T over vec(J), and each partial as
     # the componentwise diff; equal trees are one object, so == is identity
+    from acalc.calculus import _compile_report
     from acalc.expr import _combine, compile_expr
 
     for a in fixtures.values():
@@ -1016,7 +1022,9 @@ def test_every_derivative_is_a_directional_derivative(fixtures):
         for f in _three_functions(a):
             vec = tuple(diff(c, i) for c in f.components for i in range(n))
             tail = f.unity_derivative.components
-            assert f._verdict is compile_expr(f.components + vec + _cr_rows(a, vec) + tail, n), a.name
+            # the held report is the one compiled from these trees, bound to f's algebra
+            assert f._report is _compile_report(a, f.components + vec + _cr_rows(a, vec) + tail), a.name
+            assert f._report.__globals__["_algebra"] is a, a.name
             assert f._jacobian is compile_expr(f.components + vec), a.name
             assert tail == _combine(rows, vec), a.name
             for i in range(n):
@@ -1101,17 +1109,32 @@ def _one_kernel_route(f, p):
     return r.residual.hex(), r.is_adiff, tuple(v.hex() for v in r.derivative.coords) if r.is_adiff else None
 
 
+def _primitive_functions(a):
+    """Functions that call exp, sin, cos, log, sqrt, / and ^: the exp of the
+    bench on C and H, 1/z on C, and on every algebra log(x1^2+1) and
+    sqrt(x_k^2+1)*x1 components."""
+    n = a.dim
+    comps = {"C": [("exp", ("exp(x1)*cos(x2)", "exp(x1)*sin(x2)")),
+                   ("1/z", ("x1/(x1^2+x2^2)", "-x2/(x1^2+x2^2)"))],
+             "H": [("exp", ("(exp(x1+x2)+exp(x1-x2))/2", "(exp(x1+x2)-exp(x1-x2))/2"))]}.get(a.name, [])
+    comps.append(("log, sqrt", tuple("log(x1^2+1)" if k == 0 else f"sqrt(x{k + 1}^2+1)*x1" for k in range(n))))
+    return [(label, ExprFn(a, tuple(parse(c, n) for c in cs))) for label, cs in comps]
+
+
 def test_one_kernel_verdict_matches_the_scaled_route_bit_for_bit(fixtures):
-    # 16 fixtures x {z^2, z^3, zbar2, 1e250 z^3} at 2^k p for k = -1070..1030
-    # in steps of 7: the power-of-two scale is exact where nothing under- or
-    # overflows, so the residual, verdict and derivative keep their bits,
-    # and the error type where f or J is not finite
+    # 16 fixtures x {z^2, z^3, zbar2, 1e250 z^3, log and sqrt components}, and
+    # exp on C and H and 1/z on C, at 2^k p for k = -1070..1030 in steps of
+    # 7: the power-of-two scale is exact where nothing under- or overflows,
+    # so the residual, verdict and derivative keep their bits, and the error
+    # type where f or J is not finite.  The reference runs a dual-dispatch
+    # kernel; the report runs the point primitives
     cases = refusals = 0
     for a in fixtures.values():
         n = a.dim
         base = [math.ldexp(0.3 + 0.1 * i, -8) for i in range(n)]  # 2^1030 base is finite
-        functions = (*_three_functions(a), poly_fn(a, [0.0, 0.0, 0.0, 1e250]))
-        for label, f in zip(("z^2", "z^3", "zbar2", "1e250 z^3"), functions):
+        functions = list(zip(("z^2", "z^3", "zbar2", "1e250 z^3"),
+                             (*_three_functions(a), poly_fn(a, [0.0, 0.0, 0.0, 1e250]))))
+        for label, f in functions + _primitive_functions(a):
             reference = _scaled_route(f)
             for k in range(-1070, 1031, 7):
                 p = [math.ldexp(v, k) for v in base]
@@ -1119,7 +1142,7 @@ def test_one_kernel_verdict_matches_the_scaled_route_bit_for_bit(fixtures):
                 assert _one_kernel_route(f, p) == want, (a.name, label, k)
                 cases += 1
                 refusals += want is DomainError
-    assert cases == 16 * 4 * 301
+    assert cases == (16 * 5 + 3) * 301
     assert 0 < refusals < cases  # both the verdicts and the refusals are compared
 
 
@@ -1143,13 +1166,15 @@ def test_cauchy_riemann_rows_that_overflow_take_the_scaled_rerun(fixtures, monke
 
     reruns = []
     rerun = calculus._scaled_residual
-    monkeypatch.setattr(calculus, "_scaled_residual", lambda *args: reruns.append(args) or rerun(*args))
     rng = np.random.default_rng(29)
     for a in fixtures.values():
         n = a.dim
         rows = [rng.integers(12, 18, n).tolist() for _ in range(n)]
         f = ExprFn(a, tuple(parse("+".join(f"{c}e307*sin(x{j + 1})" for j, c in enumerate(row)), n)
                             for row in rows))
+        # the report binds the rerun in its own namespace
+        monkeypatch.setitem(f._report.__globals__, "_scaled_residual",
+                            lambda *args: reruns.append(args) or rerun(*args))
         p = [1e-3 * (i + 1) for i in range(n)]
         assert _one_kernel_route(f, p) == _scaled_route(f)(p), a.name
     assert len(reruns) == 15  # all but R, whose P is 0 and whose one entry is finite

@@ -299,6 +299,42 @@ def test_kernel_has_one_line_per_distinct_operator_node():
     assert len(lines) == len(assignments) + 1 + Q.dim + 1
 
 
+def _outcome(fn, *args):
+    """A primitive's value as hex (nan as one word), or its DomainError's message."""
+    try:
+        v = fn(*args)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+    return "nan" if math.isnan(v) else v.hex()
+
+
+def test_each_point_primitive_is_the_float_route_of_its_dual_primitive():
+    # the report function binds the point primitives, and batch kernels the
+    # dual ones; on a float both give the same bits, or raise the same message
+    called = {name: o for name, o in E._OPS.items() if o.point is not None}
+    assert sorted(called) == ["/", "^", "cos", "exp", "log", "sin", "sqrt"]
+    assert E._POINT_NS == {o.source.partition("(")[0]: o.point for o in called.values()}
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 710.0, 1e308, -1.0]
+    for name, o in called.items():
+        if name == "/":
+            cases = [(a, b) for a in values for b in values]
+        elif name == "^":
+            cases = [(a, k) for a in values for k in (-3, -2, -1, 2, 3, 1001)]
+        else:
+            cases = [(a,) for a in values]
+        for args in cases:
+            assert _outcome(o.point, *args) == _outcome(o.fn, *args), (name, args)
+    # the domain edges
+    edges = {"log": [(0.0,), (-0.0,), (-1e-300,), (-math.inf,)], "sqrt": [(-1e-300,), (-math.inf,)],
+             "/": [(1.0, 0.0), (0.0, -0.0), (math.nan, 0.0)], "^": [(0.0, -1), (-0.0, -2)]}
+    for name, cases in edges.items():
+        o = called[name]
+        for args in cases:
+            got = _outcome(o.point, *args)
+            assert got.startswith("DomainError: ") and got == _outcome(o.fn, *args), (name, args)
+    assert _outcome(called["log"].point, -0.0) == "DomainError: log of non-positive value -0"
+
+
 def _assert_postorder(trees):
     order = E._postorder(trees)
     position = {e: j for j, e in enumerate(order)}
@@ -824,3 +860,18 @@ def test_product_skips_pairs_whose_basis_product_is_zero():
     dual = get_algebra("dual")
     big = ExprFn(dual, (E.lit(1.0), E.lit(1e200)))
     assert exprfn_mul(big, big).components == (E.lit(1.0), E.lit(2e200))
+
+
+def test_product_of_constants_that_overflows_raises_where_it_is_evaluated():
+    # a pair product of two constants that is not finite is left to
+    # evaluation, as the sum over pairs is: 1e200 * 1e200 builds
+    from acalc.calculus import adiff_test
+
+    C = get_algebra("C")
+    big = E.constant_fn(C, C.element([1e200, 0.0]))
+    f = exprfn_mul(big, big)
+    assert f.components == (Op("*", (E.lit(1e200), E.lit(1e200))), E.lit(0.0))
+    for evaluate_f in (lambda: f([0.5, 0.5]), lambda: f.eval_coords(np.zeros((3, 2))),
+                       lambda: adiff_test(f, [0.5, 0.5])):
+        with pytest.raises(DomainError, match="non-finite"):
+            evaluate_f()
