@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import AElement, Algebra, _element_of, _freeze, mul
 from .errors import DomainError, NonInvertibleBasis, NotADifferentiable
-from .expr import _NOT_FINITE, _POINT_NS, Expr, ExprFn, _kernel_lines
+from .expr import _NOT_FINITE, _POINT_NS, Expr, ExprFn, _kernel_lines, _refused
 
 __all__ = [
     "ConjugateFrame",
@@ -144,7 +144,8 @@ def _compile_report(algebra: Algebra, trees: tuple[Expr, ...]):
     does, without its call."""
     namespace = {**_POINT_NS, "_isfinite": math.isfinite, "_hypot": math.hypot, "_new": tuple.__new__,
                  "DiffReport": DiffReport, "DomainError": DomainError, "_NOT_FINITE": _NOT_FINITE,
-                 "_scaled_residual": _scaled_residual, "_element_of": _element_of, "_algebra": algebra}
+                 "_scaled_residual": _scaled_residual, "_element_of": _element_of, "_algebra": algebra,
+                 "_refused": _refused}
     exec(_report_source(trees, algebra.dim), namespace)
     return namespace["report"]
 

@@ -13,6 +13,11 @@ forms, its precedence and its derivative rule.  Compiling, printing and
 differentiation only read it; substitution rebuilds each node as it is, so a
 composed tree evaluates every operand that the original one did.  The
 package evaluates a tree only through a compiled kernel.
+
+Every constant is finite.  Two constants fold to one through the operator's
+primitive; a fold that the primitive refuses or whose value is not finite
+stays a node, which evaluation refuses at every point, also under an
+operation that would absorb its value (1/inf is 0).
 """
 
 from __future__ import annotations
@@ -136,10 +141,15 @@ _ZERO = Lit(0.0)
 _ONE = Lit(1.0)
 
 
-def lit(v: float) -> Expr:
+def lit(v: float) -> Lit:
+    """The constant ``v``; one that is not finite is refused here, where it
+    enters a tree, as a compiled kernel could not name it."""
     # + 0.0 makes -0.0 a plain zero: Lit(-0.0) prints as 0 and is equal to
     # Lit(0.0), so a node or a kernel built over one would serve the other
-    return Lit(float(v) + 0.0)
+    value = float(v) + 0.0
+    if not math.isfinite(value):
+        raise DomainError(f"constant {value!r} is not finite")
+    return Lit(value)
 
 
 def var(i: int, name: str | None = None) -> Expr:
@@ -147,9 +157,9 @@ def var(i: int, name: str | None = None) -> Expr:
 
 
 def _binary(op: str, a: Expr, b: Expr) -> Expr:
-    """``a op b``; two constants fold to one by :func:`_fold`."""
+    """``a op b``; two constants fold by :func:`_fold`."""
     if isinstance(a, Lit) and isinstance(b, Lit):
-        return _fold(op, a.value, b.value)
+        return _fold(op, (a, b))
     return Op(op, (a, b))
 
 
@@ -203,7 +213,7 @@ def pow_(a: Expr, k: int) -> Expr:
     if k == 1:
         return a
     if isinstance(a, Lit):
-        return _fold("^", a.value, k)
+        return _fold("^", (a,), int(k))
     return Op("^", (a,), int(k))
 
 
@@ -280,7 +290,6 @@ class _Operator(NamedTuple):
     text: str         # printed template over the printed operands
     prec: int         # printing precedence
     rule: Callable    # rule(e, d): the derivative of e, d that of each operand
-    noun: str = ""    # names a constant fold that is not finite
     point: Callable | None = None  # fn's float route, where the template calls fn
 
 
@@ -294,16 +303,16 @@ def _function(name: str, routes, rule) -> _Operator:
 
 
 _OPS = {
-    "+": _Operator(operator.add, "({0}+{1})", "{0} + {1}", 1, lambda e, d: add(*d), "sum"),
-    "-": _Operator(operator.sub, "({0}-{1})", "{0} - {1}", 1, lambda e, d: sub(*d), "difference"),
+    "+": _Operator(operator.add, "({0}+{1})", "{0} + {1}", 1, lambda e, d: add(*d)),
+    "-": _Operator(operator.sub, "({0}-{1})", "{0} - {1}", 1, lambda e, d: sub(*d)),
     "*": _Operator(operator.mul, "({0}*{1})", "{0}*{1}", 2,
-                   lambda e, d: add(mul(d[0], e.args[1]), mul(e.args[0], d[1])), "product"),
+                   lambda e, d: add(mul(d[0], e.args[1]), mul(e.args[0], d[1]))),
     # (u/v)' = (u' - (u/v) v') / v, which needs no v^2 that could overflow
     "/": _Operator(_div, "_div({0},{1})", "{0}/{1}", 2,
-                   lambda e, d: div(sub(d[0], mul(e, d[1])), e.args[1]), "quotient", _point_div),
+                   lambda e, d: div(sub(d[0], mul(e, d[1])), e.args[1]), _point_div),
     "neg": _Operator(operator.neg, "(-{0})", "-{0}", 3, lambda e, d: neg(*d)),
     "^": _Operator(_pow, "_pow({0},{k})", "{0}^{k}", 4,
-                   lambda e, d: mul(mul(lit(e.k), pow_(e.args[0], e.k - 1)), *d), "power", _point_pow),
+                   lambda e, d: mul(mul(lit(e.k), pow_(e.args[0], e.k - 1)), *d), _point_pow),
     "sin": _function("sin", _primitive(math.sin, np.sin),
                      lambda e, d: mul(call("cos", *e.args), *d)),
     "cos": _function("cos", _primitive(math.cos, np.cos),
@@ -347,13 +356,17 @@ def _postorder(roots, skip=None) -> list[Expr]:
 
 
 # Every constant fold, in the smart constructors and the parser, computes as
-# evaluation does and refuses a value that is not finite, as evaluation does.
-def _fold(op: str, a: float, b: float) -> Lit:
-    o = _OPS[op]
-    value = o.fn(a, b)
-    if not math.isfinite(value):
-        raise DomainError(f"constant {o.noun} {a:g}{op}{b:.6g} is not finite")
-    return lit(value)
+# evaluation does.  A fold that the primitive refuses (1/0, 0^(-1)) or whose
+# value is not finite (1e308+1e308, 2^65536) is no constant: the node stays as
+# it is, and evaluation refuses it wherever it sits (see _kernel_lines).  So
+# no tree fails where it is built, and each prints as text that parses back
+# to it.
+def _fold(op: str, args: tuple[Lit, ...], k: int | None = None) -> Expr:
+    operands = [a.value for a in args] if k is None else [args[0].value, k]
+    try:
+        return lit(_OPS[op].fn(*operands))
+    except DomainError:  # the primitive refuses the operands, or lit the value
+        return Op(op, args, k)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +405,6 @@ class _Parser:
         self.tokens.append(("end", "", len(src)))
         self.i = 0
         self.depth = 0
-        # position of the first numeral that overflows to inf; an exponent
-        # that is one fails the integer check first
-        self.overflow: int | None = None
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -411,19 +421,10 @@ class _Parser:
         self.advance()
 
     def parse(self) -> Expr:
-        try:
-            e = self.expression()
-        except DomainError:
-            # a constant fold met the inf of an overflowing numeral: report the
-            # numeral, which comes first in the input, not the fold
-            if self.overflow is None:
-                raise
-            raise ExprSyntaxError(self.overflow, "a finite number") from None
+        e = self.expression()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(pos, "end of input or an operator")
-        if self.overflow is not None:
-            raise ExprSyntaxError(self.overflow, "a finite number")
         return e
 
     def expression(self) -> Expr:
@@ -460,6 +461,9 @@ class _Parser:
             k = _const_int(exponent)
             if k is None:
                 raise ExprSyntaxError(caret_pos, "an integer exponent")
+            if k == 0 and isinstance(base, Op):
+                # no identity is dropped (see term): (1/x1)^0 still fails at x1 = 0
+                return Op("^", (base,), 0)
             return pow_(base, k)
         return base
 
@@ -467,8 +471,8 @@ class _Parser:
         kind, text, pos = self.advance()
         if kind == "num":
             value = float(text)
-            if not math.isfinite(value) and self.overflow is None:
-                self.overflow = pos
+            if not math.isfinite(value):  # a numeral past the float range
+                raise ExprSyntaxError(pos, "a finite number")
             return Lit(value)
         if text == "(":
             e = self.expression()
@@ -500,8 +504,8 @@ class _Parser:
 
 def _const_int(e: Expr) -> int | None:
     """The value of an integer constant; the parser folds every constant
-    exponent to a ``Lit``."""
-    if isinstance(e, Lit) and math.isfinite(e.value) and e.value == int(e.value):
+    exponent with a finite value to a ``Lit``, and every ``Lit`` is finite."""
+    if isinstance(e, Lit) and e.value == int(e.value):
         return int(e.value)
     return None
 
@@ -525,8 +529,15 @@ _NOT_FINITE = "evaluation overflowed or gave a non-finite value"
 def _kernel_lines(exprs: tuple[Expr, ...]) -> tuple[list[str], list[str]]:
     """A line ``tN = ...`` per distinct operator node of ``exprs``, in the
     order the trees evaluate, and a line ``xI = x[I]`` per coordinate read;
-    then the name, or the inlined constant, that holds each tree's value."""
+    then the name, or the inlined constant, that holds each tree's value.
+
+    A fold that stayed a node (see :func:`_fold`) is refused, and so is each
+    node over a refused one, whose line passes its value through
+    :func:`_refused`: 1/inf is 0, but 1/(1e308+1e308) raises.  A tree's own
+    value is left to the caller, as every value that is not finite is: the
+    verdict rescales an overflowing Cauchy-Riemann row."""
     names: dict[Expr, str] = {}
+    refused: set[Expr] = set()
     lines = []
 
     def name(a: Expr) -> str:
@@ -538,6 +549,11 @@ def _kernel_lines(exprs: tuple[Expr, ...]) -> tuple[list[str], list[str]]:
             source, names[e] = f"x[{e.index}]", f"x{e.index}"
         else:
             source, names[e] = _OPS[e.op].source.format(*map(name, e.args), k=e.k), f"t{len(names)}"
+            if refused and not refused.isdisjoint(e.args):
+                source = f"_refused({source})"
+                refused.add(e)
+            elif isinstance(e.args[0], Lit) and isinstance(e.args[-1], Lit) and _fold(e.op, e.args, e.k) is e:
+                refused.add(e)  # a fold that stayed a node
         lines.append(f"    {names[e]} = {source}")
     return lines, [name(e) for e in exprs]
 
@@ -547,6 +563,13 @@ def _kernel_source(exprs: tuple[Expr, ...]) -> str:
     value of every tree."""
     lines, values = _kernel_lines(exprs)
     return "\n".join(["def kernel(x):", *lines, f"    return ({''.join(v + ',' for v in values)})"])
+
+
+def _refused(value):
+    """A float or array over a refused node, which raises where it is finite."""
+    if np.isfinite(value).any():
+        raise DomainError(_NOT_FINITE)
+    return value
 
 
 # the names the compiled templates call, such as _div: the dual primitives in a
@@ -565,7 +588,7 @@ def compile_expr(exprs: tuple[Expr, ...]):
     then a float or an array (a constant stays a float).  The one verdict at a
     point is a function of its own (see :func:`acalc.calculus.adiff_test`).
     """
-    namespace = dict(_COMPILE_NS)
+    namespace = {**_COMPILE_NS, "_refused": _refused}
     exec(_kernel_source(exprs), namespace)
     return namespace["kernel"]
 
@@ -807,36 +830,26 @@ def conjugate_fn(algebra: Algebra, j: int) -> ExprFn:
 
 def _combine(rows, exprs) -> tuple[Expr, ...]:
     """One expression per row, sum_j row[j] * exprs[j]: the one linear
-    combination of trees.  Zero terms are not built, and a fold of two
-    constants that is not finite is left to evaluation, so the combination
-    overflows where it is evaluated, not where it is built."""
+    combination of trees.  Zero terms are not built; a Cauchy-Riemann row
+    such as J_12 + J_21 may overflow where J does not, and like every fold
+    that is not finite it stays a node and overflows where it is evaluated."""
     out = []
     for row in np.asarray(rows, dtype=float).tolist():
         s: Expr = _ZERO
         for c, e in zip(row, exprs):
             if c != 0.0:
-                s = _unfolded(add, "+", s, _unfolded(mul, "*", lit(c), e))
+                s = add(s, mul(lit(c), e))
         out.append(s)
     return tuple(out)
-
-
-def _unfolded(make, op: str, a: Expr, b: Expr) -> Expr:
-    """``make(a, b)``, or the node ``a op b`` left unfolded where two constants
-    fold to a value that is not finite."""
-    try:
-        return make(a, b)
-    except DomainError:
-        return Op(op, (a, b))
 
 
 def _sym_product(algebra: Algebra, u: tuple[Expr, ...], v: tuple[Expr, ...]) -> tuple[Expr, ...]:
     """Components of u*v: row k of the structure tensor, C[i, j, k] at i*n + j,
     applied to the pair products u_i v_j.  A pair with v_i v_j = 0 is not
-    multiplied; a pair product of two constants that is not finite is left
-    to evaluation, as the sum over pairs is."""
+    multiplied."""
     n = algebra.dim
     table = algebra.structure.reshape(n * n, n)
-    pairs = [_unfolded(mul, "*", u[p // n], v[p % n]) if table[p].any() else _ZERO for p in range(n * n)]
+    pairs = [mul(u[p // n], v[p % n]) if table[p].any() else _ZERO for p in range(n * n)]
     return _combine(table.T, pairs)
 
 
@@ -864,7 +877,7 @@ def poly_fn(algebra: Algebra, coeffs) -> ExprFn:
                 raise AlgebraMismatch("coefficient belongs to a different algebra")
             c_coords = c.coords
         else:
-            c_coords = float(c) * algebra.unity
+            c_coords = lit(c).value * algebra.unity  # lit refuses a scalar that is not finite
         if any(v != 0.0 for v in c_coords):
             c_exprs = tuple(lit(v) for v in c_coords)
             term = _sym_product(algebra, c_exprs, power)

@@ -32,16 +32,28 @@ def interpret(trees, point, num=float) -> list:
     trees' distinct nodes; coordinates and constants are read as ``num``.
 
     As in compiled evaluation, only the results must be finite: ``1/exp(x1)``
-    at x1 = 1000 is 0, and ``exp(x1)`` there raises DomainError.
+    at x1 = 1000 is 0, and ``exp(x1)`` there raises DomainError.  The one
+    exception is a float node over constants that is not finite, such as
+    ``1e308 + 1e308``: a node over it that comes out finite, such as
+    ``1/(1e308 + 1e308)``, raises DomainError.
     """
     values: dict = {}
+    refused: set = set()
 
     def value(a):
         return num(a.value) if isinstance(a, Lit) else values[a]
 
     for node in _postorder(trees):
-        values[node] = (num(point[node.index]) if isinstance(node, Var)
-                        else _apply(_OPS[node.op].fn, node, [value(a) for a in node.args]))
+        if isinstance(node, Var):
+            values[node] = num(point[node.index])
+            continue
+        v = values[node] = _apply(_OPS[node.op].fn, node, [value(a) for a in node.args])
+        over_refused = any(a in refused for a in node.args)
+        if over_refused or all(isinstance(a, Lit) for a in node.args):
+            if isinstance(v, float) and not math.isfinite(v):
+                refused.add(node)
+            elif over_refused:
+                raise DomainError(_NOT_FINITE)
     out = [value(e) for e in trees]
     if any(isinstance(v, float) and not math.isfinite(v) for v in out):
         raise DomainError(_NOT_FINITE)

@@ -37,6 +37,7 @@ from acalc.expr import (
     parse,
     poly_fn,
     substitute,
+    to_str,
 )
 from acalc.fixtures import bundled_algebras, get_algebra, n_hyperbolic, triangular6
 from acalc.integrate import Polyline, antiderivative_probe, integrate_curve, ml_bound_check, riemann_sum
@@ -870,35 +871,56 @@ def _verdict(label, make_f, p) -> str:
     return f"{label}: residual={r.residual.hex()} adiff={r.is_adiff} derivative={d} jacobian={J}\n"
 
 
-def _adiff_verdicts() -> str:
+def _verdict_cases() -> list:
     """z^2, z^3 and the second conjugate at a fixed point, 1e299 z^2 there
     (J near 1e300) and z^2 at that point times 1e-310 (J subnormal), on
     every fixture; exp near the top of the float range on C and the
-    3-hyperbolic numbers; and three domain errors."""
-    lines = []
+    3-hyperbolic numbers; and three domain errors: (label, make_f, point)."""
+    cases = []
     for name, a in bundled_algebras().items():
-        n = a.dim
-        p = [0.3 + 0.4 * i * (-1) ** i for i in range(n)]
-        cases = [("z^2", lambda: zeta_power(a, 2), p), ("z^3", lambda: zeta_power(a, 3), p),
-                 ("zbar2", lambda: conjugate_fn(a, 2), p),
-                 ("1e299*z^2", lambda: poly_fn(a, [0.0, 0.0, 1e299]), p),
-                 ("z^2 subnormal", lambda: zeta_power(a, 2), [1e-310 * v for v in p])]
-        lines += [_verdict(f"{name} {label} at {q}", make_f, q) for label, make_f, q in cases]
+        p = [0.3 + 0.4 * i * (-1) ** i for i in range(a.dim)]
+        cases += [(f"{name} {label} at {q}", make_f, q) for label, make_f, q in [
+            ("z^2", lambda a=a: zeta_power(a, 2), p), ("z^3", lambda a=a: zeta_power(a, 3), p),
+            ("zbar2", lambda a=a: conjugate_fn(a, 2), p),
+            ("1e299*z^2", lambda a=a: poly_fn(a, [0.0, 0.0, 1e299]), p),
+            ("z^2 subnormal", lambda a=a: zeta_power(a, 2), [1e-310 * v for v in p])]]
     C, A3 = get_algebra("C"), get_algebra("3-hyperbolic")
     exp_c = lambda: ExprFn(C, tuple(parse(s, 2) for s in _EXP))
     exp_3h = lambda: ExprFn(A3, tuple(parse(s, 3) for s in _EXP_3H))
     log_c = lambda: ExprFn(C, (parse("log(x1)", 2), parse("x2", 2)))
-    cases = [("C exp", exp_c, [690.7, 0.5]),
-             ("3-hyperbolic exp", exp_3h, [230.5, 230.7, 230.6]),
-             ("C exp overflow", exp_c, [710.0, 0.5]),
-             ("C z^2 overflow", lambda: zeta_power(C, 2), [1e300, 1e300]),
-             ("C log", log_c, [-1.0, 0.5])]
-    lines += [_verdict(f"{label} at {q}", make_f, q) for label, make_f, q in cases]
-    return "".join(lines)
+    cases += [(f"{label} at {q}", make_f, q) for label, make_f, q in [
+        ("C exp", exp_c, [690.7, 0.5]),
+        ("3-hyperbolic exp", exp_3h, [230.5, 230.7, 230.6]),
+        ("C exp overflow", exp_c, [710.0, 0.5]),
+        ("C z^2 overflow", lambda: zeta_power(C, 2), [1e300, 1e300]),
+        ("C log", log_c, [-1.0, 0.5])]]
+    return cases
+
+
+def _adiff_verdicts() -> str:
+    return "".join(_verdict(label, make_f, q) for label, make_f, q in _verdict_cases())
 
 
 def test_adiff_verdicts_are_pinned():
     assert _adiff_verdicts().encode("utf-8") == ADIFF_VERDICTS_GOLDEN.read_bytes()
+
+
+def test_derivative_trees_print_as_text_that_parses_back_to_them():
+    # the Cauchy-Riemann sum 1e308 + 1e308 stays a node, as every fold that is
+    # not finite does, so it prints as text the parser reads back to the node
+    RxR = get_algebra("RxR")
+    big = ExprFn(RxR, (parse("1e308*x1+1e308*x2", 2), parse("x2", 2)))
+    functions = [big]
+    for _, make_f, _ in _verdict_cases():
+        try:
+            functions.append(make_f())
+        except AcalcError:  # R zbar2: R has no second coordinate
+            continue
+    for f in functions:
+        n = f.algebra.dim
+        for e in f.unity_derivative.components + f._vec:
+            assert parse(to_str(e), n) == e, to_str(e)
+    assert to_str(big.unity_derivative.components[0]) == "1e+308 + 1e+308"
 
 
 def test_report_is_read_only_and_builds_the_kernels_jacobian():

@@ -385,6 +385,11 @@ def test_demo_dalembert(capsys):
     assert "PASS" in out
 
 
+def test_demo_dalembert_with_a_profile_evaluation_refuses_prints_nothing(capsys):
+    # 1/0 stays a node: the verdict refuses it, before any line is printed
+    assert run(capsys, "demo-dalembert", "--f1", "1/0") == (2, "", "error: division by zero\n")
+
+
 def test_determinism(capsys):
     argv = ["d2-probe", "--algebra", "C", "--fn", "zeta2", "--point", "0.25,0.75",
             "--seed", "3"]
@@ -659,9 +664,10 @@ def test_taylor_difference_past_1e154_is_finite(capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("fn, message", [
-    ("2^2^2^2^2;0", "constant power 2^65536 is not finite"),
+    # 2^65536 stays a node, which evaluation refuses; 1e400 is refused where it is read
+    ("2^2^2^2^2;0", "evaluation overflowed or gave a non-finite value"),
     ("x1+0^(-1);0", "zero raised to a negative power"),
-    ("x1^1e400;0", "expected an integer exponent"),
+    ("x1^1e400;0", "expected a finite number"),
 ])
 def test_constant_power_errors_are_input_errors(capsys, fn, message):
     code, out, err = run(capsys, "check-adiff", "--algebra", "C", "--fn", fn, "--point", "1,1")
@@ -829,7 +835,7 @@ def test_huge_constant_divisor_is_differentiable(capsys, method):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("fn, point, method, code, text", [
-    ("x1*1e200*1e200;0", "1,1", "symbolic", 2, "error: constant product 1e+200*1e+200 is not finite\n"),
+    ("x1*1e200*1e200;0", "1,1", "symbolic", 2, "error: evaluation overflowed or gave a non-finite value\n"),
     ("0*(1/x1);x2", "0,1", "fd", 2, "error: division by zero\n"),
     ("x1^(2*2);0", "1,1", "symbolic", 1, ""),
 ])
@@ -839,6 +845,47 @@ def test_constant_folding_through_main(capsys, fn, point, method, code, text):
                                        "--point", point)
     assert (got, err) == (code, text)
     assert ("adiff=False" in out) == (code == 1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn, message", [
+    ("1/0;x2", "division by zero"),
+    # 1/0 is no constant, so it is no integer exponent
+    ("x1^(1/0);0", "syntax error at position 2: expected an integer exponent"),
+    ("1e308*x1+1e308*x1;x2", "evaluation overflowed or gave a non-finite value"),
+    # an operation that would absorb the refused fold (1/inf is 0, exp(-inf)
+    # is 0, inf^0 is 1) is refused in its place
+    ("1/(1e308+1e308);x2", "evaluation overflowed or gave a non-finite value"),
+    ("exp(-(2^65536));0", "evaluation overflowed or gave a non-finite value"),
+    ("(1e308*10)^(-1);0", "evaluation overflowed or gave a non-finite value"),
+    ("x1*(1e308+1e308)^0;x2", "evaluation overflowed or gave a non-finite value"),
+    ("x1*(1/0)^0;x2", "division by zero"),
+])
+@pytest.mark.parametrize("argv", [
+    ("check-adiff", "--algebra", "C", "--point", "1,1"),
+    ("derivative", "--algebra", "C", "--point", "1,1"),
+    ("wirtinger", "--algebra", "C", "--point", "1,1", "--which", "zeta"),
+    ("taylor", "--algebra", "C", "--point", "1,1", "--offset", "0.1,0"),
+    ("d2-probe", "--algebra", "C", "--point", "1,1"),
+    ("transfer", "--iso", "{iso}", "--point", "1,1"),
+], ids=lambda argv: argv[0])
+def test_fold_that_evaluation_refuses_is_input_error_in_every_command(capsys, tmp_path, argv, fn, message):
+    # a fold that raises or is not finite stays a node, and each command
+    # refuses it where it evaluates it, before printing anything
+    iso = tmp_path / "iso.json"
+    iso.write_text(json.dumps({"source": "RxR", "target": "H", "matrix": [[0.5, 0.5], [0.5, -0.5]]}))
+    argv = [a.format(iso=iso) for a in argv] + ["--fn", fn]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_function_file_with_a_coefficient_that_is_not_finite_is_input_error(capsys, tmp_path):
+    # inf times the unity warned of an invalid multiply, and the error named a
+    # nan the file never wrote
+    path = tmp_path / "fn.json"
+    path.write_text('{"algebra": "C", "poly": [0, Infinity]}')
+    assert run(capsys, "check-adiff", "--algebra", "C", "--fn", str(path), "--point", "1,1") == (
+        2, "", "error: constant inf is not finite\n")
 
 
 @pytest.mark.filterwarnings("error")

@@ -229,26 +229,28 @@ def test_parse_print_parse_fixpoint():
 _BINARY = {"+": E.add, "-": E.sub, "*": E.mul, "/": E.div}
 
 
+# constants whose folds divide by zero, overflow or stay finite
+_CONSTANTS = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, 1e200, -1e200, 1e308, -1e308]))
+
+
 @st.composite
 def _smart_trees(draw, depth=4):
     """Trees over x1, x2 built by the smart constructors: every operator, all
-    five functions, exponents -3..4 (0 and 1 included) and constants in -5..5."""
+    five functions, exponents -3..4 (0 and 1 included) and constants in -5..5,
+    0, +-1e200 and +-1e308, so some folds stay nodes."""
     if depth == 0 or draw(st.integers(0, 5)) == 0:
         if draw(st.booleans()):
-            return E.lit(draw(st.floats(-5.0, 5.0)))
+            return E.lit(draw(_CONSTANTS))
         return E.var(draw(st.integers(0, 1)))
     op = draw(st.sampled_from(["neg", "^", "call", *_BINARY]))
     a = draw(_smart_trees(depth - 1))
-    try:
-        if op == "neg":
-            return E.neg(a)
-        if op == "^":
-            return E.pow_(a, draw(st.integers(-3, 4)))
-        if op == "call":
-            return E.call(draw(st.sampled_from(E.FUNCTIONS)), a)
-        return _BINARY[op](a, draw(_smart_trees(depth - 1)))
-    except DomainError:  # two constants folded to a value that is not finite
-        assume(False)
+    if op == "neg":
+        return E.neg(a)
+    if op == "^":
+        return E.pow_(a, draw(st.integers(-3, 4)))
+    if op == "call":
+        return E.call(draw(st.sampled_from(E.FUNCTIONS)), a)
+    return _BINARY[op](a, draw(_smart_trees(depth - 1)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -265,10 +267,7 @@ def _tree_tuples(draw):
     for _ in range(draw(st.integers(1, 2))):
         op = draw(st.sampled_from([*_BINARY]))
         a, b = draw(st.sampled_from(trees)), draw(st.sampled_from(trees))
-        try:
-            trees.append(_BINARY[op](a, b))
-        except DomainError:  # two constants folded to a value that is not finite
-            assume(False)
+        trees.append(_BINARY[op](a, b))
     return tuple(trees)
 
 
@@ -862,9 +861,68 @@ def test_product_skips_pairs_whose_basis_product_is_zero():
     assert exprfn_mul(big, big).components == (E.lit(1.0), E.lit(2e200))
 
 
+@pytest.mark.parametrize("fold, node", [
+    (lambda: E.add(E.lit(1e308), E.lit(1e308)), "1e+308 + 1e+308"),
+    (lambda: E.mul(E.lit(-1e200), E.lit(1e200)), "(-1e+200)*1e+200"),
+    (lambda: E.div(E.lit(1.0), E.lit(0.0)), "1/0"),
+    (lambda: E.pow_(E.lit(0.0), -1), "0^(-1)"),
+    (lambda: E.pow_(E.lit(2.0), 65536), "2^65536"),
+    (lambda: parse("2^2^2^2^2", 1), "2^65536"),
+], ids=["sum", "product", "quotient", "negative power", "power", "parsed power"])
+def test_fold_that_raises_or_is_not_finite_stays_a_node(fold, node):
+    # built without an error, printed as text that parses back to it, and
+    # refused at every point and batch
+    e = fold()
+    assert isinstance(e, Op) and to_str(e) == node and parse(node, 1) is e
+    kernel = compile_expr((e,))
+    for x in (np.array([0.5]), np.zeros((3, 1))):
+        with pytest.raises(DomainError):
+            E.eval_compiled(kernel, x)
+
+
+@pytest.mark.parametrize("text", [
+    "1/(1e308+1e308)", "exp(-(2^65536))", "(1e308*10)^(-1)", "(1e308+1e308)^0", "x2/(x1-(1e308+1e308))",
+    "1/exp(1000)",
+])
+def test_operation_that_absorbs_a_refused_fold_is_refused(text):
+    # 1/inf and exp(-inf) are 0 and inf^0 is 1, but the fold under them is
+    # refused, so they are too: at a point, a batch and a verdict
+    from acalc.calculus import adiff_test
+
+    f = ExprFn(get_algebra("C"), (parse(text, 2), parse("x2", 2)))
+    for call in (lambda: f([1.0, 1.0]), lambda: f.eval_coords(np.ones((3, 2))),
+                 lambda: f.eval_jacobian([1.0, 1.0]), lambda: adiff_test(f, [1.0, 1.0])):
+        with pytest.raises(DomainError, match="^evaluation overflowed or gave a non-finite value$"):
+            call()
+
+
+def test_zero_power_of_an_operation_keeps_its_base():
+    # no identity is dropped, as 0*(1/x1) keeps its factor: (1/x1)^0 still
+    # fails at x1 = 0, and (1/0)^0 everywhere; a coordinate to the 0 is 1
+    assert parse("x1^0", 1) == E.lit(1.0) and parse("2^0", 1) == E.lit(1.0)
+    e = parse("(1/x1)^0", 1)
+    assert to_str(e) == "(1/x1)^0" and parse(to_str(e), 1) is e
+    assert E.eval_compiled(compile_expr((e,)), np.array([2.0])).tolist() == [1.0]
+    for text, x in (("(1/x1)^0", 0.0), ("(1/0)^0", 2.0)):
+        with pytest.raises(DomainError, match="^division by zero$"):
+            E.eval_compiled(compile_expr((parse(text, 1),)), np.array([x]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build", [
+    lambda C: E.constant_fn(C, C.element([math.inf, 0.0])),
+    lambda C: poly_fn(C, [0.0, math.inf]),
+    lambda C: poly_fn(C, [0.0, 0.0, 1.0]).directional([math.inf, 0.0]),
+], ids=["constant_fn", "poly_fn", "directional"])
+def test_constant_that_is_not_finite_is_refused_where_it_enters_a_tree(build):
+    # a compiled kernel named it inf, and failed with NameError at a point
+    with pytest.raises(DomainError, match="^constant inf is not finite$"):
+        build(get_algebra("C"))
+
+
 def test_product_of_constants_that_overflows_raises_where_it_is_evaluated():
-    # a pair product of two constants that is not finite is left to
-    # evaluation, as the sum over pairs is: 1e200 * 1e200 builds
+    # a pair product of two constants that is not finite stays a node, as
+    # every such fold does: 1e200 * 1e200 builds
     from acalc.calculus import adiff_test
 
     C = get_algebra("C")

@@ -150,6 +150,16 @@ def test_reversal_antisymmetry():
     assert norm(fw + bw) <= 1e-10
 
 
+def test_reversal_where_t0_plus_t1_overflows_raises_domain_error():
+    # t -> t0 + t1 - t needs the constant t0 + t1, which is not finite here;
+    # the reversed curve's kernel named it inf and failed with NameError
+    C = get_algebra("C")
+    t = {"t": 0}
+    curve = ParametricCurve(C, (parse("t/1e308", 1, names=t), parse("0", 1, names=t)), 1e308, 1.7e308)
+    with pytest.raises(DomainError, match="^constant inf is not finite$"):
+        reverse_curve(curve)
+
+
 def test_concatenation_additivity():
     C = get_algebra("C")
     f = poly_fn(C, [0.0, 0.0, 1.0])
