@@ -14,7 +14,7 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -106,7 +106,11 @@ class Algebra:
 
     def element(self, coords) -> AElement:
         """The library's one point coercion: an element passes as it is if its
-        algebra has this structure, else raises :class:`AlgebraMismatch`."""
+        algebra has this structure, else raises :class:`AlgebraMismatch`.  An
+        element of this very algebra, the common case, passes on the first
+        line, before any other check."""
+        if coords.__class__ is AElement and coords.algebra is self:
+            return coords
         if isinstance(coords, AElement):
             _check_same(self, coords.algebra)
             return coords
@@ -143,9 +147,10 @@ class Algebra:
         return f"Algebra({self.name!r}, dim={self.dim}, {kind})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class AElement:
-    """An algebra number: a coordinate vector tied to its algebra."""
+    """An algebra number: a coordinate vector tied to its algebra; slotted,
+    so it has no ``__dict__``."""
 
     algebra: Algebra
     coords: np.ndarray
@@ -200,22 +205,23 @@ class AElement:
         return " + ".join(terms)
 
 
-@lru_cache(maxsize=None)
-def _packer(n: int):
-    """Packs n floats to the bytes of a float64 array of shape (n,); held
-    here, not on the algebra, which must stay picklable."""
-    return struct.Struct(f"{n}d").pack
+def _element_maker(algebra: Algebra):
+    """``make(*values)``, which builds ``algebra.element(values)`` from n floats
+    without the coercion and the dataclass ``__init__``: the coordinates are a
+    read-only float64 array over the bytes of one prebound ``struct`` pack, and
+    both fields are written through their slot descriptors, past the frozen
+    ``__setattr__``.  A report function binds one maker for its algebra."""
+    pack = struct.Struct(f"{algebra.dim}d").pack
+    frombuffer, new = np.frombuffer, object.__new__
+    set_algebra, set_coords = AElement.algebra.__set__, AElement.coords.__set__
 
+    def make(*values) -> AElement:
+        x = new(AElement)
+        set_algebra(x, algebra)
+        set_coords(x, frombuffer(pack(*values)))
+        return x
 
-def _element_of(algebra: Algebra, values) -> AElement:
-    """``algebra.element(values)`` for n floats, built without its coercion
-    and the dataclass ``__init__``: the coordinates are a read-only float64
-    array over the packed bytes, written past the frozen ``__setattr__``."""
-    x = object.__new__(AElement)
-    fields = x.__dict__
-    fields["algebra"] = algebra
-    fields["coords"] = np.frombuffer(_packer(algebra.dim)(*values))
-    return x
+    return make
 
 
 class Kind(Enum):

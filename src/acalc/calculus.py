@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AElement, Algebra, _element_of, _freeze, mul
+from .algebra import AElement, Algebra, _element_maker, _freeze, mul
 from .errors import DomainError, NonInvertibleBasis, NotADifferentiable
 from .expr import _NOT_FINITE, _POINT_NS, Expr, ExprFn, _kernel_lines, _refused
 
@@ -132,7 +132,7 @@ def _report_source(trees: tuple[Expr, ...], n: int) -> str:
     if residual <= tol:
         if not ({" and ".join(finite[-n:])}):
             raise DomainError(_NOT_FINITE)
-        return _new(DiffReport, (point, vec, residual, True, _element_of(_algebra, ({tail},)), tol))
+        return _new(DiffReport, (point, vec, residual, True, _derivative({tail}), tol))
     return _new(DiffReport, (point, vec, residual, False, None, tol))"""])
 
 
@@ -141,10 +141,11 @@ def _compile_report(algebra: Algebra, trees: tuple[Expr, ...]):
     """The verdict at one point as one function, held by :class:`ExprFn` as
     ``_report`` and shared by equal trees on one algebra.  It runs the float
     routes of the primitives and packs the report as ``DiffReport(...)``
-    does, without its call."""
+    does, without its call; the derivative J 1 is built by the algebra's
+    element maker, bound once here as ``_derivative``."""
     namespace = {**_POINT_NS, "_isfinite": math.isfinite, "_hypot": math.hypot, "_new": tuple.__new__,
                  "DiffReport": DiffReport, "DomainError": DomainError, "_NOT_FINITE": _NOT_FINITE,
-                 "_scaled_residual": _scaled_residual, "_element_of": _element_of, "_algebra": algebra,
+                 "_scaled_residual": _scaled_residual, "_derivative": _element_maker(algebra), "_algebra": algebra,
                  "_refused": _refused}
     exec(_report_source(trees, algebra.dim), namespace)
     return namespace["report"]

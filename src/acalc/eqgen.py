@@ -19,6 +19,7 @@ them in canonical reduced echelon form, one per free column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -137,10 +138,13 @@ def _nullspace_canonical(P: np.ndarray):
         yield columns, np.round(row, 12) + 0.0
 
 
+@lru_cache(maxsize=256, typed=True)  # typed: an order 2.0 is still refused
 def _laplace_system(algebra: Algebra, k: int, kind: str) -> EquationSystem:
     """Order-k equations: the nullspace of P, whose column I (multi-indices
     i_1 <= ... <= i_k in lexicographic order) is v_{i_1} * ... * v_{i_k},
-    built one factor at a time from the structure tensor."""
+    built one factor at a time from the structure tensor.  A system holds only
+    tuples and floats and is frozen, so one is held per (algebra, k, kind) and
+    returned again; a refusal is raised on every call."""
     if not algebra.commutative:
         raise NonCommutativeUnsupported(
             "higher-order equation generation needs a commutative algebra"

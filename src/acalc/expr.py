@@ -369,6 +369,11 @@ def _fold(op: str, args: tuple[Lit, ...], k: int | None = None) -> Expr:
         return Op(op, args, k)
 
 
+def _stays(e: Op) -> bool:
+    """Whether e is a node over constants that :func:`_fold` leaves as it is."""
+    return isinstance(e.args[0], Lit) and isinstance(e.args[-1], Lit) and _fold(e.op, e.args, e.k) is e
+
+
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
@@ -531,6 +536,10 @@ def _kernel_lines(exprs: tuple[Expr, ...]) -> tuple[list[str], list[str]]:
     order the trees evaluate, and a line ``xI = x[I]`` per coordinate read;
     then the name, or the inlined constant, that holds each tree's value.
 
+    A division by a nonzero constant is the inline ``(a/c)``, which gives
+    the bits of ``_div`` on both routes, as its float route returns a / c
+    there; a division by the constant 0 keeps ``_div`` and its message.
+
     A fold that stayed a node (see :func:`_fold`) is refused, and so is each
     node over a refused one, whose line passes its value through
     :func:`_refused`: 1/inf is 0, but 1/(1e308+1e308) raises.  A tree's own
@@ -548,12 +557,14 @@ def _kernel_lines(exprs: tuple[Expr, ...]) -> tuple[list[str], list[str]]:
             # a batch row is a new view on every x[I], so read it once
             source, names[e] = f"x[{e.index}]", f"x{e.index}"
         else:
-            source, names[e] = _OPS[e.op].source.format(*map(name, e.args), k=e.k), f"t{len(names)}"
+            template = ("({0}/{1})" if e.op == "/" and isinstance(e.args[1], Lit) and e.args[1].value != 0.0
+                        else _OPS[e.op].source)
+            source, names[e] = template.format(*map(name, e.args), k=e.k), f"t{len(names)}"
             if refused and not refused.isdisjoint(e.args):
                 source = f"_refused({source})"
                 refused.add(e)
-            elif isinstance(e.args[0], Lit) and isinstance(e.args[-1], Lit) and _fold(e.op, e.args, e.k) is e:
-                refused.add(e)  # a fold that stayed a node
+            elif _stays(e):
+                refused.add(e)
         lines.append(f"    {names[e]} = {source}")
     return lines, [name(e) for e in exprs]
 
@@ -660,15 +671,27 @@ def to_str(e: Expr) -> str:
 def diff(e: Expr, i: int) -> Expr:
     """Exact partial derivative with respect to coordinate i (0-based).  Each
     node holds its partials, so its rule is applied once per coordinate, however
-    many trees and calls share it."""
+    many trees and calls share it.
+
+    A node that evaluation refuses at every point, a fold that stayed a node
+    or a node over such a node, has no finite value and so no finite
+    derivative: its partial is ``0*node``, built past :func:`mul`, which
+    evaluation refuses too.  A rule would drop it, as the partial of a
+    constant is 0.  Since the smart constructors never build a product with
+    the factor 0, that partial is also how such a node is told apart."""
     def partial_of(a: Expr) -> Expr:
         if isinstance(a, Op):
             return a.partials[i]
         return _ONE if isinstance(a, Var) and a.index == i else _ZERO
 
+    def refused(a: Expr) -> bool:
+        p = a.partials[i] if isinstance(a, Op) else None
+        return isinstance(p, Op) and p.args == (_ZERO, a)
+
     for node in _postorder((e,), skip=lambda a: i in a.partials):
         if isinstance(node, Op):
-            node.partials[i] = _OPS[node.op].rule(node, [partial_of(a) for a in node.args])
+            node.partials[i] = (Op("*", (_ZERO, node)) if _stays(node) or any(map(refused, node.args))
+                                else _OPS[node.op].rule(node, [partial_of(a) for a in node.args]))
     return partial_of(e)
 
 

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acalc.algebra import (
+    AElement,
     Kind,
     classify,
     find_invertible_basis,
@@ -328,6 +332,38 @@ def test_held_kernels_match_the_products_on_points_and_columns(fixtures):
         # a batch runs the same lines, and the Jacobian kernel their first ones
         assert np.array_equal(eval_compiled(flat, X), points), a.name
         assert np.array_equal(eval_compiled(f._jacobian, X), points[:, :m]), a.name
+
+
+def test_element_is_slotted_and_frozen(fixtures):
+    # no __dict__, no field can be set, and pickle and both copies give an
+    # element with the same coordinate bytes
+    rng = np.random.default_rng(41)
+    assert len(fixtures) == 16
+    for a in fixtures.values():
+        x = random_element(a, rng)
+        assert not hasattr(x, "__dict__"), a.name
+        for name, value in (("algebra", a), ("coords", x.coords)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, value)
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(y) is AElement and y.coords.tobytes() == x.coords.tobytes(), a.name
+            assert y.algebra.same_structure(a), a.name
+
+
+def test_element_of_the_same_algebra_passes_the_coercion_as_it_is(fixtures):
+    rng = np.random.default_rng(43)
+    for a in fixtures.values():
+        x = random_element(a, rng)
+        assert a.element(x) is x
+        # an element of an equal-structure copy still passes, both ways
+        twin = make_algebra(a.dim, a.structure, a.unity, a.basis_labels, name=f"{a.name} copy")
+        assert twin.element(x) is x
+        y = twin.element(x.coords)
+        assert a.element(y) is y and y.algebra is twin
+        for other in fixtures.values():
+            if not other.same_structure(a):
+                with pytest.raises(AlgebraMismatch):
+                    other.element(x)
 
 
 def test_fixture_names_give_one_algebra_that_holds_its_facts():

@@ -948,6 +948,8 @@ def test_batch_jacobian_is_each_reports_jacobian_vec_bit_for_bit(fixtures):
 
 
 def test_true_verdict_derivative_is_a_read_only_float64_vector(fixtures):
+    # the element maker's slotted AElement, as the coercion would build it
+    import copy
     import pickle
     from dataclasses import FrozenInstanceError
 
@@ -960,15 +962,19 @@ def test_true_verdict_derivative_is_a_read_only_float64_vector(fixtures):
         for f in (zeta_power(a, 2), zeta_power(a, 3)):
             d = adiff_test(f, p).derivative
             assert type(d) is AElement and d.algebra is a, a.name
+            assert not hasattr(d, "__dict__") and a.element(d) is d, a.name
             assert d.coords.dtype == np.float64 and d.coords.shape == (n,), a.name
             assert not d.coords.flags.writeable, a.name
             with pytest.raises(ValueError):
                 d.coords[0] = 1.0
             with pytest.raises(FrozenInstanceError):
                 d.coords = np.zeros(n)
+            with pytest.raises(FrozenInstanceError):
+                d.algebra = a
             assert d.coords.tobytes() == f.unity_derivative(p).coords.tobytes(), a.name
             assert (d + d).coords.tobytes() == (2.0 * d).coords.tobytes(), a.name
-            assert pickle.loads(pickle.dumps(d)).coords.tobytes() == d.coords.tobytes(), a.name
+            for e in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+                assert type(e) is AElement and e.coords.tobytes() == d.coords.tobytes(), a.name
 
 
 def test_norm_of_f_that_overflows_still_gives_a_verdict():

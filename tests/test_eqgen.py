@@ -214,6 +214,23 @@ def test_laplace_k2_reduces_to_laplace(commutative_fixtures):
         assert [eq for eq in s2.equations] == [eq for eq in sk.equations]
 
 
+def test_laplace_system_is_held_per_algebra_and_order(commutative_fixtures):
+    # one frozen system per (algebra, order), returned again; a refusal is
+    # raised on every call, and an order 2.0 is still refused after order 2
+    for a in commutative_fixtures.values():
+        assert gen_laplace(a) is gen_laplace(a)
+        assert gen_laplace_k(a, 2) == gen_laplace(a)
+        assert gen_laplace_k(a, 3) is gen_laplace_k(a, 3)
+        with pytest.raises(TypeError):
+            gen_laplace_k(a, 2.0)
+    for name in ("quaternions", "mat2", "triangular6"):
+        for _ in range(3):
+            with pytest.raises(NonCommutativeUnsupported):
+                gen_laplace(get_algebra(name))
+            with pytest.raises(NonCommutativeUnsupported):
+                gen_laplace_k(get_algebra(name), 3)
+
+
 def test_laplace_k3_trihyperbolic():
     # j^3 = 1 induces Phi_yyy = Phi_xxx among the order-3 equations
     A3 = get_algebra("3-hyperbolic")

@@ -41,7 +41,14 @@ from acalc.calculus import taylor_eval
 from acalc.fixtures import bundled_algebras, get_algebra
 
 from conftest import distinct_ops, nodes_built, random_element
-from oracles import evaluate
+from oracles import evaluate, interpret
+
+
+# exp on the 3-hyperbolic numbers, j^3 = 1, with its divisions by 2 and 3
+_EXP3 = tuple(
+    f"(exp(x1+x2+x3)+2*exp(x1-(x2+x3)/2)*cos({math.sqrt(3.0) / 2.0!r}*(x2-x3)-{2 * math.pi * k / 3!r}))/3"
+    for k in range(3)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -894,6 +901,55 @@ def test_operation_that_absorbs_a_refused_fold_is_refused(text):
                  lambda: f.eval_jacobian([1.0, 1.0]), lambda: adiff_test(f, [1.0, 1.0])):
         with pytest.raises(DomainError, match="^evaluation overflowed or gave a non-finite value$"):
             call()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1+(1e308+1e308)", "non-finite"), ("x1+0*(1e308+1e308)", "non-finite"),
+    ("x1*exp(1000)", "non-finite"), ("x1+1/0", "^division by zero$"),
+])
+def test_derivative_of_a_tree_over_a_refused_fold_is_refused(text, message):
+    # f is refused at every point, so its partials and f' are too, at every
+    # order: the partial of a node over a refused fold is 0*node, where a rule
+    # gave 1 as the partial of x1 and 0 as that of the constant
+    C = get_algebra("C")
+    f = ExprFn(C, (parse(text, 2), parse("x2", 2)))
+    for g in (f.partial(0), f.unity_derivative, f.partial(1), f.unity_derivative.unity_derivative):
+        for call in (lambda: g.eval_coords([1.0, 1.0]), lambda: g.eval_coords(np.ones((3, 2))),
+                     lambda: g.eval_jacobian([1.0, 1.0]), lambda: g.eval_jacobian(np.ones((3, 2)))):
+            with pytest.raises(DomainError, match=message):
+                call()
+        for c in g.components:
+            assert parse(to_str(c), 2) == c
+    assert to_str(f.partial(0).components[0]) == f"0*({to_str(f.components[0])})"
+
+
+@pytest.mark.parametrize("texts", [
+    ("x1/3", "(x1+x2)/2"), ("x1/(-0.1)", "(x2/7)/x1"), _EXP3,
+], ids=["thirds and halves", "negative and nested", "3-hyperbolic exp"])
+def test_division_by_a_constant_is_inline_and_bit_for_bit(texts):
+    # a / c for a constant c != 0 is compiled as (a/c), which gives the bits
+    # of _div, as the interpreter applies it: on floats at a point, and on
+    # arrays, numpy's route, on a batch
+    trees = tuple(parse(t, 3) for t in texts)
+    lines, _ = E._kernel_lines(trees)
+    assert sum("_div(" in line for line in lines) == sum(
+        1 for e in distinct_ops(trees) if e.op == "/" and not isinstance(e.args[1], Lit))
+    kernel = compile_expr(trees)
+    rng = np.random.default_rng(47)
+    X = np.concatenate([rng.uniform(-3.0, 3.0, (40, 3)), [[0.5, -0.0, 1e-308], [-2.0, 5e-324, 3.0]]])
+    assert E.eval_compiled(kernel, X).tobytes() == np.stack(interpret(trees, list(X.T), np.asarray)).T.tobytes()
+    for x in X:
+        assert E.eval_compiled(kernel, x).tobytes() == np.array(interpret(trees, x.tolist())).tobytes()
+
+
+def test_division_by_zero_keeps_its_message_on_both_routes():
+    for text in ("x1/0", "1/(x1-x1)", "x2/(0*x1)"):
+        trees = (parse(text, 2),)
+        kernel = compile_expr(trees)
+        for x in (np.array([1.5, 2.0]), np.ones((3, 2))):
+            with pytest.raises(DomainError, match="^division by zero$"):
+                E.eval_compiled(kernel, x)
+    assert "_div(x0,0.0)" in E._kernel_source((parse("x1/0", 1),))
 
 
 def test_zero_power_of_an_operation_keeps_its_base():
