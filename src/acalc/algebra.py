@@ -191,10 +191,6 @@ class AElement:
     def norm(self) -> float:
         return math.hypot(*self.coords.tolist())
 
-    def allclose(self, other: "AElement", atol: float = 1e-12) -> bool:
-        _check_same(self.algebra, other.algebra)
-        return bool(np.allclose(self.coords, other.coords, atol=atol, rtol=0.0))
-
     def __repr__(self) -> str:
         terms = []
         for c, label in zip(self.coords, self.algebra.basis_labels):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import AElement, Algebra, _element_maker, _freeze, mul
 from .errors import DomainError, NonInvertibleBasis, NotADifferentiable
-from .expr import _NOT_FINITE, _POINT_NS, Expr, ExprFn, _kernel_lines, _refused
+from .expr import _NOT_FINITE, _POINT_NS, _ZERO, Expr, ExprFn, _combine, _kernel_lines, _refused
 
 __all__ = [
     "ConjugateFrame",
@@ -107,17 +107,21 @@ def adiff_test(f: ExprFn, p, tol: float = DEFAULT_ADIFF_TOL, method: str = "symb
     return f._report(point, tol)
 
 
-def _report_source(trees: tuple[Expr, ...], n: int) -> str:
-    """``report(point, tol)`` over the trees of f's n components, vec(J), the
-    rows of P vec(J) and J 1: the kernel's lines, then adiff_test's checks in
-    order.  An f(p) that is not finite is refused (hypot is not finite exactly
-    when an entry is not or the norm overflows, so the entries are read only
-    then); the residual is num / max(1, den), as a conditional that gives the
-    bits of ``max`` without its call, or the scaled rerun where a norm is not
-    finite; J 1 is read only for a true verdict, as it may overflow where f
-    and J are finite."""
-    lines, values = _kernel_lines(trees)
-    m = n + n * n
+def _report_source(trees: tuple[Expr, ...], algebra: Algebra) -> str:
+    """``report(point, tol)`` over the trees of f's n components and vec(J),
+    plus the verdict's rows composed here: the nonzero rows of P vec(J) and
+    J 1, the rows of I kron 1^T over vec(J) (J's first column, which adds no
+    line, when the unity is v_1).  The kernel's lines, then adiff_test's
+    checks in order.  An f(p) that is not finite is refused (hypot is not
+    finite exactly when an entry is not or the norm overflows, so the entries
+    are read only then); the residual is num / max(1, den), as a conditional
+    that gives the bits of ``max`` without its call, or the scaled rerun where
+    a norm is not finite; J 1 is read only for a true verdict, as it may
+    overflow where f and J are finite."""
+    n = algebra.dim
+    cr = tuple(r for r in _combine(algebra.cr_projector, trees[n:]) if r != _ZERO)
+    lines, values = _kernel_lines(trees + cr + _combine(np.kron(np.eye(n), algebra.unity), trees[n:]))
+    m = len(trees)
     f, vec, cr, tail = (", ".join(v) for v in (values[:n], values[n:m], values[m:-n], values[-n:]))
     finite = [f"_isfinite({v})" for v in values]
     return "\n".join(["def report(point, tol):", "    x = point.coords.tolist()", *lines, f"""\
@@ -138,8 +142,9 @@ def _report_source(trees: tuple[Expr, ...], n: int) -> str:
 
 @lru_cache(maxsize=4096)
 def _compile_report(algebra: Algebra, trees: tuple[Expr, ...]):
-    """The verdict at one point as one function, held by :class:`ExprFn` as
-    ``_report`` and shared by equal trees on one algebra.  It runs the float
+    """The verdict at one point over the trees of f and vec(J) as one
+    function, held by :class:`ExprFn` as ``_report`` and shared by equal
+    trees on one algebra (see :func:`_report_source`).  It runs the float
     routes of the primitives and packs the report as ``DiffReport(...)``
     does, without its call; the derivative J 1 is built by the algebra's
     element maker, bound once here as ``_derivative``."""
@@ -147,7 +152,7 @@ def _compile_report(algebra: Algebra, trees: tuple[Expr, ...]):
                  "DiffReport": DiffReport, "DomainError": DomainError, "_NOT_FINITE": _NOT_FINITE,
                  "_scaled_residual": _scaled_residual, "_derivative": _element_maker(algebra), "_algebra": algebra,
                  "_refused": _refused}
-    exec(_report_source(trees, algebra.dim), namespace)
+    exec(_report_source(trees, algebra), namespace)
     return namespace["report"]
 
 

@@ -455,10 +455,7 @@ def main(argv=None) -> int:
     except NotADifferentiable as exc:
         print(f"verdict: {exc}", file=sys.stderr)
         return EXIT_FALSE
-    except AcalcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (AcalcError, OSError, KeyError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # a malformed input no check above names

@@ -139,11 +139,11 @@ def _nullspace_canonical(P: np.ndarray):
 
 
 @lru_cache(maxsize=256, typed=True)  # typed: an order 2.0 is still refused
-def _laplace_system(algebra: Algebra, k: int, kind: str) -> EquationSystem:
+def _laplace_system(algebra: Algebra, k: int) -> EquationSystem:
     """Order-k equations: the nullspace of P, whose column I (multi-indices
     i_1 <= ... <= i_k in lexicographic order) is v_{i_1} * ... * v_{i_k},
     built one factor at a time from the structure tensor.  A system holds only
-    tuples and floats and is frozen, so one is held per (algebra, k, kind) and
+    tuples and floats and is frozen, so one is held per (algebra, k) and
     returned again; a refusal is raised on every call."""
     if not algebra.commutative:
         raise NonCommutativeUnsupported(
@@ -166,19 +166,20 @@ def _laplace_system(algebra: Algebra, k: int, kind: str) -> EquationSystem:
         ))
         for columns, row in _nullspace_canonical(products.T)
     )
-    return EquationSystem(kind=kind, order=k, algebra=algebra, equations=equations)
+    return EquationSystem(kind="Laplace2" if k == 2 else "LaplaceK", order=k, algebra=algebra,
+                          equations=equations)
 
 
 def gen_laplace(algebra: Algebra) -> EquationSystem:
     """Second-order equations solved by every component of a differentiable
     function; one equation per nullspace direction of the symmetrized
     basis-product map."""
-    return _laplace_system(algebra, 2, "Laplace2")
+    return _laplace_system(algebra, 2)
 
 
 def gen_laplace_k(algebra: Algebra, k: int) -> EquationSystem:
     """Order-k generalization of :func:`gen_laplace` over symmetric k-tensors."""
-    return _laplace_system(algebra, k, "LaplaceK" if k != 2 else "Laplace2")
+    return _laplace_system(algebra, k)
 
 
 def check_residual(system: EquationSystem, f: ExprFn, grid) -> float:

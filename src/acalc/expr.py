@@ -9,15 +9,16 @@ these partials, and central differences remain only as a test oracle.
 A tree holds constants (``Lit``), coordinates (``Var``) and operators
 (``Op``).  The table ``_OPS`` is the one place that defines an operator: its
 primitive for points, batches and constant folds, its compiled and printed
-forms, its precedence and its derivative rule.  Compiling, printing and
-differentiation only read it; substitution rebuilds each node as it is, so a
-composed tree evaluates every operand that the original one did.  The
+forms, its precedence and its derivative rule.  Parsing, compiling, printing
+and differentiation only read it; substitution rebuilds each node as it is,
+so a composed tree evaluates every operand that the original one did.  The
 package evaluates a tree only through a compiled kernel.
 
 Every constant is finite.  Two constants fold to one through the operator's
 primitive; a fold that the primitive refuses or whose value is not finite
 stays a node, which evaluation refuses at every point, also under an
-operation that would absorb its value (1/inf is 0).
+operation that would absorb its value (1/inf is 0).  Whether a node is
+refused is decided once, where it is built (``Op.refused``).
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ class Expr:
     """Base class for immutable expression nodes."""
 
     __slots__ = ("__weakref__",)  # for the node table of Op
+    refused = False  # only an Op can be refused, see Op.refused
 
 
 @dataclass(frozen=True)
@@ -89,12 +91,15 @@ class Op(Expr):
     the live node with equal fields from ``_NODES`` if there is one, so equal
     trees are one object, and equality and hashing are identity, whatever the
     tree's size.  ``partials`` maps a coordinate to the node's partial
-    derivative, taken by :func:`diff` and held as long as the node lives."""
+    derivative, taken by :func:`diff` and held as long as the node lives.
+    ``refused``, set once here, is true for a fold that stayed a node and for
+    a node over a refused one: evaluation refuses such a node at every point."""
 
     op: str
     args: tuple[Expr, ...]
     k: int | None = None
     partials: dict[int, Expr] = field(repr=False)
+    refused: bool = field(repr=False)
 
     def __new__(cls, op: str, args: tuple[Expr, ...], k: int | None = None) -> "Op":
         key = (op, args, k)
@@ -105,6 +110,9 @@ class Op(Expr):
             object.__setattr__(node, "args", args)
             object.__setattr__(node, "k", k)
             object.__setattr__(node, "partials", {})
+            # an operator has one or two operands
+            object.__setattr__(node, "refused", args[0].refused or args[-1].refused or (
+                isinstance(args[0], Lit) and isinstance(args[-1], Lit) and _folded(op, args, k) is None))
             _NODES[key] = node
         return node
 
@@ -328,6 +336,8 @@ _OPS = {
 }
 
 FUNCTIONS = tuple(name for name, o in _OPS.items() if o.prec == _ATOM)
+# the precedence of each binary operator, + - * /: those printed with two operands
+_BINARY = {name: o.prec for name, o in _OPS.items() if "{1}" in o.text}
 
 
 def _postorder(roots, skip=None) -> list[Expr]:
@@ -355,23 +365,23 @@ def _postorder(roots, skip=None) -> list[Expr]:
     return order
 
 
-# Every constant fold, in the smart constructors and the parser, computes as
-# evaluation does.  A fold that the primitive refuses (1/0, 0^(-1)) or whose
-# value is not finite (1e308+1e308, 2^65536) is no constant: the node stays as
-# it is, and evaluation refuses it wherever it sits (see _kernel_lines).  So
-# no tree fails where it is built, and each prints as text that parses back
-# to it.
-def _fold(op: str, args: tuple[Lit, ...], k: int | None = None) -> Expr:
+def _folded(op: str, args: tuple[Lit, ...], k: int | None = None) -> Lit | None:
+    """The constant ``op`` gives on the constants ``args``, computed as
+    evaluation computes it, or None where the primitive refuses them (1/0,
+    0^(-1)) or the value is not finite (1e308+1e308, 2^65536)."""
     operands = [a.value for a in args] if k is None else [args[0].value, k]
     try:
         return lit(_OPS[op].fn(*operands))
     except DomainError:  # the primitive refuses the operands, or lit the value
-        return Op(op, args, k)
+        return None
 
 
-def _stays(e: Op) -> bool:
-    """Whether e is a node over constants that :func:`_fold` leaves as it is."""
-    return isinstance(e.args[0], Lit) and isinstance(e.args[-1], Lit) and _fold(e.op, e.args, e.k) is e
+def _fold(op: str, args: tuple[Lit, ...], k: int | None = None) -> Expr:
+    """The fold of the smart constructors and the parser: the constant of
+    :func:`_folded`, else the node as it is, which is refused.  So no tree
+    fails where it is built, and each prints as text that parses back to it."""
+    value = _folded(op, args, k)
+    return Op(op, args, k) if value is None else value
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +396,7 @@ _TOKEN = re.compile(
 
 _VAR_PATTERN = re.compile(r"^x(\d+)$")
 
-# deepest nesting parsed: half the ~200 levels the recursive descent survives
+# deepest nesting parsed: well under the ~160 levels the recursive descent survives
 MAX_NESTING = 100
 
 
@@ -426,23 +436,20 @@ class _Parser:
         self.advance()
 
     def parse(self) -> Expr:
-        e = self.expression()
+        e = self.binary(0)
         kind, text, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(pos, "end of input or an operator")
         return e
 
-    def expression(self) -> Expr:
-        e = self.term()
-        while self.peek()[1] in ("+", "-"):
-            e = _binary(self.advance()[1], e, self.term())
-        return e
-
-    def term(self) -> Expr:
+    def binary(self, prec: int) -> Expr:
+        # factors joined by the operators binding at least as tightly as prec; a
+        # right operand binds more tightly, so a - b - c is (a - b) - c
         e = self.factor()
-        while self.peek()[1] in ("*", "/"):
+        while (op := self.peek()[1]) in _BINARY and _BINARY[op] >= prec:
+            self.advance()
             # constants fold, but no identity is dropped: 0*(1/x1) still fails at x1 = 0
-            e = _binary(self.advance()[1], e, self.factor())
+            e = _binary(op, e, self.binary(_BINARY[op] + 1))
         return e
 
     def factor(self) -> Expr:
@@ -467,7 +474,7 @@ class _Parser:
             if k is None:
                 raise ExprSyntaxError(caret_pos, "an integer exponent")
             if k == 0 and isinstance(base, Op):
-                # no identity is dropped (see term): (1/x1)^0 still fails at x1 = 0
+                # no identity is dropped (see binary): (1/x1)^0 still fails at x1 = 0
                 return Op("^", (base,), 0)
             return pow_(base, k)
         return base
@@ -480,7 +487,7 @@ class _Parser:
                 raise ExprSyntaxError(pos, "a finite number")
             return Lit(value)
         if text == "(":
-            e = self.expression()
+            e = self.binary(0)
             self.expect(")")
             return e
         if kind == "name":
@@ -488,10 +495,10 @@ class _Parser:
                 if text not in FUNCTIONS:
                     raise UnknownVariable(text, pos)
                 self.advance()
-                args = [self.expression()]
+                args = [self.binary(0)]
                 while self.peek()[1] == ",":
                     self.advance()
-                    args.append(self.expression())
+                    args.append(self.binary(0))
                 self.expect(")")
                 if len(args) != 1:
                     raise ArityError(text, pos, len(args))
@@ -540,13 +547,12 @@ def _kernel_lines(exprs: tuple[Expr, ...]) -> tuple[list[str], list[str]]:
     the bits of ``_div`` on both routes, as its float route returns a / c
     there; a division by the constant 0 keeps ``_div`` and its message.
 
-    A fold that stayed a node (see :func:`_fold`) is refused, and so is each
-    node over a refused one, whose line passes its value through
-    :func:`_refused`: 1/inf is 0, but 1/(1e308+1e308) raises.  A tree's own
-    value is left to the caller, as every value that is not finite is: the
-    verdict rescales an overflowing Cauchy-Riemann row."""
+    The line of a node over a refused one (see ``Op.refused``) passes its
+    value through :func:`_refused`: 1/inf is 0, but 1/(1e308+1e308) raises.
+    A refused fold's own line needs no check: it raises or is not finite.  A
+    tree's own value is left to the caller, as every value that is not finite
+    is: the verdict rescales an overflowing Cauchy-Riemann row."""
     names: dict[Expr, str] = {}
-    refused: set[Expr] = set()
     lines = []
 
     def name(a: Expr) -> str:
@@ -560,11 +566,8 @@ def _kernel_lines(exprs: tuple[Expr, ...]) -> tuple[list[str], list[str]]:
             template = ("({0}/{1})" if e.op == "/" and isinstance(e.args[1], Lit) and e.args[1].value != 0.0
                         else _OPS[e.op].source)
             source, names[e] = template.format(*map(name, e.args), k=e.k), f"t{len(names)}"
-            if refused and not refused.isdisjoint(e.args):
+            if any(a.refused for a in e.args):
                 source = f"_refused({source})"
-                refused.add(e)
-            elif _stays(e):
-                refused.add(e)
         lines.append(f"    {names[e]} = {source}")
     return lines, [name(e) for e in exprs]
 
@@ -673,24 +676,18 @@ def diff(e: Expr, i: int) -> Expr:
     node holds its partials, so its rule is applied once per coordinate, however
     many trees and calls share it.
 
-    A node that evaluation refuses at every point, a fold that stayed a node
-    or a node over such a node, has no finite value and so no finite
-    derivative: its partial is ``0*node``, built past :func:`mul`, which
-    evaluation refuses too.  A rule would drop it, as the partial of a
-    constant is 0.  Since the smart constructors never build a product with
-    the factor 0, that partial is also how such a node is told apart."""
+    A refused node (see ``Op.refused``), which evaluation refuses at every
+    point, has no finite value and so no finite derivative: its partial is
+    ``0*node``, built past :func:`mul`, which is refused too.  A rule would
+    drop it, as the partial of a constant is 0."""
     def partial_of(a: Expr) -> Expr:
         if isinstance(a, Op):
             return a.partials[i]
         return _ONE if isinstance(a, Var) and a.index == i else _ZERO
 
-    def refused(a: Expr) -> bool:
-        p = a.partials[i] if isinstance(a, Op) else None
-        return isinstance(p, Op) and p.args == (_ZERO, a)
-
     for node in _postorder((e,), skip=lambda a: i in a.partials):
         if isinstance(node, Op):
-            node.partials[i] = (Op("*", (_ZERO, node)) if _stays(node) or any(map(refused, node.args))
+            node.partials[i] = (Op("*", (_ZERO, node)) if node.refused
                                 else _OPS[node.op].rule(node, [partial_of(a) for a in node.args]))
     return partial_of(e)
 
@@ -786,18 +783,15 @@ class ExprFn:
 
     @cached_property
     def _report(self):
-        # the verdict at a point (see calculus._compile_report) over the nonzero
-        # Cauchy-Riemann rows of P vec(J); when the unity is v_1, the trees of
-        # J 1, the components of f', are J's first column and add no line
+        # the verdict at a point over f and vec(J) (see calculus._compile_report)
         from .calculus import _compile_report
 
-        vec = self._vec
-        cr = tuple(r for r in _combine(self.algebra.cr_projector, vec) if r != _ZERO)
-        return _compile_report(self.algebra, self.components + vec + cr + self.unity_derivative.components)
+        return _compile_report(self.algebra, self.components + self._vec)
 
     def partial(self, i: int) -> "ExprFn":
         """Componentwise exact partial derivative with respect to x_{i+1}, the
-        directional derivative along e_{i+1}; a new ExprFn on each call."""
+        directional derivative along e_{i+1}; a new ExprFn on each call, which
+        carries no refusal of f at a single point (see :meth:`directional`)."""
         n = self.algebra.dim
         try:
             k = operator.index(i)  # an integer type: 1.5 and "1" are refused
@@ -821,7 +815,10 @@ class ExprFn:
         differentiable f; it reduces to d/dx1 when the unity is the first
         basis vector.  Each component is the combination of its partials with
         c as the one row (see :func:`_combine`); only the partials along
-        nonzero c_i are taken.
+        nonzero c_i are taken.  A refusal of f at a single point is not carried
+        into its derivatives: x1 + 0*(1/x1) is refused at x1 = 0, and its
+        partial along x1 is 1 there; only a node refused at every point has a
+        refused partial (see :func:`diff`).
         """
         n = self.algebra.dim
         c = np.asarray(coords, dtype=float)

@@ -795,3 +795,34 @@ def test_fixture_input_validation():
         wave_algebra(0.0)
     with pytest.raises(DimensionMismatch):
         cyclic_algebra(3, [1.0, 0.0], "bad")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda C: make_algebra(2, C.structure, [1.0, 0.0, 0.0]), "unity must have 2 coordinates, got (3,)"),
+    (lambda C: make_algebra(2, C.structure, [1.0, 0.0], labels=["1"]), "expected 2 basis labels, got 1"),
+    (lambda C: number_map(C, np.eye(3)), "expected a 2x2 matrix, got (3, 3)"),
+], ids=["unity-shape", "label-count", "number-map-shape"])
+def test_algebra_input_of_the_wrong_shape_is_refused(build, message):
+    with pytest.raises(DimensionMismatch) as info:
+        build(get_algebra("C"))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"dim": 2, "relations": {"generator_power": 3, "value": [1, 0]}}, "generator power must equal the dimension"),
+    ({"dim": 2, "table": [[1, 0], [0, 1]], "unity": [1, 0]}, "table must be 2x2 vectors of length 2"),
+], ids=["generator-power", "table-shape"])
+def test_algebra_document_of_the_wrong_shape_is_refused(doc, message):
+    from acalc.fixtures import algebra_from_dict
+
+    with pytest.raises(DimensionMismatch) as info:
+        algebra_from_dict(doc)
+    assert str(info.value) == message
+
+
+def test_product_of_two_elements_is_the_algebra_product():
+    # oracle: Python's complex product, (1 + 2i)(3 + 4i) = -5 + 10i
+    C = get_algebra("C")
+    x, y = C.element([1.0, 2.0]), C.element([3.0, 4.0])
+    w = complex(1.0, 2.0) * complex(3.0, 4.0)
+    assert (x * y).coords.tolist() == [w.real, w.imag]

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from acalc import expr as E
 from acalc.errors import (
+    AlgebraMismatch,
     ArityError,
     DimensionMismatch,
     DomainError,
@@ -989,3 +990,20 @@ def test_product_of_constants_that_overflows_raises_where_it_is_evaluated():
                        lambda: adiff_test(f, [0.5, 0.5])):
         with pytest.raises(DomainError, match="non-finite"):
             evaluate_f()
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda C, H: parse("x1 x2", 2), ExprSyntaxError,
+     "syntax error at position 3: expected end of input or an operator"),
+    (lambda C, H: ExprFn(C, (parse("x1", 2),)), DimensionMismatch, "expected 2 components, got 1"),
+    (lambda C, H: E.exprfn_from_dict({"components": ["x1"]}, C), DimensionMismatch,
+     "function needs 2 components, got 1"),
+    (lambda C, H: exprfn_mul(identity_fn(C), identity_fn(H)), AlgebraMismatch,
+     "functions live on different algebras"),
+    (lambda C, H: poly_fn(C, [H.one()]), AlgebraMismatch, "coefficient belongs to a different algebra"),
+], ids=["trailing-operand", "components", "file-components", "product-across-algebras",
+        "coefficient-across-algebras"])
+def test_malformed_input_is_refused_with_its_message(build, error, message):
+    with pytest.raises(error) as info:
+        build(get_algebra("C"), get_algebra("H"))
+    assert str(info.value) == message

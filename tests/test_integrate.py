@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from acalc.algebra import invert, mul, norm
-from acalc.errors import DomainError, QuadratureNonConvergence
+from acalc.errors import DimensionMismatch, DomainError, QuadratureNonConvergence
 from acalc.expr import ExprFn, conjugate_fn, parse, poly_fn
 from acalc.fixtures import get_algebra
 from acalc.integrate import (
@@ -628,3 +628,21 @@ def test_fused_route_raises_domain_error():
     assert np.isfinite(wide.velocity(np.linspace(0.0, 2.0 * np.pi, 9))).all()
     with pytest.raises(DomainError, match="non-finite"):
         integrate_curve(big, wide)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda C: ParametricCurve(C, (parse("t", 1, names={"t": 0}),), 0.0, 1.0), "curve needs 2 coordinate maps"),
+    (lambda C: Polyline((C.one(),)), "a polyline needs at least 2 vertices"),
+    (lambda C: antiderivative_probe(poly_fn(C, [0.0, 1.0]), [C.one()]), "need at least two region samples"),
+], ids=["curve-maps", "polyline-vertices", "probe-samples"])
+def test_curve_input_of_the_wrong_size_is_refused(build, message):
+    with pytest.raises(DimensionMismatch) as info:
+        build(get_algebra("C"))
+    assert str(info.value) == message
+
+
+def test_polyline_starts_at_its_first_vertex_and_ends_at_its_last():
+    C = get_algebra("C")
+    vertices = tuple(C.element([float(k), -float(k)]) for k in range(3))
+    line = Polyline(vertices)
+    assert line.start is vertices[0] and line.end is vertices[-1]
